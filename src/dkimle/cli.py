@@ -7,11 +7,15 @@ protocol      text rows ``b gx gy gz`` (s/mm^2) or the JSON form
 voxel table   header line ``m=<count>``, then one line per voxel with m
               comma-separated magnitudes; ``#`` comments allowed.
 truth sidecar JSON object keyed by voxel index.
-fit output    JSON lines, one voxel per line.
+fit output    JSON lines, one voxel per line in voxel order, each with
+              ``"status": "ok"``, or ``"status": "error"`` and the
+              ``error`` of a voxel whose fit raised.
 compare       JSON report plus an aligned text table on stdout.
 
-Identical (command, seed) pairs produce byte-identical voxel tables and
-numerically identical fit parameters regardless of the worker count.
+Identical (command, seed) pairs produce byte-identical voxel tables, and
+fit output that is identical for every worker count apart from the
+recorded wall times.  ``fit`` exits 1 when any voxel failed; every
+command exits 2 on bad input or usage.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,18 +108,32 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@dataclass
+class VoxelError:
+    """A voxel whose fit raised; it is written as an error record."""
+
+    estimator: str
+    error: str
+
+
 def _fit_one(payload):
     index, y, bvals, bvecs, estimator, options = payload
     protocol = AcquisitionProtocol(bvals, bvecs)
-    result = fit_voxel(y, protocol, estimator, options)
+    try:
+        result = fit_voxel(y, protocol, estimator, options)
+    except ValueError as exc:  # bad magnitudes, RankDeficient, DegenerateVoxel, Infeasible
+        result = VoxelError(estimator, f"{type(exc).__name__}: {exc}")
     return index, result
 
 
-def _result_record(index: int, r: FitResult) -> dict:
+def _result_record(index: int, r: FitResult | VoxelError) -> dict:
+    if isinstance(r, VoxelError):
+        return {"voxel": index, "estimator": r.estimator, "status": "error", "error": r.error}
     sm = scalar_metrics(r.theta_d, r.theta_w, r.s0, r.sigma2)
     record = {
         "voxel": index,
         "estimator": r.estimator,
+        "status": "ok",
     }
     if r.params is not None:
         record["L"] = [float(x) for x in r.params.L]
@@ -153,31 +173,38 @@ def cmd_fit(args) -> int:
         options.solver.grad_tol = args.grad_tol
 
     workers = args.workers or int(os.environ.get(_WORKERS_ENV, "1"))
+    n = rows.shape[0]
     payloads = [
         (i, rows[i], protocol.bvals, protocol.bvecs, args.estimator, options)
-        for i in range(rows.shape[0])
+        for i in range(n)
     ]
-    results: list = [None] * rows.shape[0]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, result in pool.map(_fit_one, payloads):
-                results[index] = result
-    else:
-        for payload in payloads:
-            index, result = _fit_one(payload)
-            results[index] = result
-
-    lines = [json.dumps(_result_record(i, r)) for i, r in enumerate(results)]
+    lines = []
+    n_failed = n_bad = 0
+    # records are formatted here as results arrive, while the pool fits on;
+    # about eight chunks per worker keep the load balanced
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        fitted = (map(_fit_one, payloads) if pool is None
+                  else pool.map(_fit_one, payloads, chunksize=-(-n // (8 * workers))))
+        for index, result in fitted:
+            if isinstance(result, VoxelError):
+                n_failed += 1
+            elif not result.converged:
+                n_bad += 1
+            lines.append(json.dumps(_result_record(index, result)))
     _write(args.out, "\n".join(lines) + "\n")
-    n_bad = sum(not r.converged for r in results)
-    print(f"fitted {len(results)} voxels with {args.estimator}; "
-          f"{n_bad} flagged non-converged; wrote {args.out}")
-    return 0
+    print(f"fitted {n} voxels with {args.estimator}; "
+          f"{n_bad} flagged non-converged; {n_failed} failed; wrote {args.out}")
+    return 1 if n_failed else 0
 
 
-def _fits_from_jsonl(text: str):
+def _fits_from_jsonl(path: str):
+    """(voxel index, FitResult) pairs of the ok records of a fit file.
+
+    Error records are skipped, and their count is reported on stderr.
+    """
     fits = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    skipped = 0
+    for lineno, line in enumerate(_read(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -185,8 +212,11 @@ def _fits_from_jsonl(text: str):
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CliError(f"fit line {lineno}: {exc}") from None
+        if rec.get("status") == "error":
+            skipped += 1
+            continue
         viol = rec.get("diagnostics", {}).get("violations", {})
-        fits.append(FitResult(
+        fits.append((int(rec["voxel"]), FitResult(
             estimator=rec.get("estimator", "?"),
             theta_d=np.asarray(rec["theta_d"], dtype=float),
             theta_w=np.asarray(rec["theta_w"], dtype=float),
@@ -201,24 +231,24 @@ def _fits_from_jsonl(text: str):
                 decay_bound=bool(viol.get("decay_bound", False)),
             ),
             wall_time=float(rec.get("diagnostics", {}).get("wall_time", 0.0)),
-        ))
+        )))
+    if skipped:
+        print(f"{path}: skipped {skipped} error records", file=sys.stderr)
     if not fits:
-        raise CliError("fit file is empty")
+        raise CliError(f"{path} has no fitted voxels")
     return fits
 
 
 def cmd_compare(args) -> int:
     sidecar = json.loads(_read(args.truth))
-    truths = [GroundTruthVoxel.from_dict(sidecar[k])
-              for k in sorted(sidecar, key=int)]
     report_all = {}
     for path in args.fits:
-        fits = _fits_from_jsonl(_read(path))
-        if len(fits) != len(truths):
-            raise CliError(
-                f"{path} has {len(fits)} voxels but truth has {len(truths)}"
-            )
-        report = evaluate(fits, truths)
+        pairs = _fits_from_jsonl(path)
+        missing = [i for i, _ in pairs if str(i) not in sidecar]
+        if missing:
+            raise CliError(f"{path}: voxel {missing[0]} has no truth in {args.truth}")
+        fits = [fit for _, fit in pairs]
+        report = evaluate(fits, [GroundTruthVoxel.from_dict(sidecar[str(i)]) for i, _ in pairs])
         name = fits[0].estimator
         report_all[f"{name}:{path}"] = report
         print(report.format_table(title=f"--- {name} ({path}) ---"))
@@ -230,9 +260,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    fits = _fits_from_jsonl(_read(args.fits))
     lines = ["voxel,md,fa,mk,k_perp,snr,valid"]
-    for i, fit in enumerate(fits):
+    for i, fit in _fits_from_jsonl(args.fits):
         sm = scalar_metrics(fit.theta_d, fit.theta_w, fit.s0, fit.sigma2)
         lines.append(
             f"{i},{sm.md:.10g},{sm.fa:.10g},{sm.mk:.10g},"
@@ -270,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--estimator", choices=("wls", "cwls", "mle"), default="mle")
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_fit.add_argument("--workers", type=int, default=None,
                        help=f"worker processes (default ${_WORKERS_ENV} or 1)")
     p_fit.add_argument("--max-sweeps", type=int, default=None)

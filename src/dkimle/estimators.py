@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -700,6 +701,14 @@ def init_params(wls: WlsFit, design: DesignMatrices, margin: float = 1e-3) -> Mo
 # ---------------------------------------------------------------------------
 # violation flags
 
+@lru_cache(maxsize=8)
+def _check_rows(n_dirs: int) -> np.ndarray:
+    """Quartic rows of the kurtosis-sign check directions (read-only)."""
+    rows = quartic_rows(fibonacci_sphere(n_dirs))
+    rows.setflags(write=False)
+    return rows
+
+
 def violation_flags(theta_d, theta_w, design: DesignMatrices, n_dirs: int = 1000, tol: float = 1e-8) -> ConstraintFlags:
     """Constraint violation flags for raw (possibly unconstrained) tensors.
 
@@ -711,8 +720,7 @@ def violation_flags(theta_d, theta_w, design: DesignMatrices, n_dirs: int = 1000
     theta_w = np.asarray(theta_w, dtype=float)
     flags = ConstraintFlags()
     flags.d_not_pd = bool(np.linalg.eigvalsh(d_matrix(theta_d))[0] <= 0.0)
-    dirs = fibonacci_sphere(n_dirs)
-    w_app = quartic_rows(dirs) @ theta_w
+    w_app = _check_rows(int(n_dirs)) @ theta_w
     flags.kurtosis_negative = bool(np.min(w_app) < -tol)
     mask = design.b > 0
     if np.any(mask):
@@ -952,6 +960,18 @@ def _wls_as_result(data, design, opts, start) -> FitResult:
     )
 
 
+@lru_cache(maxsize=8)
+def _internal_design(bvals: bytes, bvecs: bytes) -> DesignMatrices:
+    """Read-only design of the protocol with these b-values and gradients,
+    in internal b-units; keyed on values, since callers rebuild equal
+    protocols for every voxel."""
+    protocol = AcquisitionProtocol(np.frombuffer(bvals), np.frombuffer(bvecs).reshape(-1, 3))
+    design = build_design(protocol.rescaled(B_INTERNAL_SCALE))
+    for array in (design.z_d, design.z_w, design.v, design.b):
+        array.setflags(write=False)
+    return design
+
+
 def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
               options: FitOptions = None) -> FitResult:
     """Fit one voxel from a protocol in s/mm^2 units.
@@ -964,7 +984,7 @@ def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
     opts = options or FitOptions()
     start = time.perf_counter()
     data = y if isinstance(y, VoxelData) else VoxelData(np.asarray(y, dtype=float))
-    design = build_design(protocol.rescaled(B_INTERNAL_SCALE))
+    design = _internal_design(protocol.bvals.tobytes(), protocol.bvecs.tobytes())
 
     if estimator == "wls":
         result = _wls_as_result(data, design, opts, start)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +20,15 @@ __all__ = ["ScalarMetrics", "scalar_metrics", "EvalReport", "evaluate"]
 # anisotropy; 256 ring points are spectrally exact for the radial mean
 N_POLAR, N_AZIMUTH = 32, 64
 N_RING = 256
+
+
+@lru_cache(maxsize=8)
+def _quadrature(n_polar: int, n_azimuth: int):
+    """Gauss-Legendre nodes, weights and the nodes' quartic rows (read-only)."""
+    dirs, wts = gauss_legendre_sphere(n_polar, n_azimuth)
+    rows = quartic_rows(dirs)
+    rows.setflags(write=False)
+    return dirs, wts, rows
 
 
 @dataclass
@@ -61,11 +71,11 @@ def scalar_metrics(theta_d, theta_w, s0, sigma2,
     fa = float(np.sqrt(1.5) * np.linalg.norm(dev) / norm_d) if norm_d > 0 else 0.0
 
     theta_w = np.asarray(theta_w, dtype=float)
-    dirs, wts = gauss_legendre_sphere(n_polar, n_azimuth)
+    dirs, wts, rows = _quadrature(int(n_polar), int(n_azimuth))
     d_app = np.einsum("ni,ij,nj->n", dirs, D, dirs)
     if np.any(d_app <= 0):
         return ScalarMetrics(md, fa, np.nan, np.nan, snr, valid=False)
-    k_app = (md / d_app) ** 2 * (quartic_rows(dirs) @ theta_w)
+    k_app = (md / d_app) ** 2 * (rows @ theta_w)
     mk = float(np.sum(wts * k_app))
 
     evals, evecs = np.linalg.eigh(D)

@@ -10,7 +10,7 @@ amplitude and noise level.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,7 +106,6 @@ class DesignMatrices:
     z_w: np.ndarray
     v: np.ndarray
     b: np.ndarray
-    zero_rows: np.ndarray = field(repr=False, default=None)
 
     @property
     def m(self) -> int:

@@ -30,7 +30,7 @@ from dkimle.estimators import (
     violation_flags,
     wls_fit,
 )
-from dkimle.protocol import AcquisitionProtocol, build_design
+from dkimle.protocol import AcquisitionProtocol, build_design, quartic_rows
 from dkimle.rician import AugmentedState, bessel_ratio
 from dkimle.simulate import random_tensor_truth, simulate_voxel
 from dkimle.sphere import fibonacci_sphere
@@ -569,8 +569,45 @@ class TestViolationFlags:
         flags = violation_flags(gt.theta_d / B_INTERNAL_SCALE, gt.theta_w, design)
         assert not flags.any()
 
+    def test_cached_directions_match_uncached_formula(self, rng):
+        """The kurtosis-sign check uses a read-only table equal to the
+        quartic rows of freshly built Fibonacci directions."""
+        design = internal_design(three_shell_protocol())
+        for n_dirs in (1000, 200):
+            rows = quartic_rows(fibonacci_sphere(n_dirs))
+            cached = dkimle.estimators._check_rows(n_dirs)
+            np.testing.assert_array_equal(cached, rows)
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
+            for _ in range(20):
+                theta_w = rng.normal(size=15) * 0.3 + 0.2
+                flags = violation_flags([1.0, 1.0, 1.0, 0, 0, 0], theta_w, design, n_dirs)
+                assert flags.kurtosis_negative == bool(np.min(rows @ theta_w) < -1e-8)
+
 
 class TestFitVoxelUnits:
+    def test_design_cache_keyed_on_protocol_values(self):
+        """Fitting protocol A, then B with other b-values, then A again
+        matches fits with freshly built designs: no stale cache hit."""
+        protocol_a, _, vox = noiseless_voxel(45)
+        protocol_b = AcquisitionProtocol(protocol_a.bvals * 1.5, protocol_a.bvecs)
+        for protocol in (protocol_a, protocol_b, protocol_a):
+            fit = fit_voxel(vox, protocol, "wls")
+            design = internal_design(protocol)
+            wls = wls_fit(vox, design)
+            np.testing.assert_array_equal(fit.theta_d, wls.theta_d * B_INTERNAL_SCALE)
+            np.testing.assert_array_equal(fit.theta_w, wls.theta_w())
+            assert (fit.s0, fit.sigma2) == (wls.s0, wls.sigma2)
+            assert fit.violations == violation_flags(wls.theta_d, wls.theta_w(), design)
+
+    def test_cached_design_is_read_only(self):
+        protocol = three_shell_protocol()
+        design = dkimle.estimators._internal_design(protocol.bvals.tobytes(),
+                                                    protocol.bvecs.tobytes())
+        for array in (design.z_d, design.z_w, design.v, design.b):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
     def test_output_units_are_protocol_units(self):
         protocol, gt, vox = noiseless_voxel(44)
         fit = fit_voxel(vox, protocol, "wls")

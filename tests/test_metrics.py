@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from dkimle.estimators import ConstraintFlags, FitResult
+from dkimle import metrics
 from dkimle.metrics import evaluate, scalar_metrics
+from dkimle.protocol import quartic_rows
+from dkimle.sphere import gauss_legendre_sphere
 from dkimle.simulate import GroundTruthVoxel, random_tensor_truth
-from dkimle.tensors import kurtosis_from_gram, tensor4_to_kurtosis
+from dkimle.tensors import d_matrix, kurtosis_from_gram, mean_diffusivity, tensor4_to_kurtosis
 
 from conftest import w15_to_full
 
@@ -92,6 +95,25 @@ class TestScalarMetrics:
             a = scalar_metrics(theta_d, theta_w, 1.0, 1.0, n_polar=32, n_azimuth=64)
             b = scalar_metrics(theta_d, theta_w, 1.0, 1.0, n_polar=64, n_azimuth=128)
             assert abs(a.mk - b.mk) < 1e-4
+
+    def test_mk_equals_uncached_quadrature(self, rng):
+        """MK from the cached, read-only quadrature table equals, bit for
+        bit, the sum over freshly built quartic rows of the nodes."""
+        for n_polar, n_azimuth in ((32, 64), (16, 32)):
+            dirs, wts = gauss_legendre_sphere(n_polar, n_azimuth)
+            rows = quartic_rows(dirs)
+            cached = metrics._quadrature(n_polar, n_azimuth)[2]
+            np.testing.assert_array_equal(cached, rows)
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
+            for _ in range(5):
+                theta_d, theta_w = realistic_tensors(rng)
+                sm = scalar_metrics(theta_d, theta_w, 1.0, 1.0,
+                                    n_polar=n_polar, n_azimuth=n_azimuth)
+                d_app = np.einsum("ni,ij,nj->n", dirs, d_matrix(theta_d), dirs)
+                md = mean_diffusivity(theta_d)
+                k_app = (md / d_app) ** 2 * (rows @ theta_w)
+                assert sm.mk == float(np.sum(wts * k_app))
 
     def test_fa_bounds(self, rng):
         for _ in range(500):
