@@ -32,8 +32,6 @@ from .estimators import (
     em_mstep_sigma2,
     fit_voxel,
     init_params,
-    update_L,
-    update_thetaQ,
     violation_flags,
     wls_fit,
 )

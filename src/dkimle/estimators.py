@@ -6,12 +6,11 @@ model and provides starting values for everything else.  CWLS minimizes
 the same weighted log residuals under the positivity and monotone-decay
 constraints.  The EM estimator treats the latent signal phase as missing
 data: the E-step computes the conditional expectation of cos(phase)
-through the Bessel ratio, closed-form M-steps update the amplitude and
-noise level, and the tensor blocks are refreshed by constrained Fisher
-scoring.  Both constrained pipelines update the stacked (L; theta_Q)
-vector jointly, with the per-block solvers (:func:`update_L`,
-:func:`update_thetaQ`) kept as the fallback; the separate blocks couple
-so strongly on few-shell protocols that pure alternation crawls.
+through the Bessel ratio, and closed-form M-steps update the amplitude
+and noise level.  Both constrained pipelines solve one constrained
+problem in the stacked tensors (L; theta_Q) (:func:`tensor_problem` on
+the :class:`ExponentModel`) by barrier Fisher scoring; only the loss
+differs.
 
 All routines are unit-agnostic: they work in whatever b-units the design
 matrices were built with.  :func:`fit_voxel` is the convenience driver
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,20 +57,13 @@ __all__ = [
     "em_estep",
     "em_mstep_s0",
     "em_mstep_sigma2",
-    "update_L",
-    "update_thetaQ",
+    "ExponentModel",
+    "RicianSurrogate",
+    "LogResidual",
+    "tensor_problem",
     "em_mle_fit",
     "cwls_fit",
     "fit_voxel",
-    "mle_objective_l",
-    "mle_gradient_l",
-    "mle_objective_q",
-    "mle_gradient_q",
-    "cwls_objective",
-    "cwls_gradient_l",
-    "cwls_hessian_l",
-    "cwls_gradient_q",
-    "cwls_hessian_q",
     "constraint_values",
     "violation_flags",
     "B_INTERNAL_SCALE",
@@ -168,7 +160,11 @@ class FitOptions:
 
 @dataclass
 class FitResult:
-    """Converged parameters plus diagnostics for one voxel."""
+    """Fitted parameters plus diagnostics for one voxel.
+
+    ``converged``: the stopping rule fired, the tensor solve behind the
+    returned parameters met its tolerance and the protocol is not b0-only.
+    """
 
     estimator: str
     theta_d: np.ndarray
@@ -250,7 +246,7 @@ def wls_fit(data: VoxelData, design: DesignMatrices, weight_mode: str = "y2_s0")
 
 
 # ---------------------------------------------------------------------------
-# shared precomputations
+# the signal exponent and the tensor subproblem
 
 def _qform(theta_q, v):
     """sum_i <v_j, q-block_i>^2 per row; equals (6/b^2) theta_Q^T P_j theta_Q."""
@@ -271,12 +267,161 @@ def constraint_values(theta_d, theta_q, design: DesignMatrices):
     return g, mask
 
 
-def _signal_factors(theta_d, theta_q, design):
-    """zeta = exp(Z_D theta_D) and psi = exp(theta_Q^T P theta_Q) per row."""
-    zeta = np.exp(design.z_d @ theta_d)
-    q, u = _qform(theta_q, design.v)
-    psi = np.exp(design.b**2 / 6.0 * q)
-    return zeta, psi, u
+class ExponentModel:
+    """The signal exponent of one design and its derivatives.
+
+    Every estimator models log S_j = log S0 + eta_j with eta_j =
+    Z_Dj theta_D(L) + theta_Q^T P_j theta_Q, a function of the stacked
+    theta = (L; theta_Q) of length 24; its two terms are returned apart so
+    that each caller keeps its order of floating-point operations.  The
+    decay constraints are :func:`constraint_values` as functions of theta.
+    """
+
+    def __init__(self, design: DesignMatrices):
+        self.design = design
+        self.c = design.b**2 / 6.0
+
+    @cached_property
+    def _constraint_rows(self):
+        """v and (3/b^2) Z_D of the b > 0 rows."""
+        mask = self.design.b > 0
+        return self.design.v[mask], (3.0 / self.design.b[mask, None] ** 2) * self.design.z_d[mask]
+
+    @property
+    def n_constraints(self) -> int:
+        return self._constraint_rows[0].shape[0]
+
+    def exponent(self, L, theta_q):
+        """(eta_D, eta_Q, u) per row; u_j = (<v_j, q-block_i>)_i, shape (m, 3)."""
+        qf, u = _qform(theta_q, self.design.v)
+        return self.design.z_d @ theta_d_from_l(L), self.c * qf, u
+
+    def sensitivities(self, L, u):
+        """d eta / d theta, shape (m, 24)."""
+        m, v = self.design.m, self.design.v
+        out = np.empty((m, 24))
+        out[:, :6] = self.design.z_d @ jacobian_l(L)
+        out[:, 6:] = 2.0 * self.c[:, None] * (u[:, :, None] * v[:, None, :]).reshape(m, 18)
+        return out
+
+    def curvature(self, w, with_l):
+        """sum_j w_j d^2 eta_j / d theta^2, the L block only if with_l; eta is
+        a sum of an L and a theta_Q term, so the cross block is zero."""
+        H = np.zeros((24, 24))
+        if with_l:
+            H[:6, :6] = second_derivative_contraction(w @ self.design.z_d)
+        v = self.design.v
+        H[6:, 6:] = np.kron(np.eye(3), (v.T * (2.0 * w * self.c)) @ v)
+        return H
+
+    def constraints(self, theta):
+        v_c, zc = self._constraint_rows
+        qf, _ = _qform(theta[6:], v_c)
+        return qf + zc @ theta_d_from_l(theta[:6])
+
+    def constraint_gradients(self, theta):
+        v_c, zc = self._constraint_rows
+        A = np.empty((v_c.shape[0], 24))
+        A[:, :6] = zc @ jacobian_l(theta[:6])
+        u = v_c @ theta[6:].reshape(3, 6).T
+        A[:, 6:] = 2.0 * (u[:, :, None] * v_c[:, None, :]).reshape(v_c.shape[0], 18)
+        return A
+
+    def constraint_curvature(self, lam):
+        """sum_j lam_j d^2 g_j / d theta^2 (block diagonal)."""
+        v_c, zc = self._constraint_rows
+        H = np.zeros((24, 24))
+        H[:6, :6] = second_derivative_contraction(lam @ zc)
+        H[6:, 6:] = 2.0 * np.kron(np.eye(3), (v_c.T * lam) @ v_c)
+        return H
+
+
+class RicianSurrogate:
+    """The EM objective times sigma^2 as a function of the exponent,
+    sum_j 1/2 S0^2 e^{2 eta_j} - tau_j S0 e^{eta_j}, tau_j = Y_j <cos phi_j>
+    (sigma^2 is fixed during a tensor update; the factor keeps the score
+    tolerance meaningful at any noise level).  Its curvature has no
+    theta_D(L) second-derivative term: expected information in L.
+    """
+
+    curvature_in_l = False
+
+    def __init__(self, s0, tau):
+        self.s0 = s0
+        self.tau = np.asarray(tau, dtype=float)
+
+    def value(self, eta_d, eta_q):
+        e = np.exp(eta_d + eta_q)
+        return float(np.sum(0.5 * self.s0**2 * e**2 - self.tau * self.s0 * e))
+
+    def derivatives(self, eta_d, eta_q):
+        """First and second derivatives of each row's term in eta_j."""
+        e = np.exp(eta_d + eta_q)
+        s0, tau = self.s0, self.tau
+        return s0**2 * e**2 - tau * s0 * e, 2.0 * s0**2 * e**2 - tau * s0 * e
+
+
+class LogResidual:
+    """Weighted log residuals 1/2 sum_j w_j r_j^2, r_j = log Y_j - log S0 - eta_j,
+    on the given rows (the others get zero weight), with exact curvature."""
+
+    curvature_in_l = True
+
+    def __init__(self, log_s0, w, log_y, rows, m):
+        self.log_s0 = log_s0
+        self.w = np.zeros(m)
+        self.w[rows] = w
+        self.log_y = np.zeros(m)
+        self.log_y[rows] = log_y
+
+    def residual(self, eta_d, eta_q):
+        r = self.log_y - self.log_s0 - eta_d - eta_q
+        return np.where(self.w > 0, r, 0.0)
+
+    def value(self, eta_d, eta_q):
+        r = self.residual(eta_d, eta_q)
+        return float(0.5 * np.sum(self.w * r * r))
+
+    def derivatives(self, eta_d, eta_q):
+        return -(self.w * self.residual(eta_d, eta_q)), self.w
+
+
+def tensor_problem(model: ExponentModel, loss) -> BarrierProblem:
+    """The decay-constrained problem of a loss in theta = (L; theta_Q).
+
+    With d1, d2 the loss's derivatives in eta, the information is
+    sum_j d2_j grad eta_j grad eta_j^T + sum_j d1_j Hess eta_j (its L block
+    only if the loss asks for it) + the constraint curvature.
+    """
+
+    def objective(theta):
+        eta_d, eta_q, _ = model.exponent(theta[:6], theta[6:])
+        return loss.value(eta_d, eta_q)
+
+    def gradient(theta):
+        eta_d, eta_q, u = model.exponent(theta[:6], theta[6:])
+        d1, _ = loss.derivatives(eta_d, eta_q)
+        return model.sensitivities(theta[:6], u).T @ d1
+
+    def information(theta, lam):
+        eta_d, eta_q, u = model.exponent(theta[:6], theta[6:])
+        d1, d2 = loss.derivatives(eta_d, eta_q)
+        U = model.sensitivities(theta[:6], u)
+        H = (U.T * d2) @ U + model.curvature(d1, loss.curvature_in_l)
+        if lam.size:
+            H += model.constraint_curvature(lam)
+        return H
+
+    return BarrierProblem(24, model.n_constraints, objective, gradient, information,
+                          model.constraints, model.constraint_gradients)
+
+
+def _solve(problem, theta0, options):
+    """:func:`barrier.solve`, returning the best iterate of a collapsed solve."""
+    try:
+        return barrier.solve(problem, theta0, options)
+    except barrier.NonConvergence as exc:
+        return exc.theta, exc.diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +430,12 @@ def _signal_factors(theta_d, theta_q, design):
 def em_estep(params: ModelParams, y, design: DesignMatrices) -> AugmentedState:
     """Conditional expectations <cos phi_j> at the current parameters.
 
-    Each entry is the Bessel ratio at Y_j S0 zeta_j psi_j / sigma^2;
-    zero magnitudes give exactly zero (the augmentation degenerates).
+    Each entry is the Bessel ratio at Y_j S0 zeta_j psi_j / sigma^2, with
+    zeta = exp(eta_D) and psi = exp(eta_Q); zero magnitudes give exactly
+    zero (the augmentation degenerates).
     """
-    zeta, psi, _ = _signal_factors(theta_d_from_l(params.L), params.theta_q, design)
-    kappa = np.asarray(y, dtype=float) * params.s0 * zeta * psi / params.sigma2
+    eta_d, eta_q, _ = ExponentModel(design).exponent(params.L, params.theta_q)
+    kappa = np.asarray(y, dtype=float) * params.s0 * np.exp(eta_d) * np.exp(eta_q) / params.sigma2
     cos = bessel_ratio(kappa)
     # float rounding can reach 1.0 at extreme SNR; keep the open interval
     return AugmentedState(np.minimum(cos, np.nextafter(1.0, 0.0)))
@@ -297,7 +443,8 @@ def em_estep(params: ModelParams, y, design: DesignMatrices) -> AugmentedState:
 
 def em_mstep_s0(state: AugmentedState, params: ModelParams, y, design) -> float:
     """Closed-form amplitude update S0 = sum tau zeta psi / sum zeta^2 psi^2."""
-    zeta, psi, _ = _signal_factors(theta_d_from_l(params.L), params.theta_q, design)
+    eta_d, eta_q, _ = ExponentModel(design).exponent(params.L, params.theta_q)
+    zeta, psi = np.exp(eta_d), np.exp(eta_q)
     tau = np.asarray(y, dtype=float) * state.cos_phi
     denom = float(np.sum(zeta**2 * psi**2))
     if denom <= 0.0 or not np.isfinite(denom):
@@ -312,323 +459,25 @@ def em_mstep_sigma2(state: AugmentedState, params: ModelParams, y, design) -> fl
     is clamped to 1e-12.
     """
     y = np.asarray(y, dtype=float)
-    zeta, psi, _ = _signal_factors(theta_d_from_l(params.L), params.theta_q, design)
+    eta_d, eta_q, _ = ExponentModel(design).exponent(params.L, params.theta_q)
     tau = y * state.cos_phi
-    zp = zeta * psi
+    zp = np.exp(eta_d) * np.exp(eta_q)
     m = y.size
     total = float(np.sum(y * y + params.s0**2 * zp**2 - 2.0 * params.s0 * tau * zp))
     out = total / (2.0 * (m - 1))
     return out if out > 0 else 1e-12
 
 
-# ---------------------------------------------------------------------------
-# objective / gradient / curvature, "as printed" (with the 1/sigma^2 factor)
-
-def mle_objective_l(L, theta_q, s0, sigma2, tau, design):
-    """EM objective as a function of L (kurtosis block fixed)."""
-    zeta, psi, _ = _signal_factors(theta_d_from_l(L), theta_q, design)
-    return float(np.sum(s0**2 * zeta**2 * psi**2 - 2.0 * tau * s0 * zeta * psi) / (2.0 * sigma2))
-
-
-def mle_gradient_l(L, theta_q, s0, sigma2, tau, design):
-    """Gradient of :func:`mle_objective_l`: J_L^T Z_D^T weights / sigma^2."""
-    zeta, psi, _ = _signal_factors(theta_d_from_l(L), theta_q, design)
-    w = (s0**2 * zeta**2 * psi**2 - s0 * tau * zeta * psi) / sigma2
-    return jacobian_l(L).T @ (design.z_d.T @ w)
-
-
-def mle_objective_q(theta_q, L, s0, sigma2, tau, design):
-    """EM objective as a function of theta_Q (diffusion block fixed)."""
-    return mle_objective_l(L, theta_q, s0, sigma2, tau, design)
-
-
-def mle_gradient_q(theta_q, L, s0, sigma2, tau, design):
-    """Gradient of the EM objective in theta_Q: 2 sum weights P_j theta_Q / sigma^2."""
-    zeta, psi, u = _signal_factors(theta_d_from_l(L), theta_q, design)
-    w = 2.0 * (s0**2 * zeta**2 * psi**2 - s0 * tau * zeta * psi) / sigma2
-    c = design.b**2 / 6.0
-    a = (u[:, :, None] * design.v[:, None, :]).reshape(design.m, 18)  # kron(u_j, v_j)
-    return a.T @ (w * c)
-
-
-def cwls_objective(L, theta_q, log_s0, w, log_y, design, rows):
-    """Constrained-WLS objective 1/2 sum w_j r_j^2 on the selected rows."""
-    theta_d = theta_d_from_l(L)
-    q, _ = _qform(theta_q, design.v[rows])
-    r = log_y - log_s0 - design.z_d[rows] @ theta_d - design.b[rows] ** 2 / 6.0 * q
-    return float(0.5 * np.sum(w * r * r))
-
-
-def _cwls_residual(L, theta_q, log_s0, log_y, design, rows):
-    theta_d = theta_d_from_l(L)
-    q, u = _qform(theta_q, design.v[rows])
-    r = log_y - log_s0 - design.z_d[rows] @ theta_d - design.b[rows] ** 2 / 6.0 * q
-    return r, u
-
-
-def cwls_gradient_l(L, theta_q, log_s0, w, log_y, design, rows):
-    r, _ = _cwls_residual(L, theta_q, log_s0, log_y, design, rows)
-    return -jacobian_l(L).T @ (design.z_d[rows].T @ (w * r))
-
-
-def cwls_hessian_l(L, theta_q, log_s0, w, log_y, design, rows):
-    """Exact Hessian of the CWLS objective in L (no constraint terms).
-
-    Gauss-Newton part plus the residual-weighted second derivative of
-    theta_D(L); the latter is linear in its design row, so the sum
-    collapses into one pattern evaluation.
-    """
-    r, _ = _cwls_residual(L, theta_q, log_s0, log_y, design, rows)
-    J = jacobian_l(L)
-    zd = design.z_d[rows]
-    gn = J.T @ (zd.T * w) @ zd @ J
-    return gn + second_derivative_contraction(-(w * r) @ zd)
-
-
-def cwls_gradient_q(L, theta_q, log_s0, w, log_y, design, rows):
-    r, u = _cwls_residual(L, theta_q, log_s0, log_y, design, rows)
-    c = design.b[rows] ** 2 / 6.0
-    a = (u[:, :, None] * design.v[rows][:, None, :]).reshape(len(r), 18)
-    return -2.0 * a.T @ (w * r * c)
-
-
-def cwls_hessian_q(L, theta_q, log_s0, w, log_y, design, rows):
-    """Exact Hessian of the CWLS objective in theta_Q (no constraint terms)."""
-    r, u = _cwls_residual(L, theta_q, log_s0, log_y, design, rows)
-    v = design.v[rows]
-    c = design.b[rows] ** 2 / 6.0
-    a = c[:, None] * (u[:, :, None] * v[:, None, :]).reshape(len(r), 18)
-    gn = 4.0 * (a.T * w) @ a
-    inner = (v.T * (-2.0 * w * r * c)) @ v
-    return gn + np.kron(np.eye(3), inner)
-
-
-# ---------------------------------------------------------------------------
-# constrained subproblem construction
-#
-# Internally the subproblems minimize sigma^2 * f, which has the same
-# minimizer (sigma^2 is fixed during a tensor update) but keeps the score
-# tolerance meaningful at any noise level.
-
-def _l_problem(theta_q, s0, tau, design) -> BarrierProblem:
-    v = design.v
-    zd = design.z_d
-    b2 = design.b**2
-    mask = design.b > 0
-    q_all, _ = _qform(theta_q, v)
-    psi = np.exp(b2 / 6.0 * q_all)
-    zc = (3.0 / b2[mask, None]) * zd[mask]  # constraint rows: g = q + zc theta_D
-    q_c = q_all[mask]
-
-    def objective(L):
-        zeta = np.exp(zd @ theta_d_from_l(L))
-        return float(np.sum(0.5 * s0**2 * zeta**2 * psi**2 - tau * s0 * zeta * psi))
-
-    def gradient(L):
-        zeta = np.exp(zd @ theta_d_from_l(L))
-        w = s0**2 * zeta**2 * psi**2 - s0 * tau * zeta * psi
-        return jacobian_l(L).T @ (zd.T @ w)
-
-    def information(L, lam):
-        zeta = np.exp(zd @ theta_d_from_l(L))
-        phi = 2.0 * s0**2 * zeta**2 * psi**2 - s0 * tau * zeta * psi
-        J = jacobian_l(L)
-        fisher = J.T @ (zd.T * phi) @ zd @ J
-        if lam.size:
-            fisher = fisher + second_derivative_contraction(lam @ zc)
-        return fisher
-
-    def constraints(L):
-        return q_c + zc @ theta_d_from_l(L)
-
-    def constraint_gradients(L):
-        return zc @ jacobian_l(L)
-
-    return BarrierProblem(
-        dim=6,
-        n_constraints=int(np.sum(mask)),
-        objective=objective,
-        gradient=gradient,
-        information=information,
-        constraints=constraints,
-        constraint_gradients=constraint_gradients,
-    )
-
-
-def _q_problem(L, s0, tau, design) -> BarrierProblem:
-    v = design.v
-    b2 = design.b**2
-    c = b2 / 6.0
-    mask = design.b > 0
-    theta_d = theta_d_from_l(L)
-    zeta = np.exp(design.z_d @ theta_d)
-    v_c = v[mask]
-    # positive decay bounds 3 D_app / b per constrained acquisition
-    bound = -(3.0 / b2[mask]) * (design.z_d[mask] @ theta_d)
-    eye3 = np.eye(3)
-
-    def _parts(theta_q):
-        q, u = _qform(theta_q, v)
-        psi = np.exp(c * q)
-        return q, u, psi
-
-    def objective(theta_q):
-        _, _, psi = _parts(theta_q)
-        return float(np.sum(0.5 * s0**2 * zeta**2 * psi**2 - tau * s0 * zeta * psi))
-
-    def gradient(theta_q):
-        _, u, psi = _parts(theta_q)
-        w = 2.0 * (s0**2 * zeta**2 * psi**2 - s0 * tau * zeta * psi) * c
-        a = (u[:, :, None] * v[:, None, :]).reshape(design.m, 18)
-        return a.T @ w
-
-    def information(theta_q, lam):
-        _, u, psi = _parts(theta_q)
-        zp = zeta * psi
-        w_outer = (8.0 * s0**2 * zp**2 - 4.0 * s0 * tau * zp) * c * c
-        w_p = (2.0 * s0**2 * zp**2 - 2.0 * s0 * tau * zp) * c
-        a = (u[:, :, None] * v[:, None, :]).reshape(design.m, 18)
-        H = (a.T * w_outer) @ a + np.kron(eye3, (v.T * w_p) @ v)
-        if lam.size:
-            H = H + 2.0 * np.kron(eye3, (v_c.T * lam) @ v_c)
-        return H
-
-    def constraints(theta_q):
-        q, _ = _qform(theta_q, v_c)
-        return q - bound
-
-    def constraint_gradients(theta_q):
-        u = v_c @ np.asarray(theta_q).reshape(3, 6).T
-        return 2.0 * (u[:, :, None] * v_c[:, None, :]).reshape(v_c.shape[0], 18)
-
-    return BarrierProblem(
-        dim=18,
-        n_constraints=int(np.sum(mask)),
-        objective=objective,
-        gradient=gradient,
-        information=information,
-        constraints=constraints,
-        constraint_gradients=constraint_gradients,
-    )
-
-
-def update_L(params: ModelParams, state: AugmentedState, y, design, options: SolverOptions = None):
-    """Constrained Fisher-scoring update of the Cholesky block.
-
-    Minimizes the EM objective over L with the decay-bound constraints,
-    using the expected-information form (the Gauss-Newton sandwich plus
-    the multiplier-weighted constraint curvatures).  Returns the new L
-    and the solver diagnostics; on step collapse the best iterate found
-    is returned with ``converged = False``.
-    """
-    tau = np.asarray(y, dtype=float) * state.cos_phi
-    problem = _l_problem(params.theta_q, params.s0, tau, design)
-    try:
-        L_new, diag = barrier.solve(problem, params.L, options)
-    except barrier.NonConvergence as exc:
-        L_new, diag = exc.theta, exc.diagnostics
-    return L_new, diag
-
-
-def update_thetaQ(params: ModelParams, state: AugmentedState, y, design, options: SolverOptions = None):
-    """Constrained Fisher-scoring update of the kurtosis block.
-
-    Same scheme as :func:`update_L` but with the empirical (observed)
-    information of the quartic block.
-    """
-    tau = np.asarray(y, dtype=float) * state.cos_phi
-    problem = _q_problem(params.L, params.s0, tau, design)
-    try:
-        q_new, diag = barrier.solve(problem, params.theta_q, options)
-    except barrier.NonConvergence as exc:
-        q_new, diag = exc.theta, exc.diagnostics
-    return q_new, diag
-
-
-def _joint_mle_problem(s0, tau, design) -> BarrierProblem:
-    """Constrained update of the stacked tensor vector (L; theta_Q).
-
-    The signal exponent eta_j = Z_Dj theta_D(L) + theta_Q^T P_j theta_Q
-    gives the objective sum_j 1/2 S0^2 e^{2 eta} - tau S0 e^{eta}, whose
-    information combines the per-block forms (the expected form for L,
-    the observed form for theta_Q) with their Gauss-Newton cross
-    coupling; separate block updates converge an order of magnitude
-    slower because the b and b^2 regressors are nearly collinear on
-    few-shell protocols.
-    """
-    v = design.v
-    zd = design.z_d
-    b2 = design.b**2
-    c = b2 / 6.0
-    m = design.m
-    mask = design.b > 0
-    v_c = v[mask]
-    zc = (3.0 / b2[mask, None]) * zd[mask]
-    eye3 = np.eye(3)
-
-    def _parts(theta):
-        L, q = theta[:6], theta[6:]
-        qf, u = _qform(q, v)
-        eta = zd @ theta_d_from_l(L) + c * qf
-        return L, q, u, np.exp(eta)
-
-    def objective(theta):
-        _, _, _, e = _parts(theta)
-        return float(np.sum(0.5 * s0**2 * e**2 - tau * s0 * e))
-
-    def _sens(L, u):
-        # per-row sensitivities d eta / d (L; q), an (m, 24) matrix
-        out = np.empty((m, 24))
-        out[:, :6] = zd @ jacobian_l(L)
-        out[:, 6:] = 2.0 * c[:, None] * (u[:, :, None] * v[:, None, :]).reshape(m, 18)
-        return out
-
-    def gradient(theta):
-        L, _, u, e = _parts(theta)
-        h1 = s0**2 * e**2 - tau * s0 * e
-        return _sens(L, u).T @ h1
-
-    def information(theta, lam):
-        L, _, u, e = _parts(theta)
-        h1 = s0**2 * e**2 - tau * s0 * e
-        h2 = 2.0 * s0**2 * e**2 - tau * s0 * e
-        U = _sens(L, u)
-        H = (U.T * h2) @ U
-        # the quartic block keeps its observed-information curvature term
-        H[6:, 6:] += np.kron(eye3, (v.T * (2.0 * h1 * c)) @ v)
-        if lam.size:
-            H[:6, :6] += second_derivative_contraction(lam @ zc)
-            H[6:, 6:] += 2.0 * np.kron(eye3, (v_c.T * lam) @ v_c)
-        return H
-
-    def constraints(theta):
-        qf, _ = _qform(theta[6:], v_c)
-        return qf + zc @ theta_d_from_l(theta[:6])
-
-    def constraint_gradients(theta):
-        A = np.empty((v_c.shape[0], 24))
-        A[:, :6] = zc @ jacobian_l(theta[:6])
-        u = v_c @ theta[6:].reshape(3, 6).T
-        A[:, 6:] = 2.0 * (u[:, :, None] * v_c[:, None, :]).reshape(v_c.shape[0], 18)
-        return A
-
-    return BarrierProblem(
-        dim=24,
-        n_constraints=int(np.sum(mask)),
-        objective=objective,
-        gradient=gradient,
-        information=information,
-        constraints=constraints,
-        constraint_gradients=constraint_gradients,
-    )
+def _mle_problem(s0, tau, design):
+    return tensor_problem(ExponentModel(design), RicianSurrogate(s0, tau))
 
 
 def update_tensors(params: ModelParams, state: AugmentedState, y, design,
                    options: SolverOptions = None):
-    """Joint constrained Fisher-scoring update of (L, theta_Q).
+    """Constrained Fisher-scoring update of (L, theta_Q) on the EM objective.
 
-    Falls back to the sequential block updates if the joint solve
-    collapses.  Returns (L, theta_Q, converged flag).
+    Returns (L, theta_Q, converged): a solve that stops short of its score
+    tolerance returns its best iterate and False.
     """
     tau = np.asarray(y, dtype=float) * state.cos_phi
     theta_q = params.theta_q
@@ -639,18 +488,84 @@ def update_tensors(params: ModelParams, state: AugmentedState, y, design,
         if g.size == 0 or np.all(g < 0):
             break
         theta_q = 0.9 * theta_q
-    theta0 = np.concatenate([params.L, theta_q])
-    problem = _joint_mle_problem(params.s0, tau, design)
-    try:
-        theta, diag = barrier.solve(problem, theta0, options)
-        return theta[:6], theta[6:], diag.converged
-    except barrier.NonConvergence:
-        L_new, _ = update_L(params, state, y, design, options)
-        trial = params.copy()
-        trial.L = L_new
-        trial.theta_q = theta_q
-        q_new, _ = update_thetaQ(trial, state, y, design, options)
-        return L_new, q_new, False
+    theta, diag = _solve(_mle_problem(params.s0, tau, design),
+                         np.concatenate([params.L, theta_q]), options)
+    return theta[:6], theta[6:], diag.converged
+
+
+# ---------------------------------------------------------------------------
+# per-block derivatives and updates, as projections of the tensor problem
+# (the EM objective is the Rician surrogate over sigma^2)
+
+def _cwls_problem(log_s0, w, log_y, design, rows):
+    return tensor_problem(ExponentModel(design), LogResidual(log_s0, w, log_y, rows, design.m))
+
+
+def mle_objective_l(L, theta_q, s0, sigma2, tau, design):
+    return _mle_problem(s0, tau, design).objective(np.concatenate([L, theta_q])) / sigma2
+
+
+def mle_gradient_l(L, theta_q, s0, sigma2, tau, design):
+    return _mle_problem(s0, tau, design).gradient(np.concatenate([L, theta_q]))[:6] / sigma2
+
+
+def mle_objective_q(theta_q, L, s0, sigma2, tau, design):
+    return mle_objective_l(L, theta_q, s0, sigma2, tau, design)
+
+
+def mle_gradient_q(theta_q, L, s0, sigma2, tau, design):
+    return _mle_problem(s0, tau, design).gradient(np.concatenate([L, theta_q]))[6:] / sigma2
+
+
+def cwls_objective(L, theta_q, log_s0, w, log_y, design, rows):
+    return _cwls_problem(log_s0, w, log_y, design, rows).objective(np.concatenate([L, theta_q]))
+
+
+def cwls_gradient_l(L, theta_q, log_s0, w, log_y, design, rows):
+    return _cwls_problem(log_s0, w, log_y, design, rows).gradient(np.concatenate([L, theta_q]))[:6]
+
+
+def cwls_gradient_q(L, theta_q, log_s0, w, log_y, design, rows):
+    return _cwls_problem(log_s0, w, log_y, design, rows).gradient(np.concatenate([L, theta_q]))[6:]
+
+
+def cwls_hessian_l(L, theta_q, log_s0, w, log_y, design, rows):
+    problem = _cwls_problem(log_s0, w, log_y, design, rows)
+    return problem.information(np.concatenate([L, theta_q]), np.zeros(0))[:6, :6]
+
+
+def cwls_hessian_q(L, theta_q, log_s0, w, log_y, design, rows):
+    problem = _cwls_problem(log_s0, w, log_y, design, rows)
+    return problem.information(np.concatenate([L, theta_q]), np.zeros(0))[6:, 6:]
+
+
+def _update_block(params, state, y, design, options, block):
+    """Solve the EM tensor problem over theta[block], the rest held."""
+    theta = np.concatenate([params.L, params.theta_q])
+    full = _mle_problem(params.s0, np.asarray(y, dtype=float) * state.cos_phi, design)
+
+    def embed(x):
+        return np.concatenate([theta[:block.start], x, theta[block.stop:]])
+
+    problem = BarrierProblem(
+        block.stop - block.start, full.n_constraints,
+        lambda x: full.objective(embed(x)),
+        lambda x: full.gradient(embed(x))[block],
+        lambda x, lam: full.information(embed(x), lam)[block, block],
+        lambda x: full.constraints(embed(x)),
+        lambda x: full.constraint_gradients(embed(x))[:, block],
+    )
+    return _solve(problem, theta[block], options)
+
+
+def update_L(params: ModelParams, state: AugmentedState, y, design, options: SolverOptions = None):
+    """Constrained update of the Cholesky block alone; returns (L, diagnostics)."""
+    return _update_block(params, state, y, design, options, slice(0, 6))
+
+
+def update_thetaQ(params: ModelParams, state: AugmentedState, y, design, options: SolverOptions = None):
+    """Constrained update of the kurtosis block alone; returns (theta_Q, diagnostics)."""
+    return _update_block(params, state, y, design, options, slice(6, 24))
 
 
 # ---------------------------------------------------------------------------
@@ -736,15 +651,24 @@ def violation_flags(theta_d, theta_w, design: DesignMatrices, n_dirs: int = 1000
 # ---------------------------------------------------------------------------
 # full pipelines
 
+def _constrained_result(estimator, params, sigma2, trace, sweeps, converged, design,
+                        opts, start) -> FitResult:
+    theta_d, theta_w = params.theta_d, params.theta_w
+    return FitResult(estimator, theta_d, theta_w, params.s0, sigma2, params=params,
+                     loglik_trace=np.asarray(trace), em_iterations=sweeps, converged=converged,
+                     violations=violation_flags(theta_d, theta_w, design, opts.n_check_dirs),
+                     wall_time=time.perf_counter() - start)
+
+
 def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None) -> FitResult:
     """EM maximum-likelihood fit of one voxel.
 
     Pipeline: WLS initialization; then sweeps of { E-step and closed-form
-    amplitude/noise updates to their joint fixed point; constrained
-    update of L; constrained update of theta_Q; surrogate evaluation }
-    until the surrogate change falls below tolerance.  Sweeps that would
-    decrease the surrogate are rejected and the previous iterate kept, so
-    the recorded trace is non-decreasing.
+    amplitude/noise updates to their joint fixed point; the constrained
+    update of (L, theta_Q) (:func:`update_tensors`); surrogate evaluation }
+    until the surrogate change falls below tolerance.  A sweep that would
+    decrease the surrogate is undone and ends the fit, so the recorded
+    trace is non-decreasing.
     """
     opts = options or FitOptions()
     start = time.perf_counter()
@@ -754,11 +678,10 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
     params = init_params(wls, design)
 
     trace = []
-    converged = False
+    stopped = solved = False
     sweeps = 0
-    for sweep in range(1, opts.max_sweeps + 1):
-        sweeps = sweep
-        checkpoint = params.copy()
+    for sweeps in range(1, opts.max_sweeps + 1):
+        checkpoint, checkpoint_solved = params.copy(), solved
 
         for _ in range(opts.max_inner_em):
             state = em_estep(params, y, design)
@@ -772,53 +695,38 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
                 break
 
         state = em_estep(params, y, design)
-        params.L, params.theta_q, _ = update_tensors(params, state, y, design, opts.solver)
+        params.L, params.theta_q, solved = update_tensors(params, state, y, design, opts.solver)
 
         state = em_estep(params, y, design)
         ll = joint_loglik(params, y, design, state)
 
         if trace and ll < trace[-1] - 1e-9:
             # non-improving sweep: keep the previous iterate and stop
-            params = checkpoint
-            converged = True
+            params, solved, stopped = checkpoint, checkpoint_solved, True
             break
         trace.append(ll)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < opts.tol_outer * (1.0 + abs(trace[-1])):
-            converged = True
+            stopped = True
             break
 
-    theta_d = params.theta_d
-    theta_w = params.theta_w
-    # reported noise level: the recursion divides the residual form by
-    # 2(m-1), which ignores the 22 fitted mean parameters and inflates
-    # the apparent SNR at small m; rescale to the same degrees-of-freedom
-    # convention the WLS estimate uses (params.sigma2 keeps the raw
-    # fixed point)
+    # the recursion divides by 2(m-1), which ignores the 22 fitted mean
+    # parameters and inflates the apparent SNR at small m; report the WLS
+    # degrees-of-freedom convention (params.sigma2 keeps the fixed point)
     m = data.m
     sigma2_report = params.sigma2 * (m - 1) / max(m - _N_PARAMS, 1)
-    return FitResult(
-        estimator="mle",
-        theta_d=theta_d,
-        theta_w=theta_w,
-        s0=params.s0,
-        sigma2=sigma2_report,
-        params=params,
-        loglik_trace=np.asarray(trace),
-        em_iterations=sweeps,
-        converged=converged,
-        violations=violation_flags(theta_d, theta_w, design, opts.n_check_dirs),
-        wall_time=time.perf_counter() - start,
-    )
+    return _constrained_result("mle", params, sigma2_report, trace, sweeps,
+                               stopped and solved and not wls.underdetermined, design, opts, start)
 
 
 def cwls_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None) -> FitResult:
     """Constrained weighted least squares fit of one voxel.
 
-    Minimizes the weighted log-residual objective with w_j = Y_j^2/S0^2
-    and S0, sigma^2 held at their WLS values, alternating the same two
-    constrained Fisher-scoring subproblems with the exact objective
-    Hessians.  Zero magnitudes are excluded; the decay constraints apply
-    to every weighted acquisition.
+    Minimizes the weighted log residuals (:class:`LogResidual`,
+    w_j = Y_j^2/S0^2, zero magnitudes excluded) over (L, theta_Q) under
+    the decay constraints, with S0 and sigma^2 held at their WLS values.
+    Each sweep restarts the constrained Fisher scoring from the previous
+    result, until the parameters stop moving or the objective would rise
+    (then the previous result is kept).
     """
     opts = options or FitOptions()
     start = time.perf_counter()
@@ -826,120 +734,34 @@ def cwls_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None
     wls = wls_fit(data, design, opts.weight_mode)
     params = init_params(wls, design)
     s0 = params.s0
-    log_s0 = float(np.log(s0))
-
     rows = (~data.zero_mask).nonzero()[0]
-    log_y = np.log(data.y[rows])
-    w = data.y[rows] ** 2 / (s0 * s0)
-
-    mask = design.b > 0
-    v = design.v
-    v_c = v[mask]
-    c = design.b**2 / 6.0
-    zc = (3.0 / design.b[mask, None] ** 2) * design.z_d[mask]
-    eye3 = np.eye(3)
-    m = design.m
-    w_full = np.zeros(m)
-    w_full[rows] = w
-    log_y_full = np.zeros(m)
-    log_y_full[rows] = log_y
-
-    def _sens(L, u):
-        out = np.empty((m, 24))
-        out[:, :6] = design.z_d @ jacobian_l(L)
-        out[:, 6:] = 2.0 * c[:, None] * (u[:, :, None] * v[:, None, :]).reshape(m, 18)
-        return out
-
-    def _resid(theta):
-        L, q = theta[:6], theta[6:]
-        qf, u = _qform(q, v)
-        r = log_y_full - log_s0 - design.z_d @ theta_d_from_l(L) - c * qf
-        return L, u, np.where(w_full > 0, r, 0.0)
-
-    def objective(theta):
-        _, _, r = _resid(theta)
-        return float(0.5 * np.sum(w_full * r * r))
-
-    def gradient(theta):
-        L, u, r = _resid(theta)
-        return -_sens(L, u).T @ (w_full * r)
-
-    def information(theta, lam):
-        L, u, r = _resid(theta)
-        U = _sens(L, u)
-        H = (U.T * w_full) @ U
-        wr = w_full * r
-        H[:6, :6] += second_derivative_contraction(-wr @ design.z_d)
-        H[6:, 6:] += np.kron(eye3, (v.T * (-2.0 * wr * c)) @ v)
-        if lam.size:
-            H[:6, :6] += second_derivative_contraction(lam @ zc)
-            H[6:, 6:] += 2.0 * np.kron(eye3, (v_c.T * lam) @ v_c)
-        return H
-
-    def constraints(theta):
-        qf, _ = _qform(theta[6:], v_c)
-        return qf + zc @ theta_d_from_l(theta[:6])
-
-    def constraint_gradients(theta):
-        A = np.empty((v_c.shape[0], 24))
-        A[:, :6] = zc @ jacobian_l(theta[:6])
-        u = v_c @ theta[6:].reshape(3, 6).T
-        A[:, 6:] = 2.0 * (u[:, :, None] * v_c[:, None, :]).reshape(v_c.shape[0], 18)
-        return A
-
-    problem = BarrierProblem(
-        dim=24,
-        n_constraints=int(np.sum(mask)),
-        objective=objective,
-        gradient=gradient,
-        information=information,
-        constraints=constraints,
-        constraint_gradients=constraint_gradients,
-    )
+    loss = LogResidual(float(np.log(s0)), data.y[rows] ** 2 / (s0 * s0),
+                       np.log(data.y[rows]), rows, design.m)
+    problem = tensor_problem(ExponentModel(design), loss)
 
     trace = []
-    converged = False
+    stopped = solved = False
     sweeps = 0
-    for sweep in range(1, opts.max_sweeps + 1):
-        sweeps = sweep
-        checkpoint = params.copy()
+    for sweeps in range(1, opts.max_sweeps + 1):
+        checkpoint, checkpoint_solved = params.copy(), solved
         theta0 = np.concatenate([params.L, params.theta_q])
-        try:
-            theta, diag = barrier.solve(problem, theta0, opts.solver)
-            solved = diag.converged
-        except barrier.NonConvergence as exc:
-            theta, solved = exc.theta, False
+        theta, diag = _solve(problem, theta0, opts.solver)
+        solved = diag.converged
         params.L, params.theta_q = theta[:6], theta[6:]
 
-        obj = objective(theta)
+        obj = problem.objective(theta)
         if trace and -obj < trace[-1] - 1e-12:
-            params = checkpoint
-            converged = True
+            params, solved, stopped = checkpoint, checkpoint_solved, True
             break
         trace.append(-obj)
-        delta = float(np.max(np.abs(theta - np.concatenate([checkpoint.L, checkpoint.theta_q]))))
-        if solved and delta < 1e-8 * (1.0 + float(np.max(np.abs(theta)))):
-            converged = True
-            break
-        if sweep >= 2 and delta < 1e-8 * (1.0 + float(np.max(np.abs(theta)))):
-            converged = True
+        delta = float(np.max(np.abs(theta - theta0)))
+        # a first sweep whose solve fell short gets one restart
+        if (solved or sweeps >= 2) and delta < 1e-8 * (1.0 + float(np.max(np.abs(theta)))):
+            stopped = True
             break
 
-    theta_d = params.theta_d
-    theta_w = params.theta_w
-    return FitResult(
-        estimator="cwls",
-        theta_d=theta_d,
-        theta_w=theta_w,
-        s0=s0,
-        sigma2=params.sigma2,
-        params=params,
-        loglik_trace=np.asarray(trace),
-        em_iterations=sweeps,
-        converged=converged,
-        violations=violation_flags(theta_d, theta_w, design, opts.n_check_dirs),
-        wall_time=time.perf_counter() - start,
-    )
+    return _constrained_result("cwls", params, params.sigma2, trace, sweeps,
+                               stopped and solved and not wls.underdetermined, design, opts, start)
 
 
 def _wls_as_result(data, design, opts, start) -> FitResult:
@@ -951,9 +773,6 @@ def _wls_as_result(data, design, opts, start) -> FitResult:
         theta_w=theta_w,
         s0=wls.s0,
         sigma2=wls.sigma2,
-        params=None,
-        loglik_trace=np.zeros(0),
-        em_iterations=0,
         converged=not wls.underdetermined,
         violations=violation_flags(wls.theta_d, theta_w, design, opts.n_check_dirs),
         wall_time=time.perf_counter() - start,

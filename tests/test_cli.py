@@ -114,6 +114,22 @@ class TestFitCommand:
         assert rec["S0"] > 0 and rec["sigma2"] > 0
         assert rec["diagnostics"]["iterations"] >= 1
 
+    @pytest.mark.parametrize("estimator", ["wls", "cwls", "mle"])
+    def test_b0_only_protocol_writes_unconverged_records(self, tmp_path, capsys, estimator):
+        """A protocol without diffusion weighting fits S0 only: every
+        record is written, flagged not converged, and the run succeeds."""
+        protocol = tmp_path / "b0.txt"
+        protocol.write_text("".join("0 1 0 0\n" for _ in range(25)))
+        data = tmp_path / "b0.csv"
+        data.write_text(dump_voxel_table(3.0 + 0.01 * np.random.default_rng(3).normal(size=(3, 25))))
+        out = str(tmp_path / "b0.jsonl")
+        assert run_cli("fit", "--protocol", str(protocol), "--data", str(data),
+                       "--estimator", estimator, "--out", out) == 0
+        recs = fit_records(out)
+        assert [r["status"] for r in recs] == ["ok"] * 3
+        assert [r["diagnostics"]["converged"] for r in recs] == [False] * 3
+        assert "3 flagged non-converged; 0 failed" in capsys.readouterr().out
+
     def test_missing_protocol_errors(self, simulated, tmp_path, capsys):
         code = run_cli(
             "fit", "--protocol", str(tmp_path / "nope.txt"),

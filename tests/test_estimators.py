@@ -3,10 +3,14 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import dkimle
+from dkimle import barrier, estimators
 from dkimle.estimators import (
     B_INTERNAL_SCALE,
     DegenerateVoxel,
+    ExponentModel,
+    LogResidual,
     RankDeficient,
+    RicianSurrogate,
     VoxelData,
     constraint_values,
     cwls_fit,
@@ -25,7 +29,9 @@ from dkimle.estimators import (
     mle_gradient_q,
     mle_objective_l,
     mle_objective_q,
+    tensor_problem,
     update_L,
+    update_tensors,
     update_thetaQ,
     violation_flags,
     wls_fit,
@@ -43,7 +49,7 @@ from dkimle.tensors import (
     theta_d_from_l,
 )
 
-from conftest import fd_gradient, random_unit, vvec
+from conftest import fd_gradient, fd_hessian, random_unit, vvec
 
 
 def internal_design(protocol):
@@ -616,3 +622,169 @@ class TestFitVoxelUnits:
         np.testing.assert_allclose(fit.theta_d, gt.theta_d, rtol=1e-6)
         md = mean_diffusivity(fit.theta_d)
         assert 0.1e-3 < md < 2.5e-3
+
+
+class TestTensorProblem:
+    """Finite-difference checks of the problem the constrained fits solve."""
+
+    def _instance(self, seed):
+        design = internal_design(three_shell_protocol())
+        rng = np.random.default_rng(seed)
+        params = feasible_params(rng, design)
+        theta = np.concatenate([params.L, params.theta_q])
+        tau = np.abs(rng.normal(0.6, 0.2, size=design.m)) * rng.uniform(0.3, 0.99, size=design.m)
+        # every other row carries weight, so the zero-weight rows are covered too
+        rows = np.arange(0, design.m, 2)
+        log_y = rng.normal(-0.5, 0.3, size=rows.size)
+        w = rng.uniform(0.5, 1.5, size=rows.size)
+        model = ExponentModel(design)
+        losses = {
+            "mle": RicianSurrogate(1.0, tau),
+            "cwls": LogResidual(0.1, w, log_y, rows, design.m),
+        }
+        return model, losses, theta, rng
+
+    def test_full_gradients_match_fd(self):
+        for seed in (70, 71, 72):
+            model, losses, theta, _ = self._instance(seed)
+            for loss in losses.values():
+                problem = tensor_problem(model, loss)
+                grad = problem.gradient(theta)
+                assert grad.shape == (24,)
+                np.testing.assert_allclose(grad, fd_gradient(problem.objective, theta),
+                                           rtol=1e-6, atol=1e-8)
+
+    def test_cwls_information_is_the_exact_hessian(self):
+        """At lambda = 0 the CWLS information is the full 24 x 24 Hessian,
+        cross block included: eta has no cross derivatives (it is a sum of
+        an L and a theta_Q term), but the Gauss-Newton part couples the
+        blocks."""
+        for seed in (73, 74):
+            model, losses, theta, _ = self._instance(seed)
+            problem = tensor_problem(model, losses["cwls"])
+            H = problem.information(theta, np.zeros(0))
+            fdH = fd_hessian(problem.objective, theta, h=1e-4)
+            np.testing.assert_allclose(H, fdH, rtol=1e-4, atol=1e-5)
+            assert np.abs(H[:6, 6:]).max() > 1e-3
+
+    def test_constraint_gradients_match_fd(self):
+        for seed in (75, 76):
+            model, _, theta, _ = self._instance(seed)
+            A = model.constraint_gradients(theta)
+            assert A.shape == (model.n_constraints, 24)
+            h = 1e-6
+            fd = np.column_stack([
+                (model.constraints(theta + h * e) - model.constraints(theta - h * e)) / (2 * h)
+                for e in np.eye(24)
+            ])
+            np.testing.assert_allclose(A, fd, rtol=1e-6, atol=1e-8)
+
+    def test_constraints_agree_with_constraint_values(self):
+        model, _, theta, _ = self._instance(77)
+        g, _ = constraint_values(theta_d_from_l(theta[:6]), theta[6:], model.design)
+        np.testing.assert_allclose(model.constraints(theta), g, rtol=1e-12, atol=1e-14)
+
+    def test_constraint_curvature_matches_fd(self):
+        """sum_j lam_j Hess g_j against the FD Hessian of lam . g at random
+        feasible points and random lam >= 0."""
+        for seed in (78, 79, 80):
+            model, _, theta, rng = self._instance(seed)
+            lam = rng.uniform(0.0, 2.0, size=model.n_constraints)
+            C = model.constraint_curvature(lam)
+            fdC = fd_hessian(lambda t: float(lam @ model.constraints(t)), theta, h=1e-4)
+            np.testing.assert_allclose(C, fdC, rtol=1e-4, atol=1e-5)
+
+    def test_multipliers_add_the_constraint_curvature(self):
+        model, losses, theta, rng = self._instance(81)
+        lam = rng.uniform(0.0, 2.0, size=model.n_constraints)
+        for loss in losses.values():
+            problem = tensor_problem(model, loss)
+            np.testing.assert_allclose(
+                problem.information(theta, lam) - problem.information(theta, np.zeros(0)),
+                model.constraint_curvature(lam), rtol=1e-10, atol=1e-10,
+            )
+
+
+class TestSolveFailures:
+    def test_update_tensors_returns_the_collapsed_iterate(self, monkeypatch):
+        """A solve that raises NonConvergence gives back the iterate it
+        carries, flagged not converged, without a second solve."""
+        protocol, gt, vox = noiseless_voxel(31)
+        design = internal_design(protocol)
+        params = init_params(wls_fit(vox, design), design)
+        state = em_estep(params, vox.y, design)
+        carried = np.linspace(0.1, 2.4, 24)
+        calls = []
+
+        def collapse(problem, theta0, options=None):
+            calls.append(theta0)
+            diag = barrier.SolverDiagnostics(reason="step collapse")
+            raise barrier.NonConvergence("collapsed", carried.copy(), diag)
+
+        monkeypatch.setattr(barrier, "solve", collapse)
+        L, theta_q, converged = update_tensors(params, state, vox.y, design)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(L, carried[:6])
+        np.testing.assert_array_equal(theta_q, carried[6:])
+        assert converged is False
+
+
+class TestConvergedFlag:
+    def _scripted_mle(self, monkeypatch, solved_flags, logliks):
+        """em_mle_fit with the tensor solves' flags and the surrogate
+        values of each sweep scripted."""
+        real_update = estimators.update_tensors
+        flags, values = iter(solved_flags), iter(logliks)
+
+        def update(*args, **kwargs):
+            L, theta_q, _ = real_update(*args, **kwargs)
+            return L, theta_q, next(flags)
+
+        monkeypatch.setattr(estimators, "update_tensors", update)
+        monkeypatch.setattr(estimators, "joint_loglik", lambda *args: next(values))
+        protocol, gt, vox = noiseless_voxel(47)
+        return em_mle_fit(vox, internal_design(protocol))
+
+    def test_mle_flag_follows_the_last_solve(self, monkeypatch):
+        fit = self._scripted_mle(monkeypatch, [True, False], [0.0, 0.0])
+        assert fit.em_iterations == 2 and not fit.converged
+
+    @pytest.mark.parametrize("first_solved", [True, False])
+    def test_mle_flag_follows_the_rollback(self, monkeypatch, first_solved):
+        """A rejected sweep restores the previous iterate and the flag of
+        the solve that produced it."""
+        fit = self._scripted_mle(monkeypatch, [first_solved, not first_solved], [0.0, -1.0])
+        assert fit.em_iterations == 2 and list(fit.loglik_trace) == [0.0]
+        assert fit.converged == first_solved
+
+    def test_mle_without_stopping_is_not_converged(self, monkeypatch):
+        protocol, gt, vox = noiseless_voxel(47)
+        fit = em_mle_fit(vox, internal_design(protocol), dkimle.FitOptions(max_sweeps=1))
+        assert fit.em_iterations == 1 and not fit.converged
+
+    def test_cwls_flag_follows_the_solver(self, monkeypatch):
+        protocol, gt, vox = noiseless_voxel(48)
+        design = internal_design(protocol)
+        honest = cwls_fit(vox, design)
+        assert honest.converged
+        real_solve = barrier.solve
+
+        def short(*args, **kwargs):
+            theta, diag = real_solve(*args, **kwargs)
+            diag.converged = False
+            return theta, diag
+
+        monkeypatch.setattr(barrier, "solve", short)
+        flagged = cwls_fit(vox, design)
+        assert not flagged.converged
+        np.testing.assert_array_equal(flagged.theta_d, honest.theta_d)
+
+    def test_b0_only_protocol_is_not_converged(self):
+        """On an all-b=0 protocol only S0 is identifiable: every estimator
+        reports converged False."""
+        protocol = AcquisitionProtocol(np.zeros(25), np.tile([1.0, 0, 0], (25, 1)))
+        y = 3.0 + 0.01 * np.random.default_rng(5).normal(size=25)
+        for estimator in ("wls", "cwls", "mle"):
+            fit = fit_voxel(y, protocol, estimator)
+            assert not fit.converged, estimator
+            assert fit.s0 == pytest.approx(3.0, rel=1e-2)
