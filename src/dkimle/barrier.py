@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 __all__ = [
     "BarrierProblem",
@@ -152,6 +150,9 @@ def regularize(H, score_norm):
 
 def fisher_step(info_reg, score):
     """Solve info_reg @ step = score by Cholesky with one refinement pass."""
+    # imported on first use, so fits that never solve (WLS) load no scipy
+    import scipy.linalg
+
     c, low = scipy.linalg.cho_factor(info_reg, check_finite=False)
     step = scipy.linalg.cho_solve((c, low), score, check_finite=False)
     resid = score - info_reg @ step
@@ -177,6 +178,8 @@ def _initial_mu(problem, theta, nu, cap, floor):
     size.  Inactive problems get the floor, so the barrier never
     overwhelms an already near-optimal start.
     """
+    import scipy.optimize
+
     A = problem.constraint_gradients(theta)
     grad = problem.gradient(theta)
     try:

@@ -167,9 +167,13 @@ def cmd_fit(args) -> int:
             f"but protocol has {protocol.m}"
         )
     options = FitOptions()
-    if args.max_sweeps:
+    if args.max_sweeps is not None:
+        if args.max_sweeps <= 0:
+            raise CliError(f"--max-sweeps must be positive, got {args.max_sweeps}")
         options.max_sweeps = args.max_sweeps
-    if args.grad_tol:
+    if args.grad_tol is not None:
+        if not args.grad_tol > 0:
+            raise CliError(f"--grad-tol must be positive, got {args.grad_tol}")
         options.solver.grad_tol = args.grad_tol
 
     workers = args.workers or int(os.environ.get(_WORKERS_ENV, "1"))

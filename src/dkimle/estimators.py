@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,15 +32,15 @@ from .protocol import AcquisitionProtocol, DesignMatrices, build_design, quartic
 from .rician import AugmentedState, bessel_ratio, joint_loglik
 from .sphere import fibonacci_sphere
 from .tensors import (
+    ExponentModel,
     ModelParams,
+    _qform,
     cholesky_of_d,
     d_matrix,
     factor_kurtosis,
     gram_from_kurtosis,
-    jacobian_l,
     mean_diffusivity,
     q_from_gram,
-    second_derivative_contraction,
     theta_d_from_l,
 )
 
@@ -187,6 +187,14 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # weighted least squares
 
+@lru_cache(maxsize=64)
+def _full_column_rank(x_bytes: bytes) -> bool:
+    """Whether the regression matrix with these bytes has rank 22; keyed on
+    values, since the voxels of one protocol share it unless their zero
+    magnitudes drop different rows."""
+    return bool(np.linalg.matrix_rank(np.frombuffer(x_bytes).reshape(-1, _N_PARAMS)) == _N_PARAMS)
+
+
 def wls_fit(data: VoxelData, design: DesignMatrices, weight_mode: str = "y2_s0") -> WlsFit:
     """Log-linear (weighted) least squares fit of the kurtosis model.
 
@@ -222,7 +230,7 @@ def wls_fit(data: VoxelData, design: DesignMatrices, weight_mode: str = "y2_s0")
     X = np.column_stack([np.ones(int(np.sum(use))), design.z_d[use], design.z_w[use]])
     if y.size < _N_PARAMS:
         raise RankDeficient(f"{y.size} usable rows < {_N_PARAMS} parameters")
-    if np.linalg.matrix_rank(X) < _N_PARAMS:
+    if not _full_column_rank(X.tobytes()):
         raise RankDeficient("design matrix does not have full column rank")
 
     if weight_mode == "uniform":
@@ -248,12 +256,6 @@ def wls_fit(data: VoxelData, design: DesignMatrices, weight_mode: str = "y2_s0")
 # ---------------------------------------------------------------------------
 # the signal exponent and the tensor subproblem
 
-def _qform(theta_q, v):
-    """sum_i <v_j, q-block_i>^2 per row; equals (6/b^2) theta_Q^T P_j theta_Q."""
-    u = v @ np.asarray(theta_q, dtype=float).reshape(3, 6).T  # (m, 3)
-    return np.einsum("mi,mi->m", u, u), u
-
-
 def constraint_values(theta_d, theta_q, design: DesignMatrices):
     """g_j = (6/b^2) theta_Q^T P_j theta_Q + (3/b^2) Z_Dj theta_D for b > 0 rows.
 
@@ -265,75 +267,6 @@ def constraint_values(theta_d, theta_q, design: DesignMatrices):
     q, _ = _qform(theta_q, design.v[mask])
     g = q + (3.0 / design.b[mask] ** 2) * (design.z_d[mask] @ np.asarray(theta_d))
     return g, mask
-
-
-class ExponentModel:
-    """The signal exponent of one design and its derivatives.
-
-    Every estimator models log S_j = log S0 + eta_j with eta_j =
-    Z_Dj theta_D(L) + theta_Q^T P_j theta_Q, a function of the stacked
-    theta = (L; theta_Q) of length 24; its two terms are returned apart so
-    that each caller keeps its order of floating-point operations.  The
-    decay constraints are :func:`constraint_values` as functions of theta.
-    """
-
-    def __init__(self, design: DesignMatrices):
-        self.design = design
-        self.c = design.b**2 / 6.0
-
-    @cached_property
-    def _constraint_rows(self):
-        """v and (3/b^2) Z_D of the b > 0 rows."""
-        mask = self.design.b > 0
-        return self.design.v[mask], (3.0 / self.design.b[mask, None] ** 2) * self.design.z_d[mask]
-
-    @property
-    def n_constraints(self) -> int:
-        return self._constraint_rows[0].shape[0]
-
-    def exponent(self, L, theta_q):
-        """(eta_D, eta_Q, u) per row; u_j = (<v_j, q-block_i>)_i, shape (m, 3)."""
-        qf, u = _qform(theta_q, self.design.v)
-        return self.design.z_d @ theta_d_from_l(L), self.c * qf, u
-
-    def sensitivities(self, L, u):
-        """d eta / d theta, shape (m, 24)."""
-        m, v = self.design.m, self.design.v
-        out = np.empty((m, 24))
-        out[:, :6] = self.design.z_d @ jacobian_l(L)
-        out[:, 6:] = 2.0 * self.c[:, None] * (u[:, :, None] * v[:, None, :]).reshape(m, 18)
-        return out
-
-    def curvature(self, w, with_l):
-        """sum_j w_j d^2 eta_j / d theta^2, the L block only if with_l; eta is
-        a sum of an L and a theta_Q term, so the cross block is zero."""
-        H = np.zeros((24, 24))
-        if with_l:
-            H[:6, :6] = second_derivative_contraction(w @ self.design.z_d)
-        v = self.design.v
-        H[6:, 6:] = np.kron(np.eye(3), (v.T * (2.0 * w * self.c)) @ v)
-        return H
-
-    def constraints(self, theta):
-        v_c, zc = self._constraint_rows
-        qf, _ = _qform(theta[6:], v_c)
-        return qf + zc @ theta_d_from_l(theta[:6])
-
-    def constraint_gradients(self, theta):
-        v_c, zc = self._constraint_rows
-        A = np.empty((v_c.shape[0], 24))
-        A[:, :6] = zc @ jacobian_l(theta[:6])
-        u = v_c @ theta[6:].reshape(3, 6).T
-        A[:, 6:] = 2.0 * (u[:, :, None] * v_c[:, None, :]).reshape(v_c.shape[0], 18)
-        return A
-
-    def constraint_curvature(self, lam):
-        """sum_j lam_j d^2 g_j / d theta^2 (block diagonal)."""
-        v_c, zc = self._constraint_rows
-        H = np.zeros((24, 24))
-        H[:6, :6] = second_derivative_contraction(lam @ zc)
-        H[6:, 6:] = 2.0 * np.kron(np.eye(3), (v_c.T * lam) @ v_c)
-        return H
 
 
 class RicianSurrogate:
@@ -668,13 +601,16 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
     update of (L, theta_Q) (:func:`update_tensors`); surrogate evaluation }
     until the surrogate change falls below tolerance.  A sweep that would
     decrease the surrogate is undone and ends the fit, so the recorded
-    trace is non-decreasing.
+    trace is non-decreasing.  A b0-only protocol identifies S0 alone and
+    gets the flagged WLS fit.
     """
     opts = options or FitOptions()
     start = time.perf_counter()
     y = data.y
 
     wls = wls_fit(data, design, opts.weight_mode)
+    if wls.underdetermined:
+        return _wls_result("mle", wls, design, opts, start)
     params = init_params(wls, design)
 
     trace = []
@@ -715,7 +651,7 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
     m = data.m
     sigma2_report = params.sigma2 * (m - 1) / max(m - _N_PARAMS, 1)
     return _constrained_result("mle", params, sigma2_report, trace, sweeps,
-                               stopped and solved and not wls.underdetermined, design, opts, start)
+                               stopped and solved, design, opts, start)
 
 
 def cwls_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None) -> FitResult:
@@ -726,12 +662,15 @@ def cwls_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None
     the decay constraints, with S0 and sigma^2 held at their WLS values.
     Each sweep restarts the constrained Fisher scoring from the previous
     result, until the parameters stop moving or the objective would rise
-    (then the previous result is kept).
+    (then the previous result is kept).  A b0-only protocol gets the
+    flagged WLS fit.
     """
     opts = options or FitOptions()
     start = time.perf_counter()
 
     wls = wls_fit(data, design, opts.weight_mode)
+    if wls.underdetermined:
+        return _wls_result("cwls", wls, design, opts, start)
     params = init_params(wls, design)
     s0 = params.s0
     rows = (~data.zero_mask).nonzero()[0]
@@ -761,14 +700,15 @@ def cwls_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None
             break
 
     return _constrained_result("cwls", params, params.sigma2, trace, sweeps,
-                               stopped and solved and not wls.underdetermined, design, opts, start)
+                               stopped and solved, design, opts, start)
 
 
-def _wls_as_result(data, design, opts, start) -> FitResult:
-    wls = wls_fit(data, design, opts.weight_mode)
+def _wls_result(estimator, wls, design, opts, start) -> FitResult:
+    """The unconstrained WLS fit as a result; on a b0-only protocol every
+    estimator returns this flagged, not converged fit."""
     theta_w = wls.theta_w()
     return FitResult(
-        estimator="wls",
+        estimator=estimator,
         theta_d=wls.theta_d,
         theta_w=theta_w,
         s0=wls.s0,
@@ -806,7 +746,7 @@ def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
     design = _internal_design(protocol.bvals.tobytes(), protocol.bvecs.tobytes())
 
     if estimator == "wls":
-        result = _wls_as_result(data, design, opts, start)
+        result = _wls_result("wls", wls_fit(data, design, opts.weight_mode), design, opts, start)
     elif estimator == "cwls":
         result = cwls_fit(data, design, opts)
     elif estimator == "mle":

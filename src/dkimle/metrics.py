@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .protocol import quartic_rows
 from .simulate import GroundTruthVoxel
-from .sphere import gauss_legendre_sphere, ring_directions
+from .sphere import gauss_legendre_sphere
 from .tensors import d_matrix, mean_diffusivity
 
 __all__ = ["ScalarMetrics", "scalar_metrics", "EvalReport", "evaluate"]
@@ -29,6 +30,39 @@ def _quadrature(n_polar: int, n_azimuth: int):
     rows = quartic_rows(dirs)
     rows.setflags(write=False)
     return dirs, wts, rows
+
+
+# D_app and W_app along the great circle g(t) = cos t e2 + sin t e3 are
+# binary forms in (cos t, sin t), and D_app = D_app (cos^2 t + sin^2 t) is
+# quartic too: their values at five angles determine both on the circle
+_RING_SAMPLES = np.pi * np.arange(5) / 5
+_RING_CS = np.column_stack([np.cos(_RING_SAMPLES), np.sin(_RING_SAMPLES)])
+
+
+def _binary_quartics(t):
+    c, s = np.cos(t), np.sin(t)
+    return np.column_stack([c**4, c**3 * s, c**2 * s**2, c * s**3, s**4])
+
+
+@lru_cache(maxsize=8)
+def _ring_table(n_ring: int):
+    """(5, n_ring) map from a binary quartic's values at the sample angles to
+    its values at the ring angles t = 2 pi k / n_ring (read-only)."""
+    t = 2.0 * np.pi * np.arange(n_ring) / n_ring
+    table = np.linalg.solve(_binary_quartics(_RING_SAMPLES).T, _binary_quartics(t).T)
+    table.setflags(write=False)
+    return table
+
+
+def _ring_basis(axis):
+    """The rows (e2, e3) that :func:`dkimle.sphere.ring_directions` builds
+    for a unit axis, from scalar cross products."""
+    a0, a1, a2 = axis.tolist()
+    # e2 = axis x e_x, or axis x e_y when the axis is near e_x
+    x, y, z = (0.0, a2, -a1) if abs(a0) < 0.9 else (-a2, 0.0, a0)
+    n = math.sqrt(x * x + y * y + z * z)
+    x, y, z = x / n, y / n, z / n
+    return np.array([[x, y, z], [a1 * z - a2 * y, a2 * x - a0 * z, a0 * y - a1 * x]])
 
 
 @dataclass
@@ -78,12 +112,13 @@ def scalar_metrics(theta_d, theta_w, s0, sigma2,
     k_app = (md / d_app) ** 2 * (rows @ theta_w)
     mk = float(np.sum(wts * k_app))
 
-    evals, evecs = np.linalg.eigh(D)
-    ring = ring_directions(evecs[:, -1], n_ring)
-    d_ring = np.einsum("ni,ij,nj->n", ring, D, ring)
+    _, evecs = np.linalg.eigh(D)
+    samples = _RING_CS @ _ring_basis(evecs[:, -1])
+    d_ring, w_ring = np.stack([np.einsum("ni,ij,nj->n", samples, D, samples),
+                               quartic_rows(samples) @ theta_w]) @ _ring_table(int(n_ring))
     if np.any(d_ring <= 0):
         return ScalarMetrics(md, fa, mk, np.nan, snr, valid=False)
-    k_ring = (md / d_ring) ** 2 * (quartic_rows(ring) @ theta_w)
+    k_ring = (md / d_ring) ** 2 * w_ring
     k_perp = float(np.mean(k_ring))
 
     return ScalarMetrics(md, fa, mk, k_perp, snr)

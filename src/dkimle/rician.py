@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
-from .protocol import DesignMatrices, apply_p_batch
-from .tensors import ModelParams, theta_d_from_l
+from .protocol import DesignMatrices
+from .tensors import ExponentModel, ModelParams
 
 __all__ = [
     "bessel_ratio",
@@ -119,6 +118,9 @@ def rician_logpdf(y, s, sigma2):
     that replaces the magnitude law when the scanner discretizes a
     sample to zero.
     """
+    # imported on first use, so importing dkimle loads no scipy
+    from scipy.special import i0e
+
     y = np.asarray(y, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(y < 0):
@@ -154,6 +156,8 @@ def vonmises_expected_cos(y, s, sigma2):
 
 def vonmises_logpdf(phi, kappa):
     """Log density of the zero-mean Von Mises law on [0, 2 pi)."""
+    from scipy.special import i0e
+
     if np.any(np.asarray(kappa) < 0):
         raise ValueError("concentration must be non-negative")
     phi = np.asarray(phi, dtype=float)
@@ -204,10 +208,8 @@ def joint_loglik(params: ModelParams, y, design: DesignMatrices, state: Augmente
     if not params.sigma2 > 0:
         raise ValueError(f"sigma^2 must be positive, got {params.sigma2}")
     y = np.asarray(y, dtype=float)
-    theta_d = theta_d_from_l(params.L)
-    s = params.s0 * np.exp(
-        design.z_d @ theta_d + apply_p_batch(params.theta_q, design.v, design.b)
-    )
+    eta_d, eta_q, _ = ExponentModel(design).exponent(params.L, params.theta_q)
+    s = params.s0 * np.exp(eta_d + eta_q)
     m = y.size
     quad = np.sum(y * y + s * s - 2.0 * state.cos_phi * y * s)
     return float(-m * np.log(params.sigma2) - quad / (2.0 * params.sigma2))

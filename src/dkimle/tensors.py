@@ -20,11 +20,12 @@ Orderings are fixed once and shared with the design matrices:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
 
-from .protocol import DesignMatrices, apply_p_batch, quartic_rows
+from .protocol import DesignMatrices, quartic_rows
 
 __all__ = [
     "NotPositiveDefinite",
@@ -42,6 +43,7 @@ __all__ = [
     "factor_kurtosis",
     "kurtosis_to_tensor4",
     "tensor4_to_kurtosis",
+    "ExponentModel",
     "predict_signal",
     "apparent_coefficients",
     "mean_diffusivity",
@@ -375,6 +377,82 @@ class ModelParams:
         return ModelParams(self.L.copy(), self.theta_q.copy(), self.s0, self.sigma2)
 
 
+def _qform(theta_q, v):
+    """sum_i <v_j, q-block_i>^2 per row; equals (6/b^2) theta_Q^T P_j theta_Q."""
+    u = v @ np.asarray(theta_q, dtype=float).reshape(3, 6).T  # (m, 3)
+    return np.einsum("mi,mi->m", u, u), u
+
+
+class ExponentModel:
+    """The signal exponent of one design and its derivatives.
+
+    Every estimator models log S_j = log S0 + eta_j with eta_j =
+    Z_Dj theta_D(L) + theta_Q^T P_j theta_Q, a function of the stacked
+    theta = (L; theta_Q) of length 24; its two terms are returned apart so
+    that each caller keeps its order of floating-point operations.  The
+    decay constraints are :func:`dkimle.estimators.constraint_values` as
+    functions of theta.
+    """
+
+    def __init__(self, design: DesignMatrices):
+        self.design = design
+        self.c = design.b**2 / 6.0
+
+    @cached_property
+    def _constraint_rows(self):
+        """v and (3/b^2) Z_D of the b > 0 rows."""
+        mask = self.design.b > 0
+        return self.design.v[mask], (3.0 / self.design.b[mask, None] ** 2) * self.design.z_d[mask]
+
+    @property
+    def n_constraints(self) -> int:
+        return self._constraint_rows[0].shape[0]
+
+    def exponent(self, L, theta_q):
+        """(eta_D, eta_Q, u) per row; u_j = (<v_j, q-block_i>)_i, shape (m, 3)."""
+        qf, u = _qform(theta_q, self.design.v)
+        return self.design.z_d @ theta_d_from_l(L), self.c * qf, u
+
+    def sensitivities(self, L, u):
+        """d eta / d theta, shape (m, 24)."""
+        m, v = self.design.m, self.design.v
+        out = np.empty((m, 24))
+        out[:, :6] = self.design.z_d @ jacobian_l(L)
+        out[:, 6:] = 2.0 * self.c[:, None] * (u[:, :, None] * v[:, None, :]).reshape(m, 18)
+        return out
+
+    def curvature(self, w, with_l):
+        """sum_j w_j d^2 eta_j / d theta^2, the L block only if with_l; eta is
+        a sum of an L and a theta_Q term, so the cross block is zero."""
+        H = np.zeros((24, 24))
+        if with_l:
+            H[:6, :6] = second_derivative_contraction(w @ self.design.z_d)
+        v = self.design.v
+        H[6:, 6:] = np.kron(np.eye(3), (v.T * (2.0 * w * self.c)) @ v)
+        return H
+
+    def constraints(self, theta):
+        v_c, zc = self._constraint_rows
+        qf, _ = _qform(theta[6:], v_c)
+        return qf + zc @ theta_d_from_l(theta[:6])
+
+    def constraint_gradients(self, theta):
+        v_c, zc = self._constraint_rows
+        A = np.empty((v_c.shape[0], 24))
+        A[:, :6] = zc @ jacobian_l(theta[:6])
+        u = v_c @ theta[6:].reshape(3, 6).T
+        A[:, 6:] = 2.0 * (u[:, :, None] * v_c[:, None, :]).reshape(v_c.shape[0], 18)
+        return A
+
+    def constraint_curvature(self, lam):
+        """sum_j lam_j d^2 g_j / d theta^2 (block diagonal)."""
+        v_c, zc = self._constraint_rows
+        H = np.zeros((24, 24))
+        H[:6, :6] = second_derivative_contraction(lam @ zc)
+        H[6:, 6:] = 2.0 * np.kron(np.eye(3), (v_c.T * lam) @ v_c)
+        return H
+
+
 def predict_signal(params: ModelParams, design: DesignMatrices, cap: float = EXP_CAP):
     """Noise-free signal S_j = S0 exp(Z_Dj theta_D + theta_Q^T P_j theta_Q).
 
@@ -382,8 +460,8 @@ def predict_signal(params: ModelParams, design: DesignMatrices, cap: float = EXP
     emitted; this only happens for parameters violating the
     monotone-decay constraint, where the model itself is unphysical.
     """
-    theta_d = theta_d_from_l(params.L)
-    expo = design.z_d @ theta_d + apply_p_batch(params.theta_q, design.v, design.b)
+    eta_d, eta_q, _ = ExponentModel(design).exponent(params.L, params.theta_q)
+    expo = eta_d + eta_q
     n_clamped = int(np.sum(expo > cap))
     if n_clamped:
         import warnings

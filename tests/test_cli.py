@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dkimle
 from dkimle.cli import (
     dump_voxel_table,
     load_voxel_table,
@@ -148,6 +153,51 @@ class TestFitCommand:
         )
         assert code == 2
         assert "protocol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--max-sweeps", "0"), ("--max-sweeps", "-3"),
+                                             ("--grad-tol", "0"), ("--grad-tol", "-1e-6")])
+    def test_non_positive_fit_flags_rejected(self, simulated, tmp_path, capsys, flag, value):
+        out = tmp_path / "o.jsonl"
+        code = run_cli(
+            "fit", "--protocol", simulated + ".protocol.txt",
+            "--data", simulated + ".voxels.csv",
+            "--estimator", "mle", f"{flag}={value}", "--out", str(out),
+        )
+        assert code == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_max_sweeps_is_applied(self, simulated, tmp_path):
+        out = str(tmp_path / "o.jsonl")
+        assert run_cli(
+            "fit", "--protocol", simulated + ".protocol.txt",
+            "--data", simulated + ".voxels.csv",
+            "--estimator", "mle", "--max-sweeps", "1", "--out", out,
+        ) == 0
+        assert [r["diagnostics"]["iterations"] for r in fit_records(out)] == [1] * 4
+
+    def test_wls_path_imports_no_scipy_solvers(self):
+        """Importing the command line and fitting and mapping a voxel by WLS
+        loads none of scipy's linalg, optimize or special modules."""
+        code = "\n".join([
+            "import sys",
+            "import dkimle.cli",
+            "from dkimle.estimators import fit_voxel",
+            "from dkimle.metrics import scalar_metrics",
+            "from dkimle.simulate import scenario",
+            "protocol, rows, _ = scenario('dataset3', seed=0, n_voxels=2)",
+            "fit = fit_voxel(rows[0], protocol, 'wls')",
+            "assert scalar_metrics(fit.theta_d, fit.theta_w, fit.s0, fit.sigma2).valid",
+            "print(' '.join(sorted(sys.modules)))",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(dkimle.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        loaded = [m for m in run.stdout.split()
+                  if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "optimize"],
+                                          ["scipy", "special"])]
+        assert loaded == []
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         """A WLS table spanning several chunks per worker gives the same

@@ -6,6 +6,7 @@ import dkimle
 from dkimle import barrier, estimators
 from dkimle.estimators import (
     B_INTERNAL_SCALE,
+    ConstraintFlags,
     DegenerateVoxel,
     ExponentModel,
     LogResidual,
@@ -133,6 +134,22 @@ class TestWls:
         )
         with pytest.raises(RankDeficient):
             wls_fit(VoxelData(np.ones(30)), build_design(protocol))
+
+    def test_rank_check_follows_the_rows_used(self):
+        """The design's rank is checked on the rows a voxel uses: after a
+        full-rank fit, zeros that leave only a single gradient direction
+        still raise RankDeficient on the same design."""
+        base = three_shell_protocol()
+        bvals = np.concatenate([base.bvals, np.linspace(500.0, 2000.0, 30)])
+        protocol = AcquisitionProtocol(
+            bvals, np.vstack([base.bvecs, np.tile([1.0, 0.0, 0.0], (30, 1))]))
+        design = internal_design(protocol)
+        y = np.exp(-1e-3 * bvals)
+        wls_fit(VoxelData(y), design)
+        y[:base.m] = 0.0
+        with pytest.raises(RankDeficient, match="full column rank"):
+            wls_fit(VoxelData(y), design)
+        wls_fit(VoxelData(np.where(y > 0, y, 0.5)), design)
 
     def test_zero_rows_excluded(self):
         protocol, gt, vox = noiseless_voxel(4)
@@ -778,6 +795,22 @@ class TestConvergedFlag:
         flagged = cwls_fit(vox, design)
         assert not flagged.converged
         np.testing.assert_array_equal(flagged.theta_d, honest.theta_d)
+
+    def test_b0_only_protocol_gives_the_flagged_wls_fit(self):
+        """On an all-b=0 protocol cwls and mle return the WLS result: the
+        zero tensors flagged d_not_pd, under their own estimator names."""
+        protocol = AcquisitionProtocol(np.zeros(25), np.tile([1.0, 0, 0], (25, 1)))
+        y = 3.0 + 0.01 * np.random.default_rng(5).normal(size=25)
+        wls = fit_voxel(y, protocol, "wls")
+        assert wls.violations == ConstraintFlags(d_not_pd=True)
+        for estimator in ("cwls", "mle"):
+            fit = fit_voxel(y, protocol, estimator)
+            assert fit.estimator == estimator
+            assert not fit.converged
+            assert fit.violations == wls.violations
+            for name in ("theta_d", "theta_w"):
+                np.testing.assert_array_equal(getattr(fit, name), getattr(wls, name))
+            assert (fit.s0, fit.sigma2) == (wls.s0, wls.sigma2)
 
     def test_b0_only_protocol_is_not_converged(self):
         """On an all-b=0 protocol only S0 is identifiable: every estimator

@@ -7,7 +7,7 @@ from dkimle.estimators import ConstraintFlags, FitResult
 from dkimle import metrics
 from dkimle.metrics import evaluate, scalar_metrics
 from dkimle.protocol import quartic_rows
-from dkimle.sphere import gauss_legendre_sphere
+from dkimle.sphere import gauss_legendre_sphere, ring_directions
 from dkimle.simulate import GroundTruthVoxel, random_tensor_truth
 from dkimle.tensors import d_matrix, kurtosis_from_gram, mean_diffusivity, tensor4_to_kurtosis
 
@@ -114,6 +114,33 @@ class TestScalarMetrics:
                 md = mean_diffusivity(theta_d)
                 k_app = (md / d_app) ** 2 * (rows @ theta_w)
                 assert sm.mk == float(np.sum(wts * k_app))
+
+    def test_k_perp_equals_ring_formula(self, rng):
+        """K_perp from the five-sample ring tables equals the mean of the
+        directional kurtosis over ring_directions to 1e-12 relative, for
+        either seed of the ring basis and for several ring sizes."""
+        def oracle(theta_d, theta_w, n_ring):
+            D = d_matrix(theta_d)
+            ring = ring_directions(np.linalg.eigh(D)[1][:, -1], n_ring)
+            d_ring = np.einsum("ni,ij,nj->n", ring, D, ring)
+            md = mean_diffusivity(theta_d)
+            return float(np.mean((md / d_ring) ** 2 * (quartic_rows(ring) @ theta_w)))
+
+        cases = [realistic_tensors(rng) for _ in range(6)]
+        # principal axis near e_x, where the ring basis is seeded with e_y
+        for _ in range(3):
+            _, theta_w = realistic_tensors(rng)
+            axis = np.array([1.0, *rng.uniform(-0.1, 0.1, size=2)])
+            Q, _ = np.linalg.qr(np.column_stack([axis, rng.normal(size=(3, 2))]))
+            D = (Q * [2.5, 0.6, 0.4]) @ Q.T
+            assert abs(np.linalg.eigh(D)[1][0, -1]) >= 0.9
+            cases.append((np.array([D[0, 0], D[1, 1], D[2, 2], D[0, 1], D[0, 2], D[1, 2]]),
+                          theta_w))
+        for n_ring in (256, 64, 37, 512):
+            for theta_d, theta_w in cases:
+                sm = scalar_metrics(theta_d, theta_w, 1.0, 1.0, n_ring=n_ring)
+                assert sm.k_perp == pytest.approx(oracle(theta_d, theta_w, n_ring),
+                                                  rel=1e-12, abs=0)
 
     def test_fa_bounds(self, rng):
         for _ in range(500):
