@@ -1,6 +1,6 @@
 """Constrained Fisher scoring with a logarithmic barrier.
 
-A generic primal-dual interior scheme for problems
+A primal log-barrier scheme for problems
 
     minimize f(theta)   subject to   g_j(theta) <= 0,  j = 1..m,
 
@@ -8,16 +8,18 @@ where the caller supplies the objective, its gradient, an information
 matrix I(theta, lambda) standing in for the Hessian (Fisher or empirical
 Fisher of f plus sum_j lambda_j * Hessian of g_j), and the constraint
 values and gradients.  Slacks are kept implicit (nu = -g(theta)) and every
-accepted iterate is strictly feasible.  Each iteration first re-centers
-the multipliers toward the central path lambda_j = mu / nu_j, then takes a
-damped Fisher step on the barrier merit
+accepted iterate is strictly feasible.  The multipliers are not solved
+for: each iteration sets them on the central path, lambda_j = mu / nu_j,
+and takes a damped Fisher step on the barrier merit
 
     f(theta) - mu * sum_j log(-g_j(theta)),
 
 backtracking until the merit does not increase and feasibility is strict.
-The information matrix is made positive definite before factorization by
-adding a multiple of the identity sized by the score norm, the usual
-Levenberg-Marquardt regularization.
+Each point is evaluated once: its objective and constraint values carry
+over to the merit, the multipliers and the trace.  The information matrix
+is made positive definite by adding a multiple of the identity sized by
+the score norm, the usual Levenberg-Marquardt regularization, and the
+Cholesky factor that accepts the shifted matrix also solves the step.
 """
 
 from __future__ import annotations
@@ -74,46 +76,41 @@ class BarrierProblem:
     constraint_gradients: Callable[[np.ndarray], np.ndarray] = None
 
 
+# barrier parameter: MU0 caps the start value, which is scaled down to the
+# complementarity of least-squares multipliers at the starting point, so
+# problems whose constraints are inactive run with an essentially inactive
+# barrier instead of being dragged onto a distant central path
+MU0 = 1.0
+MU_SHRINK = 0.2
+# the final barrier parameter bounds both the interior bias of the
+# solution (proportional to mu) and the smallest active-constraint
+# slack (mu / multiplier); 1e-10 keeps the bias negligible while the
+# slacks stay well above the float rounding noise of the constraint
+# evaluations (~1e-16)
+MU_MIN = 1e-10
+MAX_OUTER = 30
+MAX_INNER = 50
+STEP_SHRINK = 0.5
+MIN_STEP = 1e-12
+# bounds a single update to this multiple of (1 + ||theta||), which keeps
+# exponential objectives from being pushed into underflow regions where
+# their gradient can no longer pull back
+MAX_STEP_SCALE = 10.0
+# multiple of the score norm used as Levenberg-Marquardt shift; the
+# shift keeps its role near the solution (where the score vanishes)
+# without drowning the curvature when the score is still large
+LM_SCALE = 1e-2
+
+
 @dataclass
 class SolverOptions:
-    """Tuning constants; the defaults converge on voxel-sized problems.
+    """The score tolerance of the final barrier subproblem."""
 
-    ``mu0`` caps the initial barrier parameter; the effective start value
-    is scaled down to the complementarity of least-squares multipliers at
-    the starting point, so problems whose constraints are inactive run
-    with an essentially inactive barrier instead of being dragged onto a
-    distant central path.  ``max_step_scale`` bounds a single update to
-    that multiple of (1 + ||theta||), which keeps exponential objectives
-    from being pushed into underflow regions where their gradient can no
-    longer pull back.
-    """
-
-    mu0: float = 1.0
-    mu_shrink: float = 0.2
-    # the final barrier parameter bounds both the interior bias of the
-    # solution (proportional to mu) and the smallest active-constraint
-    # slack (mu / multiplier); 1e-10 keeps the bias negligible while the
-    # slacks stay well above the float rounding noise of the constraint
-    # evaluations (~1e-16)
-    mu_min: float = 1e-10
-    max_outer: int = 30
-    max_inner: int = 50
     grad_tol: float = 1e-6
-    constraint_tol: float = 1e-8
-    step_shrink: float = 0.5
-    min_step: float = 1e-12
-    dual_step: float = 1.0
-    max_step_scale: float = 10.0
-    # multiple of the score norm used as Levenberg-Marquardt shift; the
-    # shift keeps its role near the solution (where the score vanishes)
-    # without drowning the curvature when the score is still large
-    lm_scale: float = 1e-2
 
     def __post_init__(self):
-        if not (0 < self.mu_shrink < 1 and 0 < self.step_shrink < 1):
-            raise ValueError("shrink factors must lie in (0, 1)")
-        if min(self.mu0, self.mu_min, self.grad_tol, self.min_step) <= 0:
-            raise ValueError("all solver constants must be positive")
+        if not self.grad_tol > 0:
+            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 @dataclass
@@ -128,54 +125,66 @@ class SolverDiagnostics:
     reason: str = ""
 
 
-def regularize(H, score_norm):
-    """Return H + score_norm * I, inflated further until Cholesky succeeds.
+def regularize(H, shift):
+    """Return (H + shift * I, its Cholesky factor), inflating the diagonal
+    further until the factorization succeeds.
 
-    The score norm is the Levenberg-Marquardt parameter; if the shifted
-    matrix is still not positive definite the diagonal is repeatedly
-    inflated by growing multiples of max(score_norm, 1e-8), which always
-    terminates by diagonal dominance.
+    The shift is the Levenberg-Marquardt parameter; if the shifted matrix
+    is still not positive definite the diagonal is repeatedly inflated by
+    growing multiples of max(shift, 1e-8), which always terminates by
+    diagonal dominance.  The factor is scipy's upper ``cho_factor``.
     """
+    # imported on first use, so fits that never solve (WLS) load no scipy
+    import scipy.linalg
+
     H = np.asarray(H, dtype=float)
-    out = H + float(score_norm) * np.eye(H.shape[0])
-    bump = 10.0 * max(float(score_norm), 1e-8)
+    out = H + float(shift) * np.eye(H.shape[0])
+    bump = 10.0 * max(float(shift), 1e-8)
     while True:
         try:
-            np.linalg.cholesky(out)
-            return out
+            return out, scipy.linalg.cho_factor(out, check_finite=False)
         except np.linalg.LinAlgError:
             out = out + bump * np.eye(H.shape[0])
             bump *= 10.0
 
 
-def fisher_step(info_reg, score):
-    """Solve info_reg @ step = score by Cholesky with one refinement pass."""
-    # imported on first use, so fits that never solve (WLS) load no scipy
-    import scipy.linalg
+def fisher_step(info_reg, score, factor):
+    """Solve info_reg @ step = score with the Cholesky ``factor`` of
+    info_reg from :func:`regularize`, plus one refinement pass."""
+    from scipy.linalg import cho_solve
 
-    c, low = scipy.linalg.cho_factor(info_reg, check_finite=False)
-    step = scipy.linalg.cho_solve((c, low), score, check_finite=False)
+    step = cho_solve(factor, score, check_finite=False)
     resid = score - info_reg @ step
-    step = step + scipy.linalg.cho_solve((c, low), resid, check_finite=False)
-    return step
+    return step + cho_solve(factor, resid, check_finite=False)
 
 
-def _merit(problem, theta, mu):
+def _evaluate(problem, theta):
+    """(f, g) at theta; f is inf, and the objective is not called, when
+    theta is not strictly feasible.  g is None without constraints."""
     if problem.n_constraints == 0:
         return problem.objective(theta), None
     g = problem.constraints(theta)
     if np.any(g >= 0):
         return np.inf, g
-    return problem.objective(theta) - mu * np.sum(np.log(-g)), g
+    return problem.objective(theta), g
 
 
-def _initial_mu(problem, theta, nu, cap, floor):
+def _merit(f, g, mu):
+    """Barrier merit from the values :func:`_evaluate` returned."""
+    if g is None:
+        return f
+    if np.any(g >= 0):
+        return np.inf
+    return f - mu * np.sum(np.log(-g))
+
+
+def _initial_mu(problem, theta, nu):
     """Barrier parameter matched to the multiplier scale at the start.
 
     Non-negative least-squares multipliers lam minimizing
     ||grad f + A^T lam|| estimate the active-set scale; their mean
     complementarity with the starting slacks gives a mu of the right
-    size.  Inactive problems get the floor, so the barrier never
+    size.  Inactive problems get MU_MIN, so the barrier never
     overwhelms an already near-optimal start.
     """
     import scipy.optimize
@@ -185,9 +194,9 @@ def _initial_mu(problem, theta, nu, cap, floor):
     try:
         lam_ls, _ = scipy.optimize.nnls(A.T, -grad)
     except Exception:
-        return cap
+        return MU0
     comp = float(np.mean(lam_ls * nu))
-    return float(min(cap, max(floor, comp)))
+    return float(min(MU0, max(MU_MIN, comp)))
 
 
 def solve(problem: BarrierProblem, theta0, options: SolverOptions = None):
@@ -210,34 +219,30 @@ def solve(problem: BarrierProblem, theta0, options: SolverOptions = None):
     theta = np.asarray(theta0, dtype=float).copy()
     diag = SolverDiagnostics()
     m = problem.n_constraints
+    lam = np.zeros(0)
 
+    f, g = _evaluate(problem, theta)
     if m > 0:
-        g = problem.constraints(theta)
         if np.any(g >= 0):
             raise Infeasible(
                 f"starting point violates constraint {int(np.argmax(g >= 0))} "
                 f"(g = {float(np.max(g)):.3g})"
             )
-        nu = -g
-        mu = _initial_mu(problem, theta, nu, opts.mu0, opts.mu_min)
-        lam = mu / nu
+        mu = _initial_mu(problem, theta, -g)
     else:
-        lam = np.zeros(0)
-        mu = opts.mu0
-    merit, g = _merit(problem, theta, mu)
-    diag.objective_trace.append(problem.objective(theta))
+        mu = MU0
+    diag.objective_trace.append(f)
 
-    for outer in range(opts.max_outer):
+    for outer in range(MAX_OUTER):
         diag.outer_iterations = outer + 1
         # tolerance loosens with the barrier parameter: early subproblems
         # are solved coarsely, the last ones to grad_tol
         inner_tol = max(opts.grad_tol, 0.1 * mu) if m > 0 else opts.grad_tol
-        for _ in range(opts.max_inner):
+        for _ in range(MAX_INNER):
             if m > 0:
-                g = problem.constraints(theta)
                 nu = -g
-                # dual re-centering toward the central path lambda = mu/nu
-                lam = (1.0 - opts.dual_step) * lam + opts.dual_step * (mu / nu)
+                # multipliers on the central path
+                lam = mu / nu
                 A = problem.constraint_gradients(theta)
                 score = problem.gradient(theta) + A.T @ lam
             else:
@@ -258,49 +263,32 @@ def solve(problem: BarrierProblem, theta0, options: SolverOptions = None):
                 # boundary-hugging iterates can overflow the barrier
                 # curvature; fall back to a pure gradient step scale
                 info = np.eye(problem.dim) * max(1.0, float(np.linalg.norm(score)))
-            shift = opts.lm_scale * float(np.linalg.norm(score))
-            step = None
-            for _ in range(12):
-                # the numpy test factorization inside regularize and the
-                # scipy solve can disagree on barely-PD matrices; retry
-                # with growing shifts until both accept
-                info_reg = regularize(info, shift)
-                try:
-                    step = fisher_step(info_reg, score)
-                    break
-                except np.linalg.LinAlgError:
-                    shift = 10.0 * shift + 1.0
-            if step is None:
-                diag.final_mu = mu
-                diag.reason = "factorization failure"
-                raise NonConvergence(
-                    "information matrix could not be factored", theta, diag
-                )
+            info_reg, factor = regularize(info, LM_SCALE * float(np.linalg.norm(score)))
+            step = fisher_step(info_reg, score, factor)
 
             alpha = 1.0
             step_norm = float(np.linalg.norm(step))
-            cap = opts.max_step_scale * (1.0 + float(np.linalg.norm(theta)))
+            cap = MAX_STEP_SCALE * (1.0 + float(np.linalg.norm(theta)))
             if step_norm > cap:
                 alpha = cap / step_norm
-            merit, _ = _merit(problem, theta, mu)
+            merit = _merit(f, g, mu)
             while True:
                 trial = theta - alpha * step
-                trial_merit, _ = _merit(problem, trial, mu)
-                if trial_merit <= merit:
-                    theta = trial
-                    merit = trial_merit
+                f_trial, g_trial = _evaluate(problem, trial)
+                if _merit(f_trial, g_trial, mu) <= merit:
+                    theta, f, g = trial, f_trial, g_trial
                     break
-                alpha *= opts.step_shrink
-                if alpha < opts.min_step:
+                alpha *= STEP_SHRINK
+                if alpha < MIN_STEP:
                     diag.final_mu = mu
                     diag.reason = "step collapse"
                     raise NonConvergence(
-                        f"backtracking collapsed below {opts.min_step:g} "
+                        f"backtracking collapsed below {MIN_STEP:g} "
                         f"with score norm {score_norm:.3g}",
                         theta,
                         diag,
                     )
-            diag.objective_trace.append(problem.objective(theta))
+            diag.objective_trace.append(f)
 
         if m == 0:
             diag.converged = diag.final_score_norm <= opts.grad_tol
@@ -308,9 +296,9 @@ def solve(problem: BarrierProblem, theta0, options: SolverOptions = None):
             diag.final_mu = 0.0
             break
 
-        diag.max_complementarity = float(np.max(lam * -problem.constraints(theta)))
+        diag.max_complementarity = float(np.max(lam * -g))
         diag.final_mu = mu
-        if mu <= opts.mu_min:
+        if mu <= MU_MIN:
             # final barrier parameter: slacks of active constraints scale
             # with mu, so shrinking further only erodes float precision
             diag.converged = diag.final_score_norm <= opts.grad_tol
@@ -319,9 +307,9 @@ def solve(problem: BarrierProblem, theta0, options: SolverOptions = None):
                 else "score tolerance not met at final mu"
             )
             break
-        mu = max(mu * opts.mu_shrink, opts.mu_min)
+        mu = max(mu * MU_SHRINK, MU_MIN)
     else:
         diag.final_mu = mu
-        diag.reason = diag.reason or "max outer iterations"
+        diag.reason = "max outer iterations"
 
     return theta, diag

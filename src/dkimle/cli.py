@@ -176,7 +176,9 @@ def cmd_fit(args) -> int:
             raise CliError(f"--grad-tol must be positive, got {args.grad_tol}")
         options.solver.grad_tol = args.grad_tol
 
-    workers = args.workers or int(os.environ.get(_WORKERS_ENV, "1"))
+    workers = args.workers if args.workers is not None else int(os.environ.get(_WORKERS_ENV, "1"))
+    if workers < 1:
+        raise CliError(f"--workers and ${_WORKERS_ENV} must be at least 1, got {workers}")
     n = rows.shape[0]
     payloads = [
         (i, rows[i], protocol.bvals, protocol.bvecs, args.estimator, options)

@@ -41,7 +41,6 @@ from .tensors import (
     gram_from_kurtosis,
     mean_diffusivity,
     q_from_gram,
-    theta_d_from_l,
 )
 
 __all__ = [
@@ -413,16 +412,8 @@ def update_tensors(params: ModelParams, state: AugmentedState, y, design,
     tolerance returns its best iterate and False.
     """
     tau = np.asarray(y, dtype=float) * state.cos_phi
-    theta_q = params.theta_q
-    # rounding can leave an iterate marginally outside the cone; the
-    # kurtosis block scales it back in (zero is always interior for PD D)
-    for _ in range(60):
-        g, _ = constraint_values(theta_d_from_l(params.L), theta_q, design)
-        if g.size == 0 or np.all(g < 0):
-            break
-        theta_q = 0.9 * theta_q
     theta, diag = _solve(_mle_problem(params.s0, tau, design),
-                         np.concatenate([params.L, theta_q]), options)
+                         np.concatenate([params.L, params.theta_q]), options)
     return theta[:6], theta[6:], diag.converged
 
 

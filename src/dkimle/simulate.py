@@ -354,6 +354,8 @@ def scenario(name: str, snr: float = 15.0, seed: int = DEFAULT_SEED, n_voxels: i
         raise ValueError(f"unknown scenario {name!r}; pick one of {sorted(SCENARIOS)}")
     if not snr > 0:
         raise ValueError(f"SNR must be positive, got {snr}")
+    if n_voxels is not None and n_voxels < 1:
+        raise ValueError(f"the voxel count must be at least 1, got {n_voxels}")
     kwargs = {} if n_voxels is None else {"n_voxels": n_voxels}
     protocol, truths = SCENARIOS[name](snr, seed, **kwargs)
     rows = []

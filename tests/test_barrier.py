@@ -1,7 +1,14 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
+from dkimle import barrier, estimators
+from dkimle.simulate import scenario
 from dkimle.barrier import (
+    MU_MIN,
     BarrierProblem,
     Infeasible,
     NonConvergence,
@@ -44,10 +51,11 @@ def quadratic_problem(c, constraints=None, constraint_grads=None, hessians=None)
 
 class TestRegularize:
     def test_identity_untouched(self):
-        np.testing.assert_allclose(regularize(np.eye(3), 0.0), np.eye(3), atol=0)
+        out, _ = regularize(np.eye(3), 0.0)
+        np.testing.assert_allclose(out, np.eye(3), atol=0)
 
     def test_simple_shift(self):
-        out = regularize(np.diag([1.0, -1.0]), 2.0)
+        out, _ = regularize(np.diag([1.0, -1.0]), 2.0)
         np.testing.assert_allclose(out, np.diag([3.0, 1.0]), atol=0)
         np.linalg.cholesky(out)
 
@@ -55,18 +63,35 @@ class TestRegularize:
         for _ in range(20):
             A = rng.normal(size=(6, 6))
             H = A + A.T  # symmetric, generally indefinite
-            out = regularize(H, float(rng.uniform(0, 0.1)))
+            out, _ = regularize(H, float(rng.uniform(0, 0.1)))
             np.linalg.cholesky(out)  # raises if not PD
             assert np.linalg.eigvalsh(out).min() > 0
+
+    def test_factor_solves_the_returned_matrix(self, rng):
+        """The factor belongs to the returned matrix, also when the shift
+        alone leaves it indefinite and the diagonal had to be inflated."""
+        for _ in range(20):
+            A = rng.normal(size=(6, 6))
+            H = A + A.T
+            assert np.linalg.eigvalsh(H).min() < -1e-3
+            out, factor = regularize(H, 1e-3)
+            x = rng.normal(size=6)
+            np.testing.assert_allclose(cho_solve(factor, out @ x), x, rtol=1e-8, atol=1e-10)
+
+
+def step_of(H, score):
+    """fisher_step with the factor regularize gives an unshifted H."""
+    H_reg, factor = regularize(H, 0.0)
+    return fisher_step(H_reg, score, factor)
 
 
 class TestFisherStep:
     def test_identity(self):
         s = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(fisher_step(np.eye(3), s), s, atol=0)
+        np.testing.assert_allclose(step_of(np.eye(3), s), s, atol=0)
 
     def test_diagonal(self):
-        step = fisher_step(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+        step = step_of(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
         np.testing.assert_allclose(step, [1.0, 1.0], atol=1e-15)
 
     def test_residual_bound(self, rng):
@@ -74,7 +99,7 @@ class TestFisherStep:
             A = rng.normal(size=(8, 8))
             H = A @ A.T + 0.1 * np.eye(8)
             s = rng.normal(size=8)
-            step = fisher_step(H, s)
+            step = step_of(H, s)
             assert np.linalg.norm(H @ step - s) <= 1e-10 * np.linalg.norm(s) + 1e-14
 
 
@@ -155,9 +180,8 @@ class TestSolve:
             constraints=[lambda t: float(t[0] + t[1]) - 1.0],
             constraint_grads=[lambda t: np.array([1.0, 1.0])],
         )
-        opts = SolverOptions()
-        theta, diag = solve(prob, np.array([-1.0, -1.0]), opts)
-        assert diag.final_mu <= opts.mu_min * (1 + 1e-12)
+        theta, diag = solve(prob, np.array([-1.0, -1.0]))
+        assert diag.final_mu <= MU_MIN * (1 + 1e-12)
 
     def test_merit_trace_monotone(self):
         """Objective trace of accepted steps never increases for an
@@ -195,6 +219,93 @@ class TestSolve:
 class TestSolverOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolverOptions(mu_shrink=1.5)
-        with pytest.raises(ValueError):
             SolverOptions(grad_tol=0.0)
+
+
+def counted(problem):
+    """A copy of ``problem`` whose callables log the points they get."""
+    calls = {"objective": [], "constraints": [], "gradient": []}
+
+    def logged(name):
+        fn = getattr(problem, name)
+
+        def call(theta, *rest):
+            calls[name].append(theta.tobytes())
+            return fn(theta, *rest)
+        return call
+
+    swaps = {name: logged(name) for name in calls if getattr(problem, name) is not None}
+    return dataclasses.replace(problem, **swaps), calls
+
+
+def assert_no_point_evaluated_twice(calls):
+    for name in ("objective", "constraints"):
+        repeats = sum(n - 1 for n in Counter(calls[name]).values())
+        assert repeats == 0, f"{name} evaluated {repeats} times at a point it had seen"
+
+
+class TestOneEvaluationPerPoint:
+    """The start is evaluated once, and each trial point once; the merit,
+    the multipliers and the trace reuse those values.
+
+    A stalled solve, whose step is lost in rounding, repeats its last
+    iteration bit for bit and so evaluates its trial points again; none of
+    these solves stalls.
+    """
+
+    CASES = {
+        "unconstrained quadratic": lambda: (quadratic_problem([4.0, -2.0, 1.0]), np.zeros(3)),
+        "quadratic, inactive constraint": lambda: (quadratic_problem(
+            [1.0, 2.0],
+            constraints=[lambda t: float(t[0] + t[1]) - 10.0],
+            constraint_grads=[lambda t: np.array([1.0, 1.0])],
+        ), np.zeros(2)),
+        "linear, active constraint": lambda: (BarrierProblem(
+            dim=1,
+            n_constraints=1,
+            objective=lambda t: float(t[0]),
+            gradient=lambda t: np.array([1.0]),
+            information=lambda t, lam: np.array([[1e-12]]),
+            constraints=lambda t: np.array([-t[0]]),
+            constraint_gradients=lambda t: np.array([[-1.0]]),
+        ), np.array([1.0])),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_no_point_evaluated_twice(self, case):
+        problem, theta0 = self.CASES[case]()
+        probe, calls = counted(problem)
+        solve(probe, theta0)
+        assert len(calls["objective"]) > 2
+        assert_no_point_evaluated_twice(calls)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_objective_trace_is_the_objective_at_the_iterates(self, case):
+        """The trace holds, bit for bit, the objective at the start and at
+        each accepted iterate, the points at which the score is taken."""
+        problem, theta0 = self.CASES[case]()
+        probe, calls = counted(problem)
+        theta, diag = solve(probe, theta0)
+        points = [p for i, p in enumerate(calls["gradient"])
+                  if i == 0 or p != calls["gradient"][i - 1]]
+        if points[-1] != theta.tobytes():
+            points.append(theta.tobytes())
+        assert len(points) == diag.inner_iterations + 1
+        assert diag.objective_trace == [problem.objective(np.frombuffer(p)) for p in points]
+
+    def test_tensor_problem_voxel(self, monkeypatch):
+        """Every solve of an EM-MLE voxel fit, on the full tensor problem."""
+        protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=1)
+        original = barrier.solve
+        solves = []
+
+        def counting_solve(problem, theta0, options=None):
+            probe, calls = counted(problem)
+            solves.append(calls)
+            return original(probe, theta0, options)
+
+        monkeypatch.setattr(barrier, "solve", counting_solve)
+        estimators.fit_voxel(rows[0], protocol, "mle")
+        assert len(solves) > 1
+        for calls in solves:
+            assert_no_point_evaluated_twice(calls)

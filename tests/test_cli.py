@@ -81,6 +81,14 @@ class TestSimulateCommand:
         assert code != 0
         assert "snr" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("voxels", ["0", "-2"])
+    def test_voxel_count_below_one_rejected(self, tmp_path, capsys, voxels):
+        code = run_cli("simulate", "--scenario", "dataset2", "--voxels", voxels,
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "voxel count" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_dataset1_voxel_count(self, tmp_path):
         prefix = str(tmp_path / "d1")
         run_cli("simulate", "--scenario", "dataset1", "--snr", "15", "--seed", "1",
@@ -166,6 +174,27 @@ class TestFitCommand:
         assert code == 2
         assert f"{flag} must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "-2"), (None, "0")])
+    def test_worker_count_below_one_rejected(self, simulated, tmp_path, capsys, monkeypatch,
+                                             flag, env):
+        if env is not None:
+            monkeypatch.setenv("DKIMLE_WORKERS", env)
+        out = tmp_path / "o.jsonl"
+        args = ["fit", "--protocol", simulated + ".protocol.txt",
+                "--data", simulated + ".voxels.csv", "--estimator", "wls", "--out", str(out)]
+        code = run_cli(*args, *([f"--workers={flag}"] if flag is not None else []))
+        assert code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_flag_overrides_the_variable(self, simulated, tmp_path, monkeypatch):
+        monkeypatch.setenv("DKIMLE_WORKERS", "-2")
+        out = str(tmp_path / "o.jsonl")
+        assert run_cli("fit", "--protocol", simulated + ".protocol.txt",
+                       "--data", simulated + ".voxels.csv", "--estimator", "wls",
+                       "--workers", "1", "--out", out) == 0
+        assert len(fit_records(out)) == 4
 
     def test_max_sweeps_is_applied(self, simulated, tmp_path):
         out = str(tmp_path / "o.jsonl")

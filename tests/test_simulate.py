@@ -213,6 +213,11 @@ class TestScenarios:
         with pytest.raises(ValueError, match="unknown scenario"):
             scenario("dataset9")
 
+    @pytest.mark.parametrize("n_voxels", [0, -2])
+    def test_voxel_count_below_one(self, n_voxels):
+        with pytest.raises(ValueError, match="voxel count"):
+            scenario("dataset2", n_voxels=n_voxels)
+
     def test_truth_roundtrip_serialization(self):
         _, _, truths = scenario("dataset2", seed=4, n_voxels=2)
         for gt in truths:
