@@ -48,9 +48,11 @@ print("stacked factor theta_Q has", theta_q.size, "entries")
 
 # --- two equivalent signal forms -----------------------------------------
 # linear form:    Z_D theta_D + Z_W (MD^2 theta_W)
-# factored form:  Z_D theta_D + theta_Q^T P_j theta_Q
+# factored form:  Z_D theta_D(L) + theta_Q^T P_j theta_Q, the exponent
+#                 model every estimator fits (ExponentModel)
 lin = design.z_d @ theta_d + design.z_w @ (md * md * theta_w)
-fac = design.z_d @ theta_d + dk.apply_p_batch(theta_q, design.v, design.b)
+eta_d, eta_q, _ = dk.tensors.ExponentModel(design).exponent(L, theta_q)
+fac = eta_d + eta_q
 print("\nmax |linear - factored| exponent gap:", float(np.max(np.abs(lin - fac))))
 
 params = dk.ModelParams(L, theta_q, s0=1.0, sigma2=1.0)

@@ -8,7 +8,7 @@ problems small enough to verify by hand.
 
 import numpy as np
 
-from dkimle import BarrierProblem, SolverOptions, solve
+from dkimle import BarrierProblem, solve
 
 # --- an unconstrained quadratic: plain regularized Newton -----------------
 c = np.array([3.0, -1.0, 0.5])
@@ -19,7 +19,7 @@ prob = BarrierProblem(
     gradient=lambda t: t - c,
     information=lambda t, lam: np.eye(3),
 )
-theta, diag = solve(prob, np.zeros(3), SolverOptions(grad_tol=1e-10))
+theta, diag = solve(prob, np.zeros(3), grad_tol=1e-10)
 print("unconstrained quadratic: theta* =", np.round(theta, 10))
 
 # --- projection onto a half-space ------------------------------------------

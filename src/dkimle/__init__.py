@@ -11,7 +11,6 @@ from .barrier import (
     BarrierProblem,
     Infeasible,
     NonConvergence,
-    SolverOptions,
     fisher_step,
     regularize,
     solve,
@@ -39,8 +38,6 @@ from .metrics import EvalReport, ScalarMetrics, evaluate, scalar_metrics
 from .protocol import (
     AcquisitionProtocol,
     DesignMatrices,
-    apply_p,
-    apply_p_batch,
     build_design,
     dump_protocol,
     load_protocol,

@@ -31,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "BarrierProblem",
-    "SolverOptions",
     "SolverDiagnostics",
     "Infeasible",
     "NonConvergence",
@@ -100,17 +99,8 @@ MAX_STEP_SCALE = 10.0
 # shift keeps its role near the solution (where the score vanishes)
 # without drowning the curvature when the score is still large
 LM_SCALE = 1e-2
-
-
-@dataclass
-class SolverOptions:
-    """The score tolerance of the final barrier subproblem."""
-
-    grad_tol: float = 1e-6
-
-    def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
+# default score tolerance of the final barrier subproblem
+GRAD_TOL = 1e-6
 
 
 @dataclass
@@ -199,8 +189,9 @@ def _initial_mu(problem, theta, nu):
     return float(min(MU0, max(MU_MIN, comp)))
 
 
-def solve(problem: BarrierProblem, theta0, options: SolverOptions = None):
-    """Run the barrier scheme from a strictly feasible starting point.
+def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
+    """Run the barrier scheme from a strictly feasible starting point until
+    the score of the final barrier subproblem is at most ``grad_tol``.
 
     Returns
     -------
@@ -209,13 +200,16 @@ def solve(problem: BarrierProblem, theta0, options: SolverOptions = None):
 
     Raises
     ------
+    ValueError
+        If ``grad_tol`` is not positive.
     Infeasible
         If any g_j(theta0) >= 0.
     NonConvergence
         If backtracking collapses below the minimum step while the score
         is still above tolerance; the exception carries the best iterate.
     """
-    opts = options or SolverOptions()
+    if not grad_tol > 0:
+        raise ValueError(f"grad_tol must be positive, got {grad_tol}")
     theta = np.asarray(theta0, dtype=float).copy()
     diag = SolverDiagnostics()
     m = problem.n_constraints
@@ -237,7 +231,7 @@ def solve(problem: BarrierProblem, theta0, options: SolverOptions = None):
         diag.outer_iterations = outer + 1
         # tolerance loosens with the barrier parameter: early subproblems
         # are solved coarsely, the last ones to grad_tol
-        inner_tol = max(opts.grad_tol, 0.1 * mu) if m > 0 else opts.grad_tol
+        inner_tol = max(grad_tol, 0.1 * mu) if m > 0 else grad_tol
         for _ in range(MAX_INNER):
             if m > 0:
                 nu = -g
@@ -291,7 +285,7 @@ def solve(problem: BarrierProblem, theta0, options: SolverOptions = None):
             diag.objective_trace.append(f)
 
         if m == 0:
-            diag.converged = diag.final_score_norm <= opts.grad_tol
+            diag.converged = diag.final_score_norm <= grad_tol
             diag.reason = "unconstrained score tolerance" if diag.converged else "max inner iterations"
             diag.final_mu = 0.0
             break
@@ -301,7 +295,7 @@ def solve(problem: BarrierProblem, theta0, options: SolverOptions = None):
         if mu <= MU_MIN:
             # final barrier parameter: slacks of active constraints scale
             # with mu, so shrinking further only erodes float precision
-            diag.converged = diag.final_score_norm <= opts.grad_tol
+            diag.converged = diag.final_score_norm <= grad_tol
             diag.reason = (
                 "mu and score tolerances" if diag.converged
                 else "score tolerance not met at final mu"

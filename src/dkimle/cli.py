@@ -174,7 +174,7 @@ def cmd_fit(args) -> int:
     if args.grad_tol is not None:
         if not args.grad_tol > 0:
             raise CliError(f"--grad-tol must be positive, got {args.grad_tol}")
-        options.solver.grad_tol = args.grad_tol
+        options.grad_tol = args.grad_tol
 
     workers = args.workers if args.workers is not None else int(os.environ.get(_WORKERS_ENV, "1"))
     if workers < 1:

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import barrier
-from .barrier import BarrierProblem, SolverOptions
+from .barrier import BarrierProblem
 from .protocol import AcquisitionProtocol, DesignMatrices, build_design, quartic_rows
 from .rician import AugmentedState, bessel_ratio, joint_loglik
 from .sphere import fibonacci_sphere
@@ -73,6 +73,21 @@ __all__ = [
 B_INTERNAL_SCALE = 1e-3
 
 _N_PARAMS = 22  # log S0 + 6 diffusion + 15 kurtosis
+
+# the EM inner loop iterates the closed-form S0 and sigma^2 updates until
+# both move by less than TOL_INNER (relative), at most MAX_INNER_EM times
+TOL_INNER = 1e-6
+MAX_INNER_EM = 100
+# TOL_OUTER is relative on the EM surrogate; 1e-3 reproduces the
+# few-sweep convergence regime the estimator is designed for, while
+# 1e-6 roughly doubles the sweep count for little parameter movement
+TOL_OUTER = 1e-3
+# the kurtosis-sign check samples this many Fibonacci directions, and a
+# violation must exceed FLAG_TOL to be flagged
+N_CHECK_DIRS = 1000
+FLAG_TOL = 1e-8
+# init_params keeps every decay bound this relative margin from binding
+INIT_MARGIN = 1e-3
 
 
 class RankDeficient(ValueError):
@@ -145,16 +160,11 @@ class ConstraintFlags:
 
 @dataclass
 class FitOptions:
-    # tol_outer is relative on the EM surrogate; 1e-3 reproduces the
-    # few-sweep convergence regime the estimator is designed for, while
-    # 1e-6 roughly doubles the sweep count for little parameter movement
-    weight_mode: str = "y2_s0"
-    tol_inner: float = 1e-6
-    tol_outer: float = 1e-3
+    """The sweep budget of CWLS and EM-MLE and the score tolerance of
+    their tensor solves (``dkimle fit --max-sweeps/--grad-tol``)."""
+
     max_sweeps: int = 50
-    max_inner_em: int = 100
-    solver: SolverOptions = field(default_factory=SolverOptions)
-    n_check_dirs: int = 1000
+    grad_tol: float = barrier.GRAD_TOL
 
 
 @dataclass
@@ -194,13 +204,12 @@ def _full_column_rank(x_bytes: bytes) -> bool:
     return bool(np.linalg.matrix_rank(np.frombuffer(x_bytes).reshape(-1, _N_PARAMS)) == _N_PARAMS)
 
 
-def wls_fit(data: VoxelData, design: DesignMatrices, weight_mode: str = "y2_s0") -> WlsFit:
-    """Log-linear (weighted) least squares fit of the kurtosis model.
+def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
+    """Log-linear weighted least squares fit of the kurtosis model.
 
     Regresses log Y on [1 | Z_D | Z_W]; the kurtosis coefficients absorb
-    the MD^2 scale.  Weight modes: ``uniform`` (plain least squares),
-    ``y2`` (w_j = Y_j^2) and ``y2_s0`` (w_j = Y_j^2 / S0^2 with S0 from a
-    first uniform pass).  Zero magnitudes are excluded from the
+    the MD^2 scale.  The weights are w_j = Y_j^2 / S0^2 with S0 from a
+    first unweighted pass.  Zero magnitudes are excluded from the
     regression; the noise level is estimated from the signal-space
     residuals.
 
@@ -232,17 +241,9 @@ def wls_fit(data: VoxelData, design: DesignMatrices, weight_mode: str = "y2_s0")
     if not _full_column_rank(X.tobytes()):
         raise RankDeficient("design matrix does not have full column rank")
 
-    if weight_mode == "uniform":
-        w = np.ones_like(y)
-    elif weight_mode == "y2":
-        w = y * y
-    elif weight_mode == "y2_s0":
-        beta0, *_ = np.linalg.lstsq(X, logy, rcond=None)
-        s0_first = np.exp(beta0[0])
-        w = y * y / (s0_first * s0_first)
-    else:
-        raise ValueError(f"unknown weight mode {weight_mode!r}")
-
+    beta0, *_ = np.linalg.lstsq(X, logy, rcond=None)
+    s0_first = np.exp(beta0[0])
+    w = y * y / (s0_first * s0_first)
     sw = np.sqrt(w)
     beta, *_ = np.linalg.lstsq(X * sw[:, None], logy * sw, rcond=None)
 
@@ -262,10 +263,10 @@ def constraint_values(theta_d, theta_q, design: DesignMatrices):
     g <= 0 is the directional monotone-decay constraint
     K_app <= 3 / (b D_app).
     """
-    mask = design.b > 0
-    q, _ = _qform(theta_q, design.v[mask])
-    g = q + (3.0 / design.b[mask] ** 2) * (design.z_d[mask] @ np.asarray(theta_d))
-    return g, mask
+    rows = design.decay_rows
+    q, _ = _qform(theta_q, rows.v)
+    g = q + rows.three_over_b2 * (rows.z_d @ np.asarray(theta_d))
+    return g, rows.mask
 
 
 class RicianSurrogate:
@@ -348,10 +349,10 @@ def tensor_problem(model: ExponentModel, loss) -> BarrierProblem:
                           model.constraints, model.constraint_gradients)
 
 
-def _solve(problem, theta0, options):
+def _solve(problem, theta0, grad_tol):
     """:func:`barrier.solve`, returning the best iterate of a collapsed solve."""
     try:
-        return barrier.solve(problem, theta0, options)
+        return barrier.solve(problem, theta0, grad_tol)
     except barrier.NonConvergence as exc:
         return exc.theta, exc.diagnostics
 
@@ -400,102 +401,23 @@ def em_mstep_sigma2(state: AugmentedState, params: ModelParams, y, design) -> fl
     return out if out > 0 else 1e-12
 
 
-def _mle_problem(s0, tau, design):
-    return tensor_problem(ExponentModel(design), RicianSurrogate(s0, tau))
-
-
 def update_tensors(params: ModelParams, state: AugmentedState, y, design,
-                   options: SolverOptions = None):
+                   grad_tol: float = barrier.GRAD_TOL):
     """Constrained Fisher-scoring update of (L, theta_Q) on the EM objective.
 
     Returns (L, theta_Q, converged): a solve that stops short of its score
     tolerance returns its best iterate and False.
     """
     tau = np.asarray(y, dtype=float) * state.cos_phi
-    theta, diag = _solve(_mle_problem(params.s0, tau, design),
-                         np.concatenate([params.L, params.theta_q]), options)
+    problem = tensor_problem(ExponentModel(design), RicianSurrogate(params.s0, tau))
+    theta, diag = _solve(problem, np.concatenate([params.L, params.theta_q]), grad_tol)
     return theta[:6], theta[6:], diag.converged
-
-
-# ---------------------------------------------------------------------------
-# per-block derivatives and updates, as projections of the tensor problem
-# (the EM objective is the Rician surrogate over sigma^2)
-
-def _cwls_problem(log_s0, w, log_y, design, rows):
-    return tensor_problem(ExponentModel(design), LogResidual(log_s0, w, log_y, rows, design.m))
-
-
-def mle_objective_l(L, theta_q, s0, sigma2, tau, design):
-    return _mle_problem(s0, tau, design).objective(np.concatenate([L, theta_q])) / sigma2
-
-
-def mle_gradient_l(L, theta_q, s0, sigma2, tau, design):
-    return _mle_problem(s0, tau, design).gradient(np.concatenate([L, theta_q]))[:6] / sigma2
-
-
-def mle_objective_q(theta_q, L, s0, sigma2, tau, design):
-    return mle_objective_l(L, theta_q, s0, sigma2, tau, design)
-
-
-def mle_gradient_q(theta_q, L, s0, sigma2, tau, design):
-    return _mle_problem(s0, tau, design).gradient(np.concatenate([L, theta_q]))[6:] / sigma2
-
-
-def cwls_objective(L, theta_q, log_s0, w, log_y, design, rows):
-    return _cwls_problem(log_s0, w, log_y, design, rows).objective(np.concatenate([L, theta_q]))
-
-
-def cwls_gradient_l(L, theta_q, log_s0, w, log_y, design, rows):
-    return _cwls_problem(log_s0, w, log_y, design, rows).gradient(np.concatenate([L, theta_q]))[:6]
-
-
-def cwls_gradient_q(L, theta_q, log_s0, w, log_y, design, rows):
-    return _cwls_problem(log_s0, w, log_y, design, rows).gradient(np.concatenate([L, theta_q]))[6:]
-
-
-def cwls_hessian_l(L, theta_q, log_s0, w, log_y, design, rows):
-    problem = _cwls_problem(log_s0, w, log_y, design, rows)
-    return problem.information(np.concatenate([L, theta_q]), np.zeros(0))[:6, :6]
-
-
-def cwls_hessian_q(L, theta_q, log_s0, w, log_y, design, rows):
-    problem = _cwls_problem(log_s0, w, log_y, design, rows)
-    return problem.information(np.concatenate([L, theta_q]), np.zeros(0))[6:, 6:]
-
-
-def _update_block(params, state, y, design, options, block):
-    """Solve the EM tensor problem over theta[block], the rest held."""
-    theta = np.concatenate([params.L, params.theta_q])
-    full = _mle_problem(params.s0, np.asarray(y, dtype=float) * state.cos_phi, design)
-
-    def embed(x):
-        return np.concatenate([theta[:block.start], x, theta[block.stop:]])
-
-    problem = BarrierProblem(
-        block.stop - block.start, full.n_constraints,
-        lambda x: full.objective(embed(x)),
-        lambda x: full.gradient(embed(x))[block],
-        lambda x, lam: full.information(embed(x), lam)[block, block],
-        lambda x: full.constraints(embed(x)),
-        lambda x: full.constraint_gradients(embed(x))[:, block],
-    )
-    return _solve(problem, theta[block], options)
-
-
-def update_L(params: ModelParams, state: AugmentedState, y, design, options: SolverOptions = None):
-    """Constrained update of the Cholesky block alone; returns (L, diagnostics)."""
-    return _update_block(params, state, y, design, options, slice(0, 6))
-
-
-def update_thetaQ(params: ModelParams, state: AugmentedState, y, design, options: SolverOptions = None):
-    """Constrained update of the kurtosis block alone; returns (theta_Q, diagnostics)."""
-    return _update_block(params, state, y, design, options, slice(6, 24))
 
 
 # ---------------------------------------------------------------------------
 # initialization
 
-def init_params(wls: WlsFit, design: DesignMatrices, margin: float = 1e-3) -> ModelParams:
+def init_params(wls: WlsFit, design: DesignMatrices) -> ModelParams:
     """Strictly feasible starting point from an unconstrained WLS fit.
 
     Eigenvalues of D below 1e-6 of the largest are raised to that floor,
@@ -503,7 +425,7 @@ def init_params(wls: WlsFit, design: DesignMatrices, margin: float = 1e-3) -> Mo
     coefficients are mapped to a Gram matrix (free entries zero), clamped
     to its best PSD rank-3 approximation and factored; if any decay bound
     is then violated the kurtosis block is shrunk by the largest factor
-    restoring strict feasibility with the given margin.
+    restoring strict feasibility with the margin ``INIT_MARGIN``.
     """
     D = d_matrix(wls.theta_d)
     vals, vecs = np.linalg.eigh(D)
@@ -523,14 +445,14 @@ def init_params(wls: WlsFit, design: DesignMatrices, margin: float = 1e-3) -> Mo
     Q, _ = factor_kurtosis(theta_w, theta_q.reshape(3, 6).T / md)
     theta_q = md * Q.T.reshape(18)
 
-    g, mask = constraint_values(theta_d, theta_q, design)
+    g, _ = constraint_values(theta_d, theta_q, design)
     if g.size:
-        q_part, _ = _qform(theta_q, design.v[mask])
+        q_part, _ = _qform(theta_q, design.decay_rows.v)
         bound = q_part - g  # the positive 3 D_app / b term
-        tight = q_part > (1.0 - margin) * bound
+        tight = q_part > (1.0 - INIT_MARGIN) * bound
         if np.any(tight):
             with np.errstate(divide="ignore"):
-                ratio = np.where(q_part > 0, (1.0 - margin) * bound / q_part, np.inf)
+                ratio = np.where(q_part > 0, (1.0 - INIT_MARGIN) * bound / q_part, np.inf)
             shrink = float(np.sqrt(np.clip(np.min(ratio), 0.0, 1.0)))
             theta_q = theta_q * shrink
 
@@ -540,15 +462,15 @@ def init_params(wls: WlsFit, design: DesignMatrices, margin: float = 1e-3) -> Mo
 # ---------------------------------------------------------------------------
 # violation flags
 
-@lru_cache(maxsize=8)
-def _check_rows(n_dirs: int) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _check_rows() -> np.ndarray:
     """Quartic rows of the kurtosis-sign check directions (read-only)."""
-    rows = quartic_rows(fibonacci_sphere(n_dirs))
+    rows = quartic_rows(fibonacci_sphere(N_CHECK_DIRS))
     rows.setflags(write=False)
     return rows
 
 
-def violation_flags(theta_d, theta_w, design: DesignMatrices, n_dirs: int = 1000, tol: float = 1e-8) -> ConstraintFlags:
+def violation_flags(theta_d, theta_w, design: DesignMatrices) -> ConstraintFlags:
     """Constraint violation flags for raw (possibly unconstrained) tensors.
 
     Checked exactly as reported in evaluations: the minimum eigenvalue of
@@ -559,16 +481,15 @@ def violation_flags(theta_d, theta_w, design: DesignMatrices, n_dirs: int = 1000
     theta_w = np.asarray(theta_w, dtype=float)
     flags = ConstraintFlags()
     flags.d_not_pd = bool(np.linalg.eigvalsh(d_matrix(theta_d))[0] <= 0.0)
-    w_app = _check_rows(int(n_dirs)) @ theta_w
-    flags.kurtosis_negative = bool(np.min(w_app) < -tol)
-    mask = design.b > 0
-    if np.any(mask):
+    w_app = _check_rows() @ theta_w
+    flags.kurtosis_negative = bool(np.min(w_app) < -FLAG_TOL)
+    rows = design.decay_rows
+    if rows.v.size:
         md = mean_diffusivity(theta_d)
         # MD^2 W_app(g_j) <= 3 D_app / b_j  per weighted acquisition
-        w_rows = design.z_w[mask] / (design.b[mask, None] ** 2 / 6.0)
-        lhs = md * md * (w_rows @ theta_w)
-        rhs = -(3.0 / design.b[mask] ** 2) * (design.z_d[mask] @ theta_d)
-        flags.decay_bound = bool(np.any(lhs - rhs > tol))
+        lhs = md * md * (rows.w_rows @ theta_w)
+        rhs = -rows.three_over_b2 * (rows.z_d @ theta_d)
+        flags.decay_bound = bool(np.any(lhs - rhs > FLAG_TOL))
     return flags
 
 
@@ -576,11 +497,11 @@ def violation_flags(theta_d, theta_w, design: DesignMatrices, n_dirs: int = 1000
 # full pipelines
 
 def _constrained_result(estimator, params, sigma2, trace, sweeps, converged, design,
-                        opts, start) -> FitResult:
+                        start) -> FitResult:
     theta_d, theta_w = params.theta_d, params.theta_w
     return FitResult(estimator, theta_d, theta_w, params.s0, sigma2, params=params,
                      loglik_trace=np.asarray(trace), em_iterations=sweeps, converged=converged,
-                     violations=violation_flags(theta_d, theta_w, design, opts.n_check_dirs),
+                     violations=violation_flags(theta_d, theta_w, design),
                      wall_time=time.perf_counter() - start)
 
 
@@ -599,9 +520,9 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
     start = time.perf_counter()
     y = data.y
 
-    wls = wls_fit(data, design, opts.weight_mode)
+    wls = wls_fit(data, design)
     if wls.underdetermined:
-        return _wls_result("mle", wls, design, opts, start)
+        return _wls_result("mle", wls, design, start)
     params = init_params(wls, design)
 
     trace = []
@@ -610,7 +531,7 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
     for sweeps in range(1, opts.max_sweeps + 1):
         checkpoint, checkpoint_solved = params.copy(), solved
 
-        for _ in range(opts.max_inner_em):
+        for _ in range(MAX_INNER_EM):
             state = em_estep(params, y, design)
             s0_new = em_mstep_s0(state, params, y, design)
             rel_s0 = abs(s0_new - params.s0) / max(abs(params.s0), 1e-30)
@@ -618,11 +539,11 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
             sig_new = em_mstep_sigma2(state, params, y, design)
             rel_sig = abs(sig_new - params.sigma2) / max(params.sigma2, 1e-30)
             params.sigma2 = sig_new
-            if max(rel_s0, rel_sig) < opts.tol_inner:
+            if max(rel_s0, rel_sig) < TOL_INNER:
                 break
 
         state = em_estep(params, y, design)
-        params.L, params.theta_q, solved = update_tensors(params, state, y, design, opts.solver)
+        params.L, params.theta_q, solved = update_tensors(params, state, y, design, opts.grad_tol)
 
         state = em_estep(params, y, design)
         ll = joint_loglik(params, y, design, state)
@@ -632,7 +553,7 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
             params, solved, stopped = checkpoint, checkpoint_solved, True
             break
         trace.append(ll)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < opts.tol_outer * (1.0 + abs(trace[-1])):
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < TOL_OUTER * (1.0 + abs(trace[-1])):
             stopped = True
             break
 
@@ -642,7 +563,7 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
     m = data.m
     sigma2_report = params.sigma2 * (m - 1) / max(m - _N_PARAMS, 1)
     return _constrained_result("mle", params, sigma2_report, trace, sweeps,
-                               stopped and solved, design, opts, start)
+                               stopped and solved, design, start)
 
 
 def cwls_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None) -> FitResult:
@@ -659,9 +580,9 @@ def cwls_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None
     opts = options or FitOptions()
     start = time.perf_counter()
 
-    wls = wls_fit(data, design, opts.weight_mode)
+    wls = wls_fit(data, design)
     if wls.underdetermined:
-        return _wls_result("cwls", wls, design, opts, start)
+        return _wls_result("cwls", wls, design, start)
     params = init_params(wls, design)
     s0 = params.s0
     rows = (~data.zero_mask).nonzero()[0]
@@ -675,7 +596,7 @@ def cwls_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None
     for sweeps in range(1, opts.max_sweeps + 1):
         checkpoint, checkpoint_solved = params.copy(), solved
         theta0 = np.concatenate([params.L, params.theta_q])
-        theta, diag = _solve(problem, theta0, opts.solver)
+        theta, diag = _solve(problem, theta0, opts.grad_tol)
         solved = diag.converged
         params.L, params.theta_q = theta[:6], theta[6:]
 
@@ -691,10 +612,10 @@ def cwls_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None
             break
 
     return _constrained_result("cwls", params, params.sigma2, trace, sweeps,
-                               stopped and solved, design, opts, start)
+                               stopped and solved, design, start)
 
 
-def _wls_result(estimator, wls, design, opts, start) -> FitResult:
+def _wls_result(estimator, wls, design, start) -> FitResult:
     """The unconstrained WLS fit as a result; on a b0-only protocol every
     estimator returns this flagged, not converged fit."""
     theta_w = wls.theta_w()
@@ -705,7 +626,7 @@ def _wls_result(estimator, wls, design, opts, start) -> FitResult:
         s0=wls.s0,
         sigma2=wls.sigma2,
         converged=not wls.underdetermined,
-        violations=violation_flags(wls.theta_d, theta_w, design, opts.n_check_dirs),
+        violations=violation_flags(wls.theta_d, theta_w, design),
         wall_time=time.perf_counter() - start,
     )
 
@@ -731,17 +652,16 @@ def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
     block back to mm^2/s.  ``estimator`` is one of ``wls``, ``cwls``,
     ``mle``.
     """
-    opts = options or FitOptions()
     start = time.perf_counter()
     data = y if isinstance(y, VoxelData) else VoxelData(np.asarray(y, dtype=float))
     design = _internal_design(protocol.bvals.tobytes(), protocol.bvecs.tobytes())
 
     if estimator == "wls":
-        result = _wls_result("wls", wls_fit(data, design, opts.weight_mode), design, opts, start)
+        result = _wls_result("wls", wls_fit(data, design), design, start)
     elif estimator == "cwls":
-        result = cwls_fit(data, design, opts)
+        result = cwls_fit(data, design, options)
     elif estimator == "mle":
-        result = em_mle_fit(data, design, opts)
+        result = em_mle_fit(data, design, options)
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
 

@@ -137,16 +137,14 @@ _SCALARS = ("md", "fa", "mk", "k_perp")
 class EvalReport:
     """Aggregate comparison of fitted voxels against their ground truth.
 
-    ``mse`` and ``variance`` carry per-metric mean squared deviations from
-    truth (they coincide; both names are kept for table parity), plus the
-    full-vector tensor errors DT (6 diffusion elements, squared units of
+    ``mse`` carries per-metric mean squared deviations from truth, plus
+    the full-vector tensor errors DT (6 diffusion elements, squared units of
     theta_D) and KT (15 kurtosis elements).  Violation percentages count
     raw fitted parameters before any clamping.
     """
 
     n_voxels: int
     mse: dict
-    variance: dict
     violation_pct: dict
     runtime: dict
     mean_em_iterations: float
@@ -156,7 +154,6 @@ class EvalReport:
         payload = {
             "n_voxels": self.n_voxels,
             "mse": self.mse,
-            "variance": self.variance,
             "violation_pct": self.violation_pct,
             "runtime": self.runtime,
             "mean_em_iterations": self.mean_em_iterations,
@@ -242,7 +239,6 @@ def evaluate(fits, truths, labels=None) -> EvalReport:
     report = EvalReport(
         n_voxels=n,
         mse=mse,
-        variance=dict(mse),
         violation_pct={k: 100.0 * c / n for k, c in counts.items()},
         runtime={
             "mean": float(np.mean(times)),

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +20,6 @@ __all__ = [
     "AcquisitionProtocol",
     "DesignMatrices",
     "build_design",
-    "apply_p",
-    "apply_p_batch",
     "quartic_rows",
     "monomial_vectors",
     "load_protocol",
@@ -87,6 +87,18 @@ class AcquisitionProtocol:
         return AcquisitionProtocol(self.bvals * factor, self.bvecs.copy())
 
 
+class DecayRows(NamedTuple):
+    """Read-only constants of the b > 0 rows of a design, where the
+    monotone-decay bound K_app <= 3 / (b D_app) applies."""
+
+    mask: np.ndarray           # which rows have b > 0
+    v: np.ndarray              # their quadratic monomial vectors
+    three_over_b2: np.ndarray  # 3 / b^2
+    z_d: np.ndarray
+    z_d_scaled: np.ndarray     # (3 / b^2) Z_D
+    w_rows: np.ndarray         # Z_W / (b^2 / 6), the unscaled quartic rows
+
+
 @dataclass(frozen=True)
 class DesignMatrices:
     """Design matrices derived from a protocol.
@@ -110,6 +122,18 @@ class DesignMatrices:
     @property
     def m(self) -> int:
         return self.b.size
+
+    @cached_property
+    def decay_rows(self) -> DecayRows:
+        """The b > 0 rows and their decay-bound constants, built once."""
+        mask = self.b > 0
+        three_over_b2 = 3.0 / self.b[mask] ** 2
+        rows = DecayRows(mask, self.v[mask], three_over_b2, self.z_d[mask],
+                         three_over_b2[:, None] * self.z_d[mask],
+                         self.z_w[mask] / (self.b[mask, None] ** 2 / 6.0))
+        for array in rows:
+            array.setflags(write=False)
+        return rows
 
 
 def monomial_vectors(g: np.ndarray) -> np.ndarray:
@@ -163,29 +187,6 @@ def build_design(protocol: AcquisitionProtocol) -> DesignMatrices:
     z_d = -b[:, None] * (v * scale)
     z_w = (b[:, None] ** 2 / 6.0) * quartic_rows(g)
     return DesignMatrices(z_d=z_d, z_w=z_w, v=v, b=b.copy())
-
-
-def apply_p(theta_q: np.ndarray, v: np.ndarray, b: float) -> float:
-    """Quadratic form theta_Q^T P theta_Q for one acquisition.
-
-    P is the (b^2/6)-scaled block diagonal of three copies of v v^T; the
-    product is evaluated without materializing the 18 x 18 matrix:
-
-        (b^2 / 6) * sum_i <v, theta_Q[6i:6i+6]>^2
-
-    Always non-negative.
-    """
-    theta_q = np.asarray(theta_q, dtype=float)
-    if theta_q.shape != (18,):
-        raise ValueError(f"theta_q must have shape (18,), got {theta_q.shape}")
-    u = theta_q.reshape(3, 6) @ np.asarray(v, dtype=float)
-    return float(b * b / 6.0 * np.dot(u, u))
-
-
-def apply_p_batch(theta_q: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`apply_p` over all m acquisitions; returns shape (m,)."""
-    u = np.atleast_2d(v) @ np.asarray(theta_q, dtype=float).reshape(3, 6).T  # (m, 3)
-    return np.asarray(b, dtype=float) ** 2 / 6.0 * np.einsum("mi,mi->m", u, u)
 
 
 def _parse_text_protocol(text: str):

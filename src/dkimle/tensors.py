@@ -20,7 +20,6 @@ Orderings are fixed once and shared with the design matrices:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -397,16 +396,12 @@ class ExponentModel:
     def __init__(self, design: DesignMatrices):
         self.design = design
         self.c = design.b**2 / 6.0
-
-    @cached_property
-    def _constraint_rows(self):
-        """v and (3/b^2) Z_D of the b > 0 rows."""
-        mask = self.design.b > 0
-        return self.design.v[mask], (3.0 / self.design.b[mask, None] ** 2) * self.design.z_d[mask]
+        # v and (3/b^2) Z_D of the b > 0 rows, which carry the constraints
+        self.v_c, self.zc = design.decay_rows.v, design.decay_rows.z_d_scaled
 
     @property
     def n_constraints(self) -> int:
-        return self._constraint_rows[0].shape[0]
+        return self.v_c.shape[0]
 
     def exponent(self, L, theta_q):
         """(eta_D, eta_Q, u) per row; u_j = (<v_j, q-block_i>)_i, shape (m, 3)."""
@@ -432,12 +427,12 @@ class ExponentModel:
         return H
 
     def constraints(self, theta):
-        v_c, zc = self._constraint_rows
+        v_c, zc = self.v_c, self.zc
         qf, _ = _qform(theta[6:], v_c)
         return qf + zc @ theta_d_from_l(theta[:6])
 
     def constraint_gradients(self, theta):
-        v_c, zc = self._constraint_rows
+        v_c, zc = self.v_c, self.zc
         A = np.empty((v_c.shape[0], 24))
         A[:, :6] = zc @ jacobian_l(theta[:6])
         u = v_c @ theta[6:].reshape(3, 6).T
@@ -446,7 +441,7 @@ class ExponentModel:
 
     def constraint_curvature(self, lam):
         """sum_j lam_j d^2 g_j / d theta^2 (block diagonal)."""
-        v_c, zc = self._constraint_rows
+        v_c, zc = self.v_c, self.zc
         H = np.zeros((24, 24))
         H[:6, :6] = second_derivative_contraction(lam @ zc)
         H[6:, 6:] = 2.0 * np.kron(np.eye(3), (v_c.T * lam) @ v_c)

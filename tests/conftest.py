@@ -51,6 +51,22 @@ def dense_p_matrix(v, b):
     return b * b / 6.0 * P
 
 
+def apply_p(theta_q, v, b):
+    """Quadratic form theta_Q^T P theta_Q for one acquisition, without the
+    18 x 18 matrix: (b^2 / 6) * sum_i <v, theta_Q[6i:6i+6]>^2 (never negative)."""
+    theta_q = np.asarray(theta_q, dtype=float)
+    if theta_q.shape != (18,):
+        raise ValueError(f"theta_q must have shape (18,), got {theta_q.shape}")
+    u = theta_q.reshape(3, 6) @ np.asarray(v, dtype=float)
+    return float(b * b / 6.0 * np.dot(u, u))
+
+
+def apply_p_batch(theta_q, v, b):
+    """:func:`apply_p` over all m acquisitions; returns shape (m,)."""
+    u = np.atleast_2d(v) @ np.asarray(theta_q, dtype=float).reshape(3, 6).T  # (m, 3)
+    return np.asarray(b, dtype=float) ** 2 / 6.0 * np.einsum("mi,mi->m", u, u)
+
+
 def fd_gradient(f, x, h=1e-6):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)

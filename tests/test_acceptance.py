@@ -34,21 +34,18 @@ from scipy.special import i0e, i1e
 import dkimle
 from dkimle.estimators import (
     B_INTERNAL_SCALE,
+    ExponentModel,
+    LogResidual,
+    RicianSurrogate,
     VoxelData,
     constraint_values,
     cwls_fit,
-    cwls_hessian_l,
-    cwls_hessian_q,
-    cwls_objective,
     em_mle_fit,
     fit_voxel,
-    mle_gradient_l,
-    mle_gradient_q,
-    mle_objective_l,
-    mle_objective_q,
+    tensor_problem,
 )
 from dkimle.metrics import evaluate
-from dkimle.protocol import AcquisitionProtocol, apply_p_batch, build_design
+from dkimle.protocol import AcquisitionProtocol, build_design
 from dkimle.rician import bessel_ratio, rician_logpdf
 from dkimle.simulate import (
     ROI_PRESETS,
@@ -68,7 +65,7 @@ from dkimle.tensors import (
     theta_d_from_l,
 )
 
-from conftest import fd_gradient, fd_hessian, random_unit, vvec, w15_to_full
+from conftest import apply_p_batch, fd_gradient, fd_hessian, random_unit, vvec, w15_to_full
 
 
 def report(name, ok):
@@ -257,6 +254,7 @@ class TestCriterion05Derivatives:
     def test_twenty_random_feasible_points(self):
         protocol = three_shell_protocol()
         design = build_design(protocol.rescaled(B_INTERNAL_SCALE))
+        model = ExponentModel(design)
         rng = np.random.default_rng(2024)
         t0 = time.perf_counter()
 
@@ -270,14 +268,16 @@ class TestCriterion05Derivatives:
             y = np.abs(rng.normal(0.6, 0.2, size=design.m))
             tau = y * rng.uniform(0.3, 0.99, size=design.m)
             s0, sig2 = 1.0, 0.01
+            # the EM objective is the Rician surrogate over sigma^2
+            mle = tensor_problem(model, RicianSurrogate(s0, tau))
+            theta = np.concatenate([L, theta_q])
+            grad = mle.gradient(theta) / sig2
 
-            g = mle_gradient_l(L, theta_q, s0, sig2, tau, design)
-            fd = fd_gradient(lambda x: mle_objective_l(x, theta_q, s0, sig2, tau, design), L)
-            worst_grad = max(worst_grad, rel_err(g, fd))
+            fd = fd_gradient(lambda x: mle.objective(np.concatenate([x, theta_q])) / sig2, L)
+            worst_grad = max(worst_grad, rel_err(grad[:6], fd))
 
-            gq = mle_gradient_q(theta_q, L, s0, sig2, tau, design)
-            fdq = fd_gradient(lambda x: mle_objective_q(x, L, s0, sig2, tau, design), theta_q)
-            worst_grad = max(worst_grad, rel_err(gq, fdq))
+            fdq = fd_gradient(lambda x: mle.objective(np.concatenate([L, x])) / sig2, theta_q)
+            worst_grad = max(worst_grad, rel_err(grad[6:], fdq))
 
             J = jacobian_l(L)
             for i in range(6):
@@ -292,17 +292,17 @@ class TestCriterion05Derivatives:
             rows = np.arange(design.m)
             log_y = rng.normal(0.0, 0.3, size=design.m)
             w = rng.uniform(0.5, 1.5, size=design.m)
-            H_l = cwls_hessian_l(L, theta_q, 0.0, w, log_y, design, rows)
+            cwls = tensor_problem(model, LogResidual(0.0, w, log_y, rows, design.m))
+            H = cwls.information(theta, np.zeros(0))
             fdH_l = fd_hessian(
-                lambda x: cwls_objective(x, theta_q, 0.0, w, log_y, design, rows), L, h=1e-4
+                lambda x: cwls.objective(np.concatenate([x, theta_q])), L, h=1e-4
             )
-            worst_hess = max(worst_hess, rel_err(H_l, fdH_l))
+            worst_hess = max(worst_hess, rel_err(H[:6, :6], fdH_l))
 
-            H_q = cwls_hessian_q(L, theta_q, 0.0, w, log_y, design, rows)
             fdH_q = fd_hessian(
-                lambda x: cwls_objective(L, x, 0.0, w, log_y, design, rows), theta_q, h=1e-4
+                lambda x: cwls.objective(np.concatenate([L, x])), theta_q, h=1e-4
             )
-            worst_hess = max(worst_hess, rel_err(H_q, fdH_q))
+            worst_hess = max(worst_hess, rel_err(H[6:, 6:], fdH_q))
 
         elapsed = time.perf_counter() - t0
         ok = worst_grad <= 1e-6 and worst_hess <= 1e-4 and elapsed < 30.0

@@ -12,7 +12,6 @@ from dkimle.barrier import (
     BarrierProblem,
     Infeasible,
     NonConvergence,
-    SolverOptions,
     fisher_step,
     regularize,
     solve,
@@ -106,8 +105,7 @@ class TestFisherStep:
 class TestSolve:
     def test_unconstrained_quadratic(self):
         c = np.array([3.0, -1.0, 0.5])
-        opts = SolverOptions(grad_tol=1e-9)
-        theta, diag = solve(quadratic_problem(c), np.zeros(3), opts)
+        theta, diag = solve(quadratic_problem(c), np.zeros(3), grad_tol=1e-9)
         np.testing.assert_allclose(theta, c, atol=1e-8)
         assert diag.converged
 
@@ -216,10 +214,11 @@ class TestSolve:
         assert diag.max_complementarity > 0  # lambda stayed positive
 
 
-class TestSolverOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(grad_tol=0.0)
+class TestGradTol:
+    def test_solve_rejects_nonpositive_grad_tol(self):
+        for grad_tol in (0.0, -1e-6, float("nan")):
+            with pytest.raises(ValueError, match="grad_tol"):
+                solve(quadratic_problem([1.0, 2.0]), np.zeros(2), grad_tol)
 
 
 def counted(problem):

@@ -205,6 +205,28 @@ class TestFitCommand:
         ) == 0
         assert [r["diagnostics"]["iterations"] for r in fit_records(out)] == [1] * 4
 
+    def test_grad_tol_reaches_the_solver(self, simulated, tmp_path, monkeypatch):
+        """--grad-tol is the tolerance every tensor solve gets; without it
+        the solver's default applies."""
+        from dkimle import barrier
+
+        real_solve, seen = barrier.solve, []
+
+        def recording(problem, theta0, grad_tol=barrier.GRAD_TOL):
+            seen.append(grad_tol)
+            return real_solve(problem, theta0, grad_tol)
+
+        monkeypatch.setattr(barrier, "solve", recording)
+        monkeypatch.delenv("DKIMLE_WORKERS", raising=False)
+        for flags, expected in ([], barrier.GRAD_TOL), (["--grad-tol", "1e-9"], 1e-9):
+            seen.clear()
+            assert run_cli(
+                "fit", "--protocol", simulated + ".protocol.txt",
+                "--data", simulated + ".voxels.csv", "--estimator", "cwls",
+                "--max-sweeps", "1", "--out", str(tmp_path / "o.jsonl"), *flags,
+            ) == 0
+            assert len(seen) == 4 and set(seen) == {expected}
+
     def test_wls_path_imports_no_scipy_solvers(self):
         """Importing the command line and fitting and mapping a voxel by WLS
         loads none of scipy's linalg, optimize or special modules."""

@@ -15,25 +15,14 @@ from dkimle.estimators import (
     VoxelData,
     constraint_values,
     cwls_fit,
-    cwls_gradient_l,
-    cwls_gradient_q,
-    cwls_hessian_l,
-    cwls_hessian_q,
-    cwls_objective,
     em_estep,
     em_mle_fit,
     em_mstep_s0,
     em_mstep_sigma2,
     fit_voxel,
     init_params,
-    mle_gradient_l,
-    mle_gradient_q,
-    mle_objective_l,
-    mle_objective_q,
     tensor_problem,
-    update_L,
     update_tensors,
-    update_thetaQ,
     violation_flags,
     wls_fit,
 )
@@ -96,18 +85,6 @@ class TestWls:
         md = mean_diffusivity(theta_d_int)
         np.testing.assert_allclose(fit.theta_w_scaled, md * md * gt.theta_w, rtol=1e-6, atol=1e-9)
         assert fit.log_s0 == pytest.approx(0.0, abs=1e-7)
-
-    def test_weight_modes_agree_on_clean_data(self):
-        protocol, gt, vox = noiseless_voxel(1)
-        design = internal_design(protocol)
-        fits = [wls_fit(vox, design, mode) for mode in ("uniform", "y2", "y2_s0")]
-        for f in fits[1:]:
-            np.testing.assert_allclose(f.theta_d, fits[0].theta_d, rtol=1e-6)
-
-    def test_unknown_weight_mode(self):
-        protocol, gt, vox = noiseless_voxel(2)
-        with pytest.raises(ValueError, match="weight mode"):
-            wls_fit(vox, internal_design(protocol), "bogus")
 
     def test_b0_only_degenerate(self):
         protocol = AcquisitionProtocol(
@@ -336,7 +313,18 @@ class TestMSteps:
             em_mstep_s0(state, params, y, design)
 
 
+def block_objectives(problem, params, scale=1.0):
+    """The objective of ``problem`` over the L block and over the theta_Q
+    block, the other held at ``params``, divided by ``scale``."""
+    L, theta_q = params.L, params.theta_q
+    return (lambda x: problem.objective(np.concatenate([x, theta_q])) / scale,
+            lambda x: problem.objective(np.concatenate([L, x])) / scale)
+
+
 class TestGradients:
+    """Per-block slices of the tensor problem against finite differences
+    (the EM objective is the Rician surrogate over sigma^2)."""
+
     def _instance(self, seed):
         protocol, gt, vox = noiseless_voxel(seed)
         design = internal_design(protocol)
@@ -346,31 +334,24 @@ class TestGradients:
         tau = y * rng.uniform(0.3, 0.99, size=design.m)
         return design, params, tau
 
+    def _mle(self, seed):
+        design, params, tau = self._instance(seed)
+        problem = tensor_problem(ExponentModel(design), RicianSurrogate(params.s0, tau))
+        grad = problem.gradient(np.concatenate([params.L, params.theta_q])) / params.sigma2
+        return params, grad, block_objectives(problem, params, params.sigma2)
+
     def test_gradient_l_matches_fd(self):
         for seed in (20, 21, 22):
-            design, params, tau = self._instance(seed)
-            s0, sig2 = params.s0, params.sigma2
-            grad = mle_gradient_l(params.L, params.theta_q, s0, sig2, tau, design)
-            fd = fd_gradient(
-                lambda L: mle_objective_l(L, params.theta_q, s0, sig2, tau, design),
-                params.L,
-            )
-            np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+            params, grad, (f_l, _) = self._mle(seed)
+            np.testing.assert_allclose(grad[:6], fd_gradient(f_l, params.L), rtol=1e-6, atol=1e-8)
 
     def test_gradient_q_matches_fd(self):
         for seed in (23, 24, 25):
-            design, params, tau = self._instance(seed)
-            s0, sig2 = params.s0, params.sigma2
-            grad = mle_gradient_q(params.theta_q, params.L, s0, sig2, tau, design)
-            fd = fd_gradient(
-                lambda q: mle_objective_q(q, params.L, s0, sig2, tau, design),
-                params.theta_q,
-            )
-            np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+            params, grad, (_, f_q) = self._mle(seed)
+            np.testing.assert_allclose(grad[6:], fd_gradient(f_q, params.theta_q),
+                                       rtol=1e-6, atol=1e-8)
 
     def test_cwls_gradients_and_hessians_match_fd(self):
-        from conftest import fd_hessian
-
         for seed in (26, 27):
             design, params, _ = self._instance(seed)
             rng = np.random.default_rng(seed + 100)
@@ -378,39 +359,25 @@ class TestGradients:
             log_y = rng.normal(0.0, 0.3, size=design.m)
             w = rng.uniform(0.5, 1.5, size=design.m)
             log_s0 = 0.1
+            problem = tensor_problem(ExponentModel(design),
+                                     LogResidual(log_s0, w, log_y, rows, design.m))
+            theta = np.concatenate([params.L, params.theta_q])
+            grad = problem.gradient(theta)
+            hess = problem.information(theta, np.zeros(0))
+            f_l, f_q = block_objectives(problem, params)
 
-            grad_l = cwls_gradient_l(params.L, params.theta_q, log_s0, w, log_y, design, rows)
-            fd_l = fd_gradient(
-                lambda L: cwls_objective(L, params.theta_q, log_s0, w, log_y, design, rows),
-                params.L,
-            )
-            np.testing.assert_allclose(grad_l, fd_l, rtol=1e-6, atol=1e-8)
-
-            grad_q = cwls_gradient_q(params.L, params.theta_q, log_s0, w, log_y, design, rows)
-            fd_q = fd_gradient(
-                lambda q: cwls_objective(params.L, q, log_s0, w, log_y, design, rows),
-                params.theta_q,
-            )
-            np.testing.assert_allclose(grad_q, fd_q, rtol=1e-6, atol=1e-8)
-
-            hess_l = cwls_hessian_l(params.L, params.theta_q, log_s0, w, log_y, design, rows)
-            fdh_l = fd_hessian(
-                lambda L: cwls_objective(L, params.theta_q, log_s0, w, log_y, design, rows),
-                params.L, h=1e-4,
-            )
-            np.testing.assert_allclose(hess_l, fdh_l, rtol=1e-4, atol=1e-5)
-
-            hess_q = cwls_hessian_q(params.L, params.theta_q, log_s0, w, log_y, design, rows)
-            fdh_q = fd_hessian(
-                lambda q: cwls_objective(params.L, q, log_s0, w, log_y, design, rows),
-                params.theta_q, h=1e-4,
-            )
-            np.testing.assert_allclose(hess_q, fdh_q, rtol=1e-4, atol=1e-5)
+            np.testing.assert_allclose(grad[:6], fd_gradient(f_l, params.L), rtol=1e-6, atol=1e-8)
+            np.testing.assert_allclose(grad[6:], fd_gradient(f_q, params.theta_q),
+                                       rtol=1e-6, atol=1e-8)
+            np.testing.assert_allclose(hess[:6, :6], fd_hessian(f_l, params.L, h=1e-4),
+                                       rtol=1e-4, atol=1e-5)
+            np.testing.assert_allclose(hess[6:, 6:], fd_hessian(f_q, params.theta_q, h=1e-4),
+                                       rtol=1e-4, atol=1e-5)
 
 
 class TestTensorUpdates:
     def test_zero_step_at_truth(self):
-        """Starting the constrained updates at the noiseless optimum must
+        """Starting the constrained update at the noiseless optimum must
         not move the parameters."""
         protocol, gt, vox = noiseless_voxel(30)
         design = internal_design(protocol)
@@ -418,11 +385,10 @@ class TestTensorUpdates:
         params = init_params(wls, design)
         params.sigma2 = 1e-14
         state = em_estep(params, vox.y, design)
-        L_new, _ = update_L(params, state, vox.y, design)
+        L_new, q_new, _ = update_tensors(params, state, vox.y, design)
         np.testing.assert_allclose(
             theta_d_from_l(L_new), theta_d_from_l(params.L), atol=1e-6
         )
-        q_new, _ = update_thetaQ(params, state, vox.y, design)
         md = mean_diffusivity(theta_d_from_l(params.L))
         np.testing.assert_allclose(
             kurtosis_from_gram(gram_from_q(q_new, md)),
@@ -431,9 +397,10 @@ class TestTensorUpdates:
         )
 
     def test_one_acquisition_grid_oracle(self):
-        """With a single acquisition the objective depends on L only
-        through the scalar exponent; the constrained update must match a
-        dense grid search over that exponent."""
+        """With a single acquisition and theta_Q = 0 the objective depends
+        on L only through the scalar exponent, and theta_Q gets no score:
+        the constrained update must keep theta_Q at 0 and match a dense
+        grid search over that exponent."""
         protocol = AcquisitionProtocol(np.array([1000.0]), np.array([[1.0, 0, 0]]))
         design = internal_design(protocol)
         y = np.array([0.4])
@@ -441,7 +408,8 @@ class TestTensorUpdates:
         params = ModelParams([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], np.zeros(18), 1.0, 0.01)
         tau = y * state.cos_phi
 
-        L_new, _ = update_L(params, state, y, design, None)
+        L_new, q_new, _ = update_tensors(params, state, y, design)
+        np.testing.assert_array_equal(q_new, 0.0)
         eta_fit = float(design.z_d[0] @ theta_d_from_l(L_new))
 
         etas = np.linspace(-8.0, 0.0, 400001)
@@ -596,16 +564,15 @@ class TestViolationFlags:
         """The kurtosis-sign check uses a read-only table equal to the
         quartic rows of freshly built Fibonacci directions."""
         design = internal_design(three_shell_protocol())
-        for n_dirs in (1000, 200):
-            rows = quartic_rows(fibonacci_sphere(n_dirs))
-            cached = dkimle.estimators._check_rows(n_dirs)
-            np.testing.assert_array_equal(cached, rows)
-            with pytest.raises(ValueError, match="read-only"):
-                cached[0, 0] = 1.0
-            for _ in range(20):
-                theta_w = rng.normal(size=15) * 0.3 + 0.2
-                flags = violation_flags([1.0, 1.0, 1.0, 0, 0, 0], theta_w, design, n_dirs)
-                assert flags.kurtosis_negative == bool(np.min(rows @ theta_w) < -1e-8)
+        rows = quartic_rows(fibonacci_sphere(1000))
+        cached = dkimle.estimators._check_rows()
+        np.testing.assert_array_equal(cached, rows)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
+        for _ in range(20):
+            theta_w = rng.normal(size=15) * 0.3 + 0.2
+            flags = violation_flags([1.0, 1.0, 1.0, 0, 0, 0], theta_w, design)
+            assert flags.kurtosis_negative == bool(np.min(rows @ theta_w) < -1e-8)
 
 
 class TestFitVoxelUnits:

@@ -233,6 +233,12 @@ class TestEvaluate:
         text = rep.format_table(title="x")
         assert "MK" in text and "runtime" in text
 
+    def test_report_has_one_mse_table(self, rng):
+        fits, truths = self._pairs(rng, n=2)
+        payload = json.loads(evaluate(fits, truths).to_json())
+        assert set(payload) == {"n_voxels", "mse", "violation_pct", "runtime",
+                                "mean_em_iterations"}
+
 
 class TestViolationRates:
     def test_unconstrained_wls_negative_kurtosis_band(self):

@@ -5,14 +5,12 @@ import pytest
 
 from dkimle.protocol import (
     AcquisitionProtocol,
-    apply_p,
-    apply_p_batch,
     build_design,
     dump_protocol,
     load_protocol,
 )
 
-from conftest import contraction_oracle, dense_p_matrix, random_unit, vvec
+from conftest import apply_p, apply_p_batch, contraction_oracle, dense_p_matrix, random_unit, vvec
 
 
 def make_protocol(bvals, bvecs):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkimle.protocol import AcquisitionProtocol, apply_p_batch, build_design
+from dkimle.protocol import AcquisitionProtocol, build_design
 from dkimle.tensors import (
     ModelParams,
     NotPositiveDefinite,
@@ -24,7 +24,7 @@ from dkimle.tensors import (
     theta_d_from_l,
 )
 
-from conftest import contraction_oracle, fd_gradient, fd_hessian, random_unit, vvec
+from conftest import apply_p_batch, contraction_oracle, fd_gradient, fd_hessian, random_unit, vvec
 
 finite_l = st.lists(
     st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), min_size=6, max_size=6
