@@ -49,7 +49,6 @@ from .rician import (
     rician_logpdf,
     sample_magnitude,
     vonmises_expected_cos,
-    vonmises_logpdf,
 )
 from .simulate import (
     ROI_PRESETS,
@@ -62,7 +61,7 @@ from .simulate import (
     scenario,
     simulate_voxel,
 )
-from .sphere import fibonacci_sphere, gauss_legendre_sphere, ring_directions
+from .sphere import fibonacci_sphere, gauss_legendre_sphere
 from .tensors import (
     ModelParams,
     NotPositiveDefinite,
@@ -72,12 +71,10 @@ from .tensors import (
     gram_from_q,
     jacobian_l,
     kurtosis_from_gram,
-    kurtosis_to_tensor4,
     mean_diffusivity,
     predict_signal,
     q_from_gram,
     second_derivative_contraction,
-    tensor4_to_kurtosis,
     theta_d_from_l,
 )
 

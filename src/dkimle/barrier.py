@@ -16,10 +16,12 @@ and takes a damped Fisher step on the barrier merit
 
 backtracking until the merit does not increase and feasibility is strict.
 Each point is evaluated once: its objective and constraint values carry
-over to the merit, the multipliers and the trace.  The information matrix
-is made positive definite by adding a multiple of the identity sized by
-the score norm, the usual Levenberg-Marquardt regularization, and the
-Cholesky factor that accepts the shifted matrix also solves the step.
+over to the merit, the multipliers and the trace.  A step that rounds to
+no move ends the subproblem, since repeating it would change nothing.
+The information matrix is made positive definite by adding a multiple of
+the identity sized by the score norm, the usual Levenberg-Marquardt
+regularization; the LAPACK Cholesky factor (``potrf``) that accepts the
+shifted matrix also solves the step (``potrs``).
 """
 
 from __future__ import annotations
@@ -105,6 +107,14 @@ GRAD_TOL = 1e-6
 
 @dataclass
 class SolverDiagnostics:
+    """Counters of one :func:`solve`.
+
+    ``inner_iterations`` counts the Fisher steps computed, including a
+    stalled one whose step rounds to no move and ends its subproblem;
+    ``objective_trace`` holds f at the start and at each accepted iterate,
+    so a stalled iteration adds no entry.
+    """
+
     outer_iterations: int = 0
     inner_iterations: int = 0
     final_mu: float = np.nan
@@ -122,30 +132,33 @@ def regularize(H, shift):
     The shift is the Levenberg-Marquardt parameter; if the shifted matrix
     is still not positive definite the diagonal is repeatedly inflated by
     growing multiples of max(shift, 1e-8), which always terminates by
-    diagonal dominance.  The factor is scipy's upper ``cho_factor``.
+    diagonal dominance.  The factor comes from LAPACK ``potrf`` (upper
+    triangle) in the ``(c, lower)`` format of ``scipy.linalg.cho_factor``.
     """
     # imported on first use, so fits that never solve (WLS) load no scipy
-    import scipy.linalg
+    from scipy.linalg.lapack import dpotrf
 
     H = np.asarray(H, dtype=float)
     out = H + float(shift) * np.eye(H.shape[0])
     bump = 10.0 * max(float(shift), 1e-8)
     while True:
-        try:
-            return out, scipy.linalg.cho_factor(out, check_finite=False)
-        except np.linalg.LinAlgError:
-            out = out + bump * np.eye(H.shape[0])
-            bump *= 10.0
+        c, info = dpotrf(out, lower=False, clean=False)
+        if info == 0:
+            return out, (c, False)
+        out = out + bump * np.eye(H.shape[0])
+        bump *= 10.0
 
 
 def fisher_step(info_reg, score, factor):
     """Solve info_reg @ step = score with the Cholesky ``factor`` of
-    info_reg from :func:`regularize`, plus one refinement pass."""
-    from scipy.linalg import cho_solve
+    info_reg from :func:`regularize` (LAPACK ``potrs``), plus one
+    refinement pass."""
+    from scipy.linalg.lapack import dpotrs
 
-    step = cho_solve(factor, score, check_finite=False)
+    c, lower = factor
+    step = dpotrs(c, score, lower=lower)[0]
     resid = score - info_reg @ step
-    return step + cho_solve(factor, resid, check_finite=False)
+    return step + dpotrs(c, resid, lower=lower)[0]
 
 
 def _evaluate(problem, theta):
@@ -154,17 +167,16 @@ def _evaluate(problem, theta):
     if problem.n_constraints == 0:
         return problem.objective(theta), None
     g = problem.constraints(theta)
-    if np.any(g >= 0):
+    if (g >= 0).any():
         return np.inf, g
     return problem.objective(theta), g
 
 
 def _merit(f, g, mu):
-    """Barrier merit from the values :func:`_evaluate` returned."""
-    if g is None:
+    """Barrier merit from the values :func:`_evaluate` returned; f is
+    already inf where g is not strictly negative."""
+    if g is None or f == np.inf:
         return f
-    if np.any(g >= 0):
-        return np.inf
     return f - mu * np.sum(np.log(-g))
 
 
@@ -266,8 +278,7 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
             if step_norm > cap:
                 alpha = cap / step_norm
             merit = _merit(f, g, mu)
-            while True:
-                trial = theta - alpha * step
+            while ((trial := theta - alpha * step) != theta).any():
                 f_trial, g_trial = _evaluate(problem, trial)
                 if _merit(f_trial, g_trial, mu) <= merit:
                     theta, f, g = trial, f_trial, g_trial
@@ -282,6 +293,10 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
                         theta,
                         diag,
                     )
+            else:
+                # the step rounds to no move, so every further iteration
+                # would repeat this one bit for bit: leave the subproblem
+                break
             diag.objective_trace.append(f)
 
         if m == 0:

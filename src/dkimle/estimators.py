@@ -325,21 +325,35 @@ def tensor_problem(model: ExponentModel, loss) -> BarrierProblem:
     With d1, d2 the loss's derivatives in eta, the information is
     sum_j d2_j grad eta_j grad eta_j^T + sum_j d1_j Hess eta_j (its L block
     only if the loss asks for it) + the constraint curvature.
+
+    The exponent at the last theta asked for is kept, with the loss
+    derivatives and the sensitivities once they are needed, so the
+    objective, gradient and information at one point share them (the
+    solver takes the gradient and information at the trial it accepted).
     """
+    memo = {}  # bytes of the last theta -> [exponent, derivatives, sensitivities]
+
+    def at(theta, derivatives=False):
+        key = theta.tobytes()
+        point = memo.get(key)
+        if point is None:
+            memo.clear()
+            point = memo[key] = [model.exponent(theta[:6], theta[6:])]
+        if derivatives and len(point) == 1:
+            eta_d, eta_q, u = point[0]
+            point += [loss.derivatives(eta_d, eta_q), model.sensitivities(theta[:6], u)]
+        return point
 
     def objective(theta):
-        eta_d, eta_q, _ = model.exponent(theta[:6], theta[6:])
+        eta_d, eta_q, _ = at(theta)[0]
         return loss.value(eta_d, eta_q)
 
     def gradient(theta):
-        eta_d, eta_q, u = model.exponent(theta[:6], theta[6:])
-        d1, _ = loss.derivatives(eta_d, eta_q)
-        return model.sensitivities(theta[:6], u).T @ d1
+        _, (d1, _), U = at(theta, derivatives=True)
+        return U.T @ d1
 
     def information(theta, lam):
-        eta_d, eta_q, u = model.exponent(theta[:6], theta[6:])
-        d1, d2 = loss.derivatives(eta_d, eta_q)
-        U = model.sensitivities(theta[:6], u)
+        _, (d1, d2), U = at(theta, derivatives=True)
         H = (U.T * d2) @ U + model.curvature(d1, loss.curvature_in_l)
         if lam.size:
             H += model.constraint_curvature(lam)

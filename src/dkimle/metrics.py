@@ -55,8 +55,9 @@ def _ring_table(n_ring: int):
 
 
 def _ring_basis(axis):
-    """The rows (e2, e3) that :func:`dkimle.sphere.ring_directions` builds
-    for a unit axis, from scalar cross products."""
+    """Orthonormal rows (e2, e3) spanning the plane orthogonal to a unit
+    axis, e2 = axis x seed / |axis x seed| and e3 = axis x e2, from scalar
+    cross products."""
     a0, a1, a2 = axis.tolist()
     # e2 = axis x e_x, or axis x e_y when the axis is near e_x
     x, y, z = (0.0, a2, -a1) if abs(a0) < 0.9 else (-a2, 0.0, a0)

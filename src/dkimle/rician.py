@@ -22,7 +22,6 @@ __all__ = [
     "bessel_ratio",
     "rician_logpdf",
     "vonmises_expected_cos",
-    "vonmises_logpdf",
     "sample_magnitude",
     "joint_loglik",
     "AugmentedState",
@@ -152,17 +151,6 @@ def vonmises_expected_cos(y, s, sigma2):
     if not sigma2 > 0:
         raise ValueError(f"sigma^2 must be positive, got {sigma2}")
     return bessel_ratio(np.asarray(y, dtype=float) * np.asarray(s, dtype=float) / sigma2)
-
-
-def vonmises_logpdf(phi, kappa):
-    """Log density of the zero-mean Von Mises law on [0, 2 pi)."""
-    from scipy.special import i0e
-
-    if np.any(np.asarray(kappa) < 0):
-        raise ValueError("concentration must be non-negative")
-    phi = np.asarray(phi, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    return kappa * np.cos(phi) - np.log(2.0 * np.pi) - np.log(i0e(kappa)) - kappa
 
 
 def sample_magnitude(s, sigma, rng):

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["fibonacci_sphere", "gauss_legendre_sphere", "ring_directions"]
+__all__ = ["fibonacci_sphere", "gauss_legendre_sphere"]
 
 _GOLDEN = np.pi * (1.0 + np.sqrt(5.0))
 
@@ -45,16 +45,3 @@ def _gl_cached(n_polar, n_azimuth):
 def gauss_legendre_sphere(n_polar: int, n_azimuth: int):
     """Weighted spherical quadrature nodes; weights sum to one."""
     return _gl_cached(int(n_polar), int(n_azimuth))
-
-
-def ring_directions(axis: np.ndarray, n: int) -> np.ndarray:
-    """n unit vectors equally spaced on the great circle orthogonal to ``axis``."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    # any vector not parallel to axis seeds the orthonormal pair
-    seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e2 = np.cross(axis, seed)
-    e2 /= np.linalg.norm(e2)
-    e3 = np.cross(axis, e2)
-    t = 2.0 * np.pi * np.arange(n) / n
-    return np.outer(np.cos(t), e2) + np.outer(np.sin(t), e3)

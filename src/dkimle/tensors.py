@@ -20,7 +20,6 @@ Orderings are fixed once and shared with the design matrices:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "NotPositiveDefinite",
     "ModelParams",
     "theta_d_from_l",
-    "l_matrix",
     "d_matrix",
     "jacobian_l",
     "cholesky_of_d",
@@ -40,8 +38,6 @@ __all__ = [
     "kurtosis_from_gram",
     "gram_from_kurtosis",
     "factor_kurtosis",
-    "kurtosis_to_tensor4",
-    "tensor4_to_kurtosis",
     "ExponentModel",
     "predict_signal",
     "apparent_coefficients",
@@ -52,15 +48,6 @@ __all__ = [
 # exp() arguments above this are clamped in predict_signal; anything that
 # large is already deep in constraint-violating territory
 EXP_CAP = 50.0
-
-# index quadruples of the 15 distinct kurtosis elements, design order
-_W_INDEX = [
-    (0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2),
-    (0, 0, 1, 1), (0, 0, 2, 2), (1, 1, 2, 2),
-    (0, 0, 1, 2), (0, 1, 1, 2), (0, 1, 2, 2),
-    (0, 0, 0, 1), (0, 0, 0, 2), (0, 1, 1, 1),
-    (1, 1, 1, 2), (0, 2, 2, 2), (1, 2, 2, 2),
-]
 
 
 class NotPositiveDefinite(ValueError):
@@ -92,12 +79,6 @@ def theta_d_from_l(L):
         L1 * L5,
         L4 * L5 + L2 * L6,
     ])
-
-
-def l_matrix(L):
-    """Assemble the lower triangular factor U from the 6-vector L."""
-    L1, L2, L3, L4, L5, L6 = np.asarray(L, dtype=float)
-    return np.array([[L1, 0.0, 0.0], [L4, L2, 0.0], [L5, L6, L3]])
 
 
 def d_matrix(theta_d):
@@ -321,21 +302,6 @@ def factor_kurtosis(theta_w, q0, max_iter: int = 60):
     return Q, cost
 
 
-def kurtosis_to_tensor4(theta_w):
-    """Expand theta_W into the full symmetric 3x3x3x3 tensor."""
-    W = np.zeros((3, 3, 3, 3))
-    for val, idx in zip(np.asarray(theta_w, dtype=float), _W_INDEX):
-        for p in set(permutations(idx)):
-            W[p] = val
-    return W
-
-
-def tensor4_to_kurtosis(W):
-    """Collect the 15 distinct elements of a symmetric rank-4 tensor."""
-    W = np.asarray(W, dtype=float)
-    return np.array([W[idx] for idx in _W_INDEX])
-
-
 @dataclass
 class ModelParams:
     """Full voxel parameter set (L, theta_Q, S0, sigma^2).
@@ -423,7 +389,8 @@ class ExponentModel:
         if with_l:
             H[:6, :6] = second_derivative_contraction(w @ self.design.z_d)
         v = self.design.v
-        H[6:, 6:] = np.kron(np.eye(3), (v.T * (2.0 * w * self.c)) @ v)
+        # the same 6 x 6 block for each of the three theta_Q blocks
+        H[6:12, 6:12] = H[12:18, 12:18] = H[18:24, 18:24] = (v.T * (2.0 * w * self.c)) @ v
         return H
 
     def constraints(self, theta):
@@ -444,7 +411,7 @@ class ExponentModel:
         v_c, zc = self.v_c, self.zc
         H = np.zeros((24, 24))
         H[:6, :6] = second_derivative_contraction(lam @ zc)
-        H[6:, 6:] = 2.0 * np.kron(np.eye(3), (v_c.T * lam) @ v_c)
+        H[6:12, 6:12] = H[12:18, 12:18] = H[18:24, 18:24] = 2.0 * ((v_c.T * lam) @ v_c)
         return H
 
 

@@ -2,13 +2,20 @@
 
 The oracles here deliberately recompute quantities by brute force
 (explicit tensor expansions, dense matrices, finite differences) so they
-stay independent of the library code paths they check.
+stay independent of the library code paths they check.  The reference
+forms of the tensor problem, its curvature and the Cholesky solve are
+the plain versions the library's faster code must match bit for bit.
 """
 
 from itertools import permutations
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.special import i0e
+
+from dkimle.barrier import BarrierProblem
+from dkimle.tensors import second_derivative_contraction
 
 
 W_INDEX = [
@@ -27,6 +34,12 @@ def w15_to_full(w15):
         for p in set(permutations(idx)):
             W[p] = val
     return W
+
+
+def tensor4_to_kurtosis(W):
+    """Collect the 15 distinct elements of a symmetric rank-4 tensor."""
+    W = np.asarray(W, dtype=float)
+    return np.array([W[idx] for idx in W_INDEX])
 
 
 def contraction_oracle(g, w15):
@@ -65,6 +78,92 @@ def apply_p_batch(theta_q, v, b):
     """:func:`apply_p` over all m acquisitions; returns shape (m,)."""
     u = np.atleast_2d(v) @ np.asarray(theta_q, dtype=float).reshape(3, 6).T  # (m, 3)
     return np.asarray(b, dtype=float) ** 2 / 6.0 * np.einsum("mi,mi->m", u, u)
+
+
+def ring_directions(axis, n):
+    """n unit vectors equally spaced on the great circle orthogonal to ``axis``."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    # any vector not parallel to axis seeds the orthonormal pair
+    seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e2 = np.cross(axis, seed)
+    e2 /= np.linalg.norm(e2)
+    e3 = np.cross(axis, e2)
+    t = 2.0 * np.pi * np.arange(n) / n
+    return np.outer(np.cos(t), e2) + np.outer(np.sin(t), e3)
+
+
+def vonmises_logpdf(phi, kappa):
+    """Log density of the zero-mean Von Mises law on [0, 2 pi)."""
+    if np.any(np.asarray(kappa) < 0):
+        raise ValueError("concentration must be non-negative")
+    phi = np.asarray(phi, dtype=float)
+    kappa = np.asarray(kappa, dtype=float)
+    return kappa * np.cos(phi) - np.log(2.0 * np.pi) - np.log(i0e(kappa)) - kappa
+
+
+def kron_curvature(model, w, with_l):
+    """:meth:`ExponentModel.curvature` with the theta_Q blocks from np.kron."""
+    H = np.zeros((24, 24))
+    if with_l:
+        H[:6, :6] = second_derivative_contraction(w @ model.design.z_d)
+    v = model.design.v
+    H[6:, 6:] = np.kron(np.eye(3), (v.T * (2.0 * w * model.c)) @ v)
+    return H
+
+
+def kron_constraint_curvature(model, lam):
+    """:meth:`ExponentModel.constraint_curvature` with np.kron."""
+    H = np.zeros((24, 24))
+    H[:6, :6] = second_derivative_contraction(lam @ model.zc)
+    H[6:, 6:] = 2.0 * np.kron(np.eye(3), (model.v_c.T * lam) @ model.v_c)
+    return H
+
+
+def reference_tensor_problem(model, loss):
+    """:func:`dkimle.estimators.tensor_problem` without its memo: every
+    callable evaluates the exponent afresh, and the curvature comes from
+    the np.kron oracles."""
+
+    def objective(theta):
+        eta_d, eta_q, _ = model.exponent(theta[:6], theta[6:])
+        return loss.value(eta_d, eta_q)
+
+    def gradient(theta):
+        eta_d, eta_q, u = model.exponent(theta[:6], theta[6:])
+        d1, _ = loss.derivatives(eta_d, eta_q)
+        return model.sensitivities(theta[:6], u).T @ d1
+
+    def information(theta, lam):
+        eta_d, eta_q, u = model.exponent(theta[:6], theta[6:])
+        d1, d2 = loss.derivatives(eta_d, eta_q)
+        U = model.sensitivities(theta[:6], u)
+        H = (U.T * d2) @ U + kron_curvature(model, d1, loss.curvature_in_l)
+        if lam.size:
+            H += kron_constraint_curvature(model, lam)
+        return H
+
+    return BarrierProblem(24, model.n_constraints, objective, gradient, information,
+                          model.constraints, model.constraint_gradients)
+
+
+def cho_regularize(H, shift):
+    """:func:`dkimle.barrier.regularize` through scipy's ``cho_factor``."""
+    out = np.asarray(H, dtype=float) + float(shift) * np.eye(H.shape[0])
+    bump = 10.0 * max(float(shift), 1e-8)
+    while True:
+        try:
+            return out, scipy.linalg.cho_factor(out, check_finite=False)
+        except np.linalg.LinAlgError:
+            out = out + bump * np.eye(H.shape[0])
+            bump *= 10.0
+
+
+def cho_fisher_step(info_reg, score, factor):
+    """:func:`dkimle.barrier.fisher_step` through scipy's ``cho_solve``."""
+    step = scipy.linalg.cho_solve(factor, score, check_finite=False)
+    resid = score - info_reg @ step
+    return step + scipy.linalg.cho_solve(factor, resid, check_finite=False)
 
 
 def fd_gradient(f, x, h=1e-6):

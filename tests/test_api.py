@@ -26,6 +26,11 @@ DELETED = [
     "cwls_gradient_q",
     "cwls_hessian_l",
     "cwls_hessian_q",
+    "l_matrix",
+    "kurtosis_to_tensor4",
+    "tensor4_to_kurtosis",
+    "ring_directions",
+    "vonmises_logpdf",
 ]
 
 
@@ -43,7 +48,8 @@ def test_star_import_works():
 
 
 @pytest.mark.parametrize("module", ["dkimle", "dkimle.estimators", "dkimle.barrier",
-                                    "dkimle.protocol"])
+                                    "dkimle.protocol", "dkimle.tensors", "dkimle.sphere",
+                                    "dkimle.rician"])
 def test_deleted_names_are_unreachable(module):
     mod = importlib.import_module(module)
     assert not [n for n in DELETED if hasattr(mod, n)]

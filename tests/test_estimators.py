@@ -28,7 +28,7 @@ from dkimle.estimators import (
 )
 from dkimle.protocol import AcquisitionProtocol, build_design, quartic_rows
 from dkimle.rician import AugmentedState, bessel_ratio
-from dkimle.simulate import random_tensor_truth, simulate_voxel
+from dkimle.simulate import random_tensor_truth, scenario, simulate_voxel
 from dkimle.sphere import fibonacci_sphere
 from dkimle.tensors import (
     ModelParams,
@@ -39,7 +39,17 @@ from dkimle.tensors import (
     theta_d_from_l,
 )
 
-from conftest import fd_gradient, fd_hessian, random_unit, vvec
+from conftest import (
+    cho_fisher_step,
+    cho_regularize,
+    fd_gradient,
+    fd_hessian,
+    kron_constraint_curvature,
+    kron_curvature,
+    random_unit,
+    reference_tensor_problem,
+    vvec,
+)
 
 
 def internal_design(protocol):
@@ -609,7 +619,8 @@ class TestFitVoxelUnits:
 
 
 class TestTensorProblem:
-    """Finite-difference checks of the problem the constrained fits solve."""
+    """Finite-difference checks of the problem the constrained fits solve,
+    and bit-for-bit checks against the reference forms in conftest."""
 
     def _instance(self, seed):
         design = internal_design(three_shell_protocol())
@@ -687,6 +698,49 @@ class TestTensorProblem:
                 problem.information(theta, lam) - problem.information(theta, np.zeros(0)),
                 model.constraint_curvature(lam), rtol=1e-10, atol=1e-10,
             )
+
+    def test_memo_is_bit_identical_on_revisited_points(self):
+        """The memoized problem gives exactly what one fresh exponent per
+        call gave, on a sequence that returns to earlier points."""
+        for seed in (82, 83):
+            model, losses, a, rng = self._instance(seed)
+            b = a + 1e-3 * rng.normal(size=24)
+            lam = rng.uniform(0.0, 2.0, size=model.n_constraints)
+            # fresh copies, so the memo is keyed on values
+            sequence = [("gradient", a), ("objective", b), ("information", a),
+                        ("gradient", b), ("information", b), ("objective", a)]
+            for loss in losses.values():
+                fast, ref = tensor_problem(model, loss), reference_tensor_problem(model, loss)
+                for name, theta in sequence:
+                    for args in ([(theta.copy(), lam), (theta.copy(), np.zeros(0))]
+                                 if name == "information" else [(theta.copy(),)]):
+                        assert np.array_equal(getattr(fast, name)(*args),
+                                              getattr(ref, name)(*args)), name
+
+    def test_curvature_blocks_equal_kron(self):
+        for seed in (84, 85):
+            model, _, _, rng = self._instance(seed)
+            w = rng.normal(size=model.design.m)
+            lam = rng.uniform(0.0, 2.0, size=model.n_constraints)
+            for with_l in (True, False):
+                assert np.array_equal(model.curvature(w, with_l), kron_curvature(model, w, with_l))
+            assert np.array_equal(model.constraint_curvature(lam),
+                                  kron_constraint_curvature(model, lam))
+
+    @pytest.mark.parametrize("estimator, snr, voxel", [("cwls", 5.0, 7), ("mle", 15.0, 0)])
+    def test_fit_voxel_bit_identical_to_reference(self, monkeypatch, estimator, snr, voxel):
+        """Against the uncached problem, np.kron curvature and scipy's
+        cho_factor/cho_solve, on seed-0 panel voxels of the benchmark
+        (dataset2, 18 voxels); cwls voxel 7 has a stalled solve."""
+        protocol, rows, _ = scenario("dataset2", snr=snr, seed=0, n_voxels=18)
+        fit = fit_voxel(rows[voxel], protocol, estimator)
+        monkeypatch.setattr(estimators, "tensor_problem", reference_tensor_problem)
+        monkeypatch.setattr(barrier, "regularize", cho_regularize)
+        monkeypatch.setattr(barrier, "fisher_step", cho_fisher_step)
+        ref = fit_voxel(rows[voxel], protocol, estimator)
+        for name in ("theta_d", "theta_w", "s0", "sigma2", "loglik_trace", "em_iterations",
+                     "converged", "violations"):
+            assert np.array_equal(getattr(fit, name), getattr(ref, name)), name
 
 
 class TestSolveFailures:

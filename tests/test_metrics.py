@@ -7,11 +7,11 @@ from dkimle.estimators import ConstraintFlags, FitResult
 from dkimle import metrics
 from dkimle.metrics import evaluate, scalar_metrics
 from dkimle.protocol import quartic_rows
-from dkimle.sphere import gauss_legendre_sphere, ring_directions
+from dkimle.sphere import gauss_legendre_sphere
 from dkimle.simulate import GroundTruthVoxel, random_tensor_truth
-from dkimle.tensors import d_matrix, kurtosis_from_gram, mean_diffusivity, tensor4_to_kurtosis
+from dkimle.tensors import d_matrix, kurtosis_from_gram, mean_diffusivity
 
-from conftest import w15_to_full
+from conftest import ring_directions, tensor4_to_kurtosis, w15_to_full
 
 
 def rotate_tensors(theta_d, theta_w, R):

@@ -11,11 +11,10 @@ from dkimle.rician import (
     rician_logpdf,
     sample_magnitude,
     vonmises_expected_cos,
-    vonmises_logpdf,
 )
 from dkimle.tensors import ModelParams
 
-from conftest import random_unit
+from conftest import random_unit, vonmises_logpdf
 
 
 def series_ratio_oracle(x):

@@ -15,16 +15,23 @@ from dkimle.tensors import (
     gram_from_q,
     jacobian_l,
     kurtosis_from_gram,
-    kurtosis_to_tensor4,
     mean_diffusivity,
     predict_signal,
     q_from_gram,
     second_derivative_contraction,
-    tensor4_to_kurtosis,
     theta_d_from_l,
 )
 
-from conftest import apply_p_batch, contraction_oracle, fd_gradient, fd_hessian, random_unit, vvec
+from conftest import (
+    apply_p_batch,
+    contraction_oracle,
+    fd_gradient,
+    fd_hessian,
+    random_unit,
+    tensor4_to_kurtosis,
+    vvec,
+    w15_to_full,
+)
 
 finite_l = st.lists(
     st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), min_size=6, max_size=6
@@ -169,7 +176,7 @@ class TestGramKurtosisMaps:
 
     def test_tensor4_roundtrip(self, rng):
         w = rng.normal(size=15)
-        W4 = kurtosis_to_tensor4(w)
+        W4 = w15_to_full(w)
         # full symmetry
         np.testing.assert_allclose(W4, np.transpose(W4, (1, 0, 2, 3)), atol=0)
         np.testing.assert_allclose(W4, np.transpose(W4, (2, 3, 0, 1)), atol=0)
