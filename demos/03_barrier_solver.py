@@ -10,17 +10,22 @@ import numpy as np
 
 from dkimle import BarrierProblem, solve
 
-# --- an unconstrained quadratic: plain regularized Newton -----------------
+# --- an inactive constraint: plain regularized Newton ----------------------
+# min 1/2 ||theta - c||^2  s.t.  theta_1 + theta_2 + theta_3 <= 10; the
+# bound has slack at c, the barrier starts at its floor and the solve
+# lands on c as an unconstrained Newton iteration would.
 c = np.array([3.0, -1.0, 0.5])
 prob = BarrierProblem(
     dim=3,
-    n_constraints=0,
+    n_constraints=1,
     objective=lambda t: 0.5 * float(np.sum((t - c) ** 2)),
     gradient=lambda t: t - c,
     information=lambda t, lam: np.eye(3),
+    constraints=lambda t: np.array([float(np.sum(t)) - 10.0]),
+    constraint_gradients=lambda t: np.ones((1, 3)),
 )
 theta, diag = solve(prob, np.zeros(3), grad_tol=1e-10)
-print("unconstrained quadratic: theta* =", np.round(theta, 10))
+print("inactive constraint: theta* =", np.round(theta, 10), f"(final mu {diag.final_mu:.0e})")
 
 # --- projection onto a half-space ------------------------------------------
 # min 1/2 ||theta - (2,1)||^2  s.t.  theta_1 + theta_2 <= 1
@@ -58,18 +63,21 @@ print(f"\nlinear objective over theta >= 0: theta* = {theta[0]:.2e}"
       f" with final mu = {diag.final_mu:.2e}")
 
 # --- monotone merit ----------------------------------------------------------
-# For constrained problems the backtracking enforces descent of the
-# barrier merit (objective minus mu * sum log slack); the raw objective
-# alone may rise while the iterate re-centers. Unconstrained problems
-# have merit == objective, so their trace is monotone outright.
-prob_u = BarrierProblem(
+# The backtracking enforces descent of the barrier merit (objective minus
+# mu * sum log slack); the raw objective alone may rise while the iterate
+# re-centers on an active bound.  With the bound inactive the barrier
+# term stays at the floor of mu and the objective trace descends too.
+target = np.array([1.0, -2.0])
+prob = BarrierProblem(
     dim=2,
-    n_constraints=0,
-    objective=lambda t: 0.5 * float(np.sum((t - np.array([1.0, -2.0])) ** 2)),
-    gradient=lambda t: t - np.array([1.0, -2.0]),
+    n_constraints=1,
+    objective=lambda t: 0.5 * float(np.sum((t - target) ** 2)),
+    gradient=lambda t: t - target,
     information=lambda t, lam: np.eye(2),
+    constraints=lambda t: np.array([float(t[0] + t[1]) - 100.0]),
+    constraint_gradients=lambda t: np.ones((1, 2)),
 )
-_, diag_u = solve(prob_u, np.array([5.0, 5.0]))
-trace = np.array(diag_u.objective_trace)
-print("unconstrained objective trace non-increasing:",
-      bool(np.all(np.diff(trace) <= 1e-15)))
+_, diag = solve(prob, np.array([5.0, 5.0]))
+trace = np.array(diag.objective_trace)
+print("inactive-bound objective trace non-increasing:",
+      bool(np.all(np.diff(trace) <= 1e-12)))

@@ -2,7 +2,7 @@
 
 A primal log-barrier scheme for problems
 
-    minimize f(theta)   subject to   g_j(theta) <= 0,  j = 1..m,
+    minimize f(theta)   subject to   g_j(theta) <= 0,  j = 1..m,  m >= 1,
 
 where the caller supplies the objective, its gradient, an information
 matrix I(theta, lambda) standing in for the Hessian (Fisher or empirical
@@ -64,8 +64,7 @@ class BarrierProblem:
     in place of the Hessian (any symmetric matrix; it is regularized to
     positive definiteness before solving).  ``constraints`` returns the
     m-vector g(theta) and ``constraint_gradients`` the m x d matrix of
-    stacked gradient rows.  ``n_constraints`` may be zero, in which case
-    the solver reduces to plain regularized Fisher scoring.
+    stacked gradient rows; m = ``n_constraints`` is at least one.
     """
 
     dim: int
@@ -73,8 +72,8 @@ class BarrierProblem:
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     information: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    constraints: Callable[[np.ndarray], np.ndarray] = None
-    constraint_gradients: Callable[[np.ndarray], np.ndarray] = None
+    constraints: Callable[[np.ndarray], np.ndarray]
+    constraint_gradients: Callable[[np.ndarray], np.ndarray]
 
 
 # barrier parameter: MU0 caps the start value, which is scaled down to the
@@ -163,9 +162,7 @@ def fisher_step(info_reg, score, factor):
 
 def _evaluate(problem, theta):
     """(f, g) at theta; f is inf, and the objective is not called, when
-    theta is not strictly feasible.  g is None without constraints."""
-    if problem.n_constraints == 0:
-        return problem.objective(theta), None
+    theta is not strictly feasible."""
     g = problem.constraints(theta)
     if (g >= 0).any():
         return np.inf, g
@@ -175,7 +172,7 @@ def _evaluate(problem, theta):
 def _merit(f, g, mu):
     """Barrier merit from the values :func:`_evaluate` returned; f is
     already inf where g is not strictly negative."""
-    if g is None or f == np.inf:
+    if f == np.inf:
         return f
     return f - mu * np.sum(np.log(-g))
 
@@ -213,7 +210,7 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
     Raises
     ------
     ValueError
-        If ``grad_tol`` is not positive.
+        If ``grad_tol`` is not positive or the problem has no constraints.
     Infeasible
         If any g_j(theta0) >= 0.
     NonConvergence
@@ -222,49 +219,41 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
     """
     if not grad_tol > 0:
         raise ValueError(f"grad_tol must be positive, got {grad_tol}")
+    if problem.n_constraints < 1:
+        raise ValueError(f"the problem needs a constraint, got {problem.n_constraints}")
     theta = np.asarray(theta0, dtype=float).copy()
     diag = SolverDiagnostics()
-    m = problem.n_constraints
-    lam = np.zeros(0)
 
     f, g = _evaluate(problem, theta)
-    if m > 0:
-        if np.any(g >= 0):
-            raise Infeasible(
-                f"starting point violates constraint {int(np.argmax(g >= 0))} "
-                f"(g = {float(np.max(g)):.3g})"
-            )
-        mu = _initial_mu(problem, theta, -g)
-    else:
-        mu = MU0
+    if np.any(g >= 0):
+        raise Infeasible(
+            f"starting point violates constraint {int(np.argmax(g >= 0))} "
+            f"(g = {float(np.max(g)):.3g})"
+        )
+    mu = _initial_mu(problem, theta, -g)
     diag.objective_trace.append(f)
 
     for outer in range(MAX_OUTER):
         diag.outer_iterations = outer + 1
         # tolerance loosens with the barrier parameter: early subproblems
         # are solved coarsely, the last ones to grad_tol
-        inner_tol = max(grad_tol, 0.1 * mu) if m > 0 else grad_tol
+        inner_tol = max(grad_tol, 0.1 * mu)
         for _ in range(MAX_INNER):
-            if m > 0:
-                nu = -g
-                # multipliers on the central path
-                lam = mu / nu
-                A = problem.constraint_gradients(theta)
-                score = problem.gradient(theta) + A.T @ lam
-            else:
-                score = problem.gradient(theta)
-            score_norm = float(np.max(np.abs(score))) if score.size else 0.0
+            nu = -g
+            # multipliers on the central path
+            lam = mu / nu
+            A = problem.constraint_gradients(theta)
+            score = problem.gradient(theta) + A.T @ lam
+            score_norm = float(np.max(np.abs(score)))
             diag.final_score_norm = score_norm
             if score_norm <= inner_tol:
                 break
             diag.inner_iterations += 1
 
-            info = problem.information(theta, lam)
-            if m > 0:
-                # barrier curvature: without it Newton steps ignore the
-                # boundary's repulsion and the line search collapses when
-                # a constraint is active
-                info = info + (A.T * (lam / nu)) @ A
+            # barrier curvature: without it Newton steps ignore the
+            # boundary's repulsion and the line search collapses when a
+            # constraint is active
+            info = problem.information(theta, lam) + (A.T * (lam / nu)) @ A
             if not np.all(np.isfinite(info)):
                 # boundary-hugging iterates can overflow the barrier
                 # curvature; fall back to a pure gradient step scale
@@ -298,12 +287,6 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
                 # would repeat this one bit for bit: leave the subproblem
                 break
             diag.objective_trace.append(f)
-
-        if m == 0:
-            diag.converged = diag.final_score_norm <= grad_tol
-            diag.reason = "unconstrained score tolerance" if diag.converged else "max inner iterations"
-            diag.final_mu = 0.0
-            break
 
         diag.max_complementarity = float(np.max(lam * -g))
         diag.final_mu = mu

@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--workers", type=int, default=None,
                        help=f"worker processes (default ${_WORKERS_ENV} or 1)")
-    p_fit.add_argument("--max-sweeps", type=int, default=None)
+    p_fit.add_argument("--max-sweeps", type=int, default=None,
+                       help="EM-MLE sweep budget (default 50; CWLS always takes 2 solves)")
     p_fit.add_argument("--grad-tol", type=float, default=None)
     p_fit.set_defaults(func=cmd_fit)
 

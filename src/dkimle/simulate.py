@@ -293,6 +293,9 @@ def _protocol_shells(shells, directions) -> AcquisitionProtocol:
 
 
 def _scenario_dataset1(snr, seed, n_voxels=None):
+    if n_voxels is not None and n_voxels != len(ROI_PRESETS):
+        raise ValueError(f"dataset1 has {len(ROI_PRESETS)} fixed ROI voxels, "
+                         f"got a voxel count of {n_voxels}")
     protocol = _protocol_shells(_SHELLS_6, fibonacci_sphere(30))
     names = list(ROI_PRESETS)
     truths = []
@@ -341,7 +344,8 @@ SCENARIOS = {
 def scenario(name: str, snr: float = 15.0, seed: int = DEFAULT_SEED, n_voxels: int = None):
     """Build a named scenario: (protocol, magnitudes, ground truths).
 
-    ``dataset1``: six isotropic ROI voxels, six shells x 30 directions.
+    ``dataset1``: six isotropic ROI voxels, six shells x 30 directions;
+    any other ``n_voxels`` is a ValueError.
     ``dataset2``: full-tensor voxels (default 18), same protocol.
     ``dataset3``: full-tensor voxels (default 180), three shells x the
     builtin 18 directions, SNR ramping 8..40 every 20 voxels (the per-

@@ -2,6 +2,7 @@
 and names that were deleted stay deleted."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -33,6 +34,11 @@ DELETED = [
     "vonmises_logpdf",
 ]
 
+# deleted keyword arguments, as (module, callable, keyword)
+DELETED_KEYWORDS = [
+    ("dkimle.estimators", "VoxelData", "zero_mask"),
+]
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_exists(name):
@@ -53,3 +59,9 @@ def test_star_import_works():
 def test_deleted_names_are_unreachable(module):
     mod = importlib.import_module(module)
     assert not [n for n in DELETED if hasattr(mod, n)]
+
+
+@pytest.mark.parametrize("module, name, keyword", DELETED_KEYWORDS)
+def test_deleted_keywords_are_not_accepted(module, name, keyword):
+    target = getattr(importlib.import_module(module), name)
+    assert keyword not in inspect.signature(target).parameters

@@ -132,12 +132,6 @@ class TestFisherStep:
 
 
 class TestSolve:
-    def test_unconstrained_quadratic(self):
-        c = np.array([3.0, -1.0, 0.5])
-        theta, diag = solve(quadratic_problem(c), np.zeros(3), grad_tol=1e-9)
-        np.testing.assert_allclose(theta, c, atol=1e-8)
-        assert diag.converged
-
     def test_inactive_constraint_quadratic(self):
         """A constraint satisfied with slack at the optimum must not move
         the solution."""
@@ -192,6 +186,12 @@ class TestSolve:
         assert theta[0] + theta[1] < 1.0
         np.testing.assert_allclose(theta, [0.5, 0.5], atol=1e-5)
 
+    def test_problem_without_constraints_rejected(self):
+        """The solver has no unconstrained mode; every tensor problem has a
+        decay constraint per b > 0 row."""
+        with pytest.raises(ValueError, match="needs a constraint"):
+            solve(quadratic_problem([1.0, 2.0]), np.zeros(2))
+
     def test_infeasible_start_rejected(self):
         prob = quadratic_problem(
             np.zeros(2),
@@ -210,23 +210,17 @@ class TestSolve:
         theta, diag = solve(prob, np.array([-1.0, -1.0]))
         assert diag.final_mu <= MU_MIN * (1 + 1e-12)
 
-    def test_merit_trace_monotone(self):
-        """Objective trace of accepted steps never increases for an
-        unconstrained problem (merit = objective there)."""
-        c = np.array([4.0, -2.0, 1.0, 0.5])
-        theta, diag = solve(quadratic_problem(c), np.zeros(4))
-        trace = np.array(diag.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-12)
-
     def test_nonconvergence_carries_best_iterate(self):
         """A problem whose gradient lies about the objective forces step
         collapse; the exception must carry the last iterate."""
         prob = BarrierProblem(
             dim=1,
-            n_constraints=0,
+            n_constraints=1,
             objective=lambda t: float(t[0] ** 2),
             gradient=lambda t: np.array([-10.0]),  # wrong sign on purpose
             information=lambda t, lam: np.array([[1.0]]),
+            constraints=lambda t: np.array([t[0] - 100.0]),  # inactive
+            constraint_gradients=lambda t: np.array([[1.0]]),
         )
         with pytest.raises(NonConvergence) as err:
             solve(prob, np.array([1.0]))
@@ -297,7 +291,6 @@ class TestOneEvaluationPerPoint:
     """
 
     CASES = {
-        "unconstrained quadratic": lambda: (quadratic_problem([4.0, -2.0, 1.0]), np.zeros(3)),
         "quadratic, inactive constraint": lambda: (quadratic_problem(
             [1.0, 2.0],
             constraints=[lambda t: float(t[0] + t[1]) - 10.0],
@@ -386,3 +379,20 @@ class TestSolverWorkOnPanels:
         for row in rows:
             estimators.fit_voxel(row, protocol, estimator)
         assert (len(counts), sum(counts)) == (solves, inner)
+
+    def test_mle_estep_count(self, monkeypatch):
+        """Each EM E-step is taken once per parameter change: the E-step
+        behind a sweep's surrogate value also starts the next sweep (860
+        on this panel when it was repeated)."""
+        protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=18)
+        original = estimators.em_estep
+        calls = []
+
+        def counting_estep(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(estimators, "em_estep", counting_estep)
+        for row in rows:
+            estimators.fit_voxel(row, protocol, "mle")
+        assert len(calls) == 828

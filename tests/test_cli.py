@@ -96,6 +96,15 @@ class TestSimulateCommand:
         table = load_voxel_table(open(prefix + ".voxels.csv").read())
         assert table.shape == (6, 180)
 
+    def test_dataset1_other_voxel_count_rejected(self, tmp_path, capsys):
+        """dataset1 has six fixed voxels; --voxels 100 used to write six
+        and exit 0."""
+        code = run_cli("simulate", "--scenario", "dataset1", "--voxels", "100",
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "6 fixed ROI voxels" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFitCommand:
     def test_fit_and_outputs(self, simulated, tmp_path):
@@ -206,8 +215,9 @@ class TestFitCommand:
         assert [r["diagnostics"]["iterations"] for r in fit_records(out)] == [1] * 4
 
     def test_grad_tol_reaches_the_solver(self, simulated, tmp_path, monkeypatch):
-        """--grad-tol is the tolerance every tensor solve gets; without it
-        the solver's default applies."""
+        """--grad-tol is the tolerance every tensor solve gets, both CWLS
+        solves of each of the 4 voxels; without it the solver's default
+        applies."""
         from dkimle import barrier
 
         real_solve, seen = barrier.solve, []
@@ -223,9 +233,9 @@ class TestFitCommand:
             assert run_cli(
                 "fit", "--protocol", simulated + ".protocol.txt",
                 "--data", simulated + ".voxels.csv", "--estimator", "cwls",
-                "--max-sweeps", "1", "--out", str(tmp_path / "o.jsonl"), *flags,
+                "--out", str(tmp_path / "o.jsonl"), *flags,
             ) == 0
-            assert len(seen) == 4 and set(seen) == {expected}
+            assert len(seen) == 8 and set(seen) == {expected}
 
     def test_wls_path_imports_no_scipy_solvers(self):
         """Importing the command line and fitting and mapping a voxel by WLS

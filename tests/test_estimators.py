@@ -149,6 +149,30 @@ class TestWls:
         )
 
 
+class TestVoxelData:
+    def test_zero_mask_follows_y(self):
+        """The zero mask is derived from the magnitudes and cannot be set,
+        so it never disagrees with them (``test_api`` checks that it is no
+        longer a constructor argument)."""
+        vox = VoxelData([0.0, 0.5, 0.0, 1.0])
+        np.testing.assert_array_equal(vox.zero_mask, [True, False, True, False])
+        vox.y = np.array([1.0, 0.0])
+        np.testing.assert_array_equal(vox.zero_mask, [False, True])
+        with pytest.raises(AttributeError):
+            vox.zero_mask = np.zeros(2, dtype=bool)
+
+    @pytest.mark.parametrize("estimator", ["wls", "cwls", "mle"])
+    def test_zero_magnitude_voxel_fits(self, estimator):
+        """A dataset2 voxel with one zero magnitude; a caller-given mask
+        that missed the zero used to make every estimator raise
+        LinAlgError."""
+        protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=1)
+        y = rows[0].copy()
+        y[40] = 0.0
+        fit = fit_voxel(VoxelData(y), protocol, estimator)
+        assert np.all(np.isfinite(fit.theta_d)) and np.all(np.isfinite(fit.theta_w))
+
+
 class TestInitParams:
     def test_zero_kurtosis(self):
         protocol, gt, vox = noiseless_voxel(5)
@@ -490,6 +514,29 @@ class TestCwlsFit:
         fit = cwls_fit(vox, internal_design(protocol))
         diffs = np.diff(fit.loglik_trace)
         assert diffs.size == 0 or diffs.min() >= -1e-10
+
+
+    def test_two_solves_the_second_from_the_first(self, monkeypatch):
+        """CWLS is two solves of one fixed problem; the second starts from
+        the first's result, bit for bit.  On cwls panel voxel 0 (dataset2,
+        SNR 5, seed 0) the second solve still moves the fit."""
+        protocol, rows, _ = scenario("dataset2", snr=5.0, seed=0, n_voxels=18)
+        real_solve, solves = barrier.solve, []
+
+        def recording(problem, theta0, grad_tol):
+            theta, diag = real_solve(problem, theta0, grad_tol)
+            solves.append((theta0.copy(), theta, diag))
+            return theta, diag
+
+        monkeypatch.setattr(barrier, "solve", recording)
+        fit = fit_voxel(rows[0], protocol, "cwls")
+        assert len(solves) == 2
+        (_, first, _), (start, second, diag) = solves
+        assert start.tobytes() == first.tobytes()
+        assert not np.array_equal(first, second) and diag.inner_iterations > 0
+        assert np.concatenate([fit.params.L, fit.params.theta_q]).tobytes() == second.tobytes()
+        assert fit.em_iterations == 2 and fit.loglik_trace.size == 2
+        assert fit.converged == diag.converged
 
 
 class TestEstimatorConsistency:

@@ -218,6 +218,12 @@ class TestScenarios:
         with pytest.raises(ValueError, match="voxel count"):
             scenario("dataset2", n_voxels=n_voxels)
 
+    @pytest.mark.parametrize("n_voxels", [1, 100])
+    def test_dataset1_voxel_count_is_fixed(self, n_voxels):
+        with pytest.raises(ValueError, match="6 fixed ROI voxels"):
+            scenario("dataset1", n_voxels=n_voxels)
+        assert len(scenario("dataset1", n_voxels=6)[1]) == 6
+
     def test_truth_roundtrip_serialization(self):
         _, _, truths = scenario("dataset2", seed=4, n_voxels=2)
         for gt in truths:
