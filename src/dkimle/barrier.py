@@ -15,6 +15,9 @@ and takes a damped Fisher step on the barrier merit
     f(theta) - mu * sum_j log(-g_j(theta)),
 
 backtracking until the merit does not increase and feasibility is strict.
+Each outer pass shrinks mu by MU_SHRINK down to the floor MU_MIN, and the
+pass at MU_MIN is the last: mu starts at most MU0 = 1 and 0.2^15 < 1e-10,
+so a solve takes at most 16 outer passes and needs no iteration cap.
 Each point is evaluated once: its objective and constraint values carry
 over to the merit, the multipliers and the trace.  A step that rounds to
 no move ends the subproblem, since repeating it would change nothing.
@@ -88,7 +91,6 @@ MU_SHRINK = 0.2
 # slacks stay well above the float rounding noise of the constraint
 # evaluations (~1e-16)
 MU_MIN = 1e-10
-MAX_OUTER = 30
 MAX_INNER = 50
 STEP_SHRINK = 0.5
 MIN_STEP = 1e-12
@@ -233,8 +235,8 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
     mu = _initial_mu(problem, theta, -g)
     diag.objective_trace.append(f)
 
-    for outer in range(MAX_OUTER):
-        diag.outer_iterations = outer + 1
+    while True:
+        diag.outer_iterations += 1
         # tolerance loosens with the barrier parameter: early subproblems
         # are solved coarsely, the last ones to grad_tol
         inner_tol = max(grad_tol, 0.1 * mu)
@@ -300,8 +302,5 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
             )
             break
         mu = max(mu * MU_SHRINK, MU_MIN)
-    else:
-        diag.final_mu = mu
-        diag.reason = "max outer iterations"
 
     return theta, diag

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,12 +23,14 @@ N_POLAR, N_AZIMUTH = 32, 64
 N_RING = 256
 
 
-@lru_cache(maxsize=8)
-def _quadrature(n_polar: int, n_azimuth: int):
-    """Gauss-Legendre nodes, weights and the nodes' quartic rows (read-only)."""
-    dirs, wts = gauss_legendre_sphere(n_polar, n_azimuth)
+@lru_cache(maxsize=1)
+def _quadrature():
+    """Gauss-Legendre nodes, weights and the nodes' quartic rows at
+    N_POLAR x N_AZIMUTH (read-only)."""
+    dirs, wts = gauss_legendre_sphere(N_POLAR, N_AZIMUTH)
     rows = quartic_rows(dirs)
-    rows.setflags(write=False)
+    for array in (dirs, wts, rows):
+        array.setflags(write=False)
     return dirs, wts, rows
 
 
@@ -44,11 +46,11 @@ def _binary_quartics(t):
     return np.column_stack([c**4, c**3 * s, c**2 * s**2, c * s**3, s**4])
 
 
-@lru_cache(maxsize=8)
-def _ring_table(n_ring: int):
-    """(5, n_ring) map from a binary quartic's values at the sample angles to
-    its values at the ring angles t = 2 pi k / n_ring (read-only)."""
-    t = 2.0 * np.pi * np.arange(n_ring) / n_ring
+@lru_cache(maxsize=1)
+def _ring_table():
+    """(5, N_RING) map from a binary quartic's values at the sample angles
+    to its values at the ring angles t = 2 pi k / N_RING (read-only)."""
+    t = 2.0 * np.pi * np.arange(N_RING) / N_RING
     table = np.linalg.solve(_binary_quartics(_RING_SAMPLES).T, _binary_quartics(t).T)
     table.setflags(write=False)
     return table
@@ -84,15 +86,14 @@ class ScalarMetrics:
         }
 
 
-def scalar_metrics(theta_d, theta_w, s0, sigma2,
-                   n_polar: int = N_POLAR, n_azimuth: int = N_AZIMUTH,
-                   n_ring: int = N_RING) -> ScalarMetrics:
+def scalar_metrics(theta_d, theta_w, s0, sigma2) -> ScalarMetrics:
     """Scalar maps from one voxel's tensors.
 
     MD = tr(D)/3; FA is the normalized eigenvalue dispersion
     sqrt(3/2) ||D - MD I||_F / ||D||_F; MK averages the directional
-    kurtosis over a spherical quadrature; K_perp averages it over the
-    great circle orthogonal to the principal eigenvector; SNR = S0/sigma.
+    kurtosis over the N_POLAR x N_AZIMUTH Gauss-Legendre sphere; K_perp
+    averages it over N_RING equally spaced points of the great circle
+    orthogonal to the principal eigenvector; SNR = S0/sigma.
     Voxels with MD <= 0 are flagged invalid with NaN scalars.
     """
     D = d_matrix(theta_d)
@@ -106,7 +107,7 @@ def scalar_metrics(theta_d, theta_w, s0, sigma2,
     fa = float(np.sqrt(1.5) * np.linalg.norm(dev) / norm_d) if norm_d > 0 else 0.0
 
     theta_w = np.asarray(theta_w, dtype=float)
-    dirs, wts, rows = _quadrature(int(n_polar), int(n_azimuth))
+    dirs, wts, rows = _quadrature()
     d_app = np.einsum("ni,ij,nj->n", dirs, D, dirs)
     if np.any(d_app <= 0):
         return ScalarMetrics(md, fa, np.nan, np.nan, snr, valid=False)
@@ -116,7 +117,7 @@ def scalar_metrics(theta_d, theta_w, s0, sigma2,
     _, evecs = np.linalg.eigh(D)
     samples = _RING_CS @ _ring_basis(evecs[:, -1])
     d_ring, w_ring = np.stack([np.einsum("ni,ij,nj->n", samples, D, samples),
-                               quartic_rows(samples) @ theta_w]) @ _ring_table(int(n_ring))
+                               quartic_rows(samples) @ theta_w]) @ _ring_table()
     if np.any(d_ring <= 0):
         return ScalarMetrics(md, fa, mk, np.nan, snr, valid=False)
     k_ring = (md / d_ring) ** 2 * w_ring
@@ -149,19 +150,15 @@ class EvalReport:
     violation_pct: dict
     runtime: dict
     mean_em_iterations: float
-    by_label: dict = field(default_factory=dict)
 
-    def to_json(self, **kwargs) -> str:
-        payload = {
+    def to_json(self) -> str:
+        return json.dumps({
             "n_voxels": self.n_voxels,
             "mse": self.mse,
             "violation_pct": self.violation_pct,
             "runtime": self.runtime,
             "mean_em_iterations": self.mean_em_iterations,
-        }
-        if self.by_label:
-            payload["by_label"] = self.by_label
-        return json.dumps(payload, **kwargs)
+        })
 
     def format_table(self, title: str = "") -> str:
         head = ["metric", "MSE"]
@@ -186,7 +183,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def evaluate(fits, truths, labels=None) -> EvalReport:
+def evaluate(fits, truths) -> EvalReport:
     """Per-metric errors, violation rates and timing for a batch of fits.
 
     Parameters
@@ -194,14 +191,9 @@ def evaluate(fits, truths, labels=None) -> EvalReport:
     fits : list of FitResult
         Fitted voxels with ``theta_d`` in the same units as the truths.
     truths : list of GroundTruthVoxel
-    labels : list of str, optional
-        Group labels (e.g. ROI names); when given, per-label MSE tables
-        are included in ``by_label``.
     """
     if len(fits) != len(truths):
         raise ValueError(f"{len(fits)} fits vs {len(truths)} truths")
-    if labels is not None and len(labels) != len(fits):
-        raise ValueError("labels length must match fits")
 
     sq_err = {k: [] for k in _SCALARS}
     sq_err["dt"] = []
@@ -237,7 +229,7 @@ def evaluate(fits, truths, labels=None) -> EvalReport:
 
     n = len(fits)
     mse = {k: float(np.mean(v)) for k, v in sq_err.items()}
-    report = EvalReport(
+    return EvalReport(
         n_voxels=n,
         mse=mse,
         violation_pct={k: 100.0 * c / n for k, c in counts.items()},
@@ -249,13 +241,3 @@ def evaluate(fits, truths, labels=None) -> EvalReport:
         mean_em_iterations=float(np.mean(iters)),
     )
 
-    if labels is not None:
-        by = {}
-        for lab in sorted(set(labels)):
-            idx = [i for i, l in enumerate(labels) if l == lab]
-            by[lab] = {
-                k: float(np.mean([sq_err[k][i] for i in idx]))
-                for k in (*_SCALARS, "dt", "kt")
-            }
-        report.by_label = by
-    return report

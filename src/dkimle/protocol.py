@@ -174,14 +174,9 @@ def build_design(protocol: AcquisitionProtocol) -> DesignMatrices:
         With ``z_d`` (m, 6), ``z_w`` (m, 15), ``v`` (m, 6) and ``b`` (m,).
         b = 0 acquisitions produce exactly zero rows in ``z_d`` and ``z_w``.
     """
+    # the protocol's constructor already checked b >= 0 and unit gradients
     b = protocol.bvals
     g = protocol.bvecs
-    norms = np.linalg.norm(g, axis=1)
-    bad = np.nonzero(np.abs(norms - 1.0) > _NORM_TOL_STRICT)[0]
-    if bad.size:
-        raise ValueError(f"gradient {bad[0]} is not unit norm: {norms[bad[0]]!r}")
-    if np.any(b < 0):
-        raise ValueError("negative b value in protocol")
     v = monomial_vectors(g)
     scale = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
     z_d = -b[:, None] * (v * scale)
@@ -217,9 +212,12 @@ def load_protocol(text: str) -> AcquisitionProtocol:
     * whitespace-separated rows ``b gx gy gz``, with ``#`` comments;
     * a JSON object ``{"bvals": [...], "bvecs": [[gx, gy, gz], ...]}``.
 
-    Gradients whose norm is within 1e-6 of unity are renormalized;
-    anything farther off is rejected.  A zero gradient is tolerated on
-    b = 0 rows only (it is replaced by e_x, which no design row uses).
+    Gradients whose norm is off unity by more than 1e-9 but at most 1e-6
+    are renormalized, and anything farther off is rejected; the other
+    rows are kept as written, so a protocol written by
+    :func:`dump_protocol` loads back bit for bit.  A zero gradient is
+    tolerated on b = 0 rows only (it is replaced by e_x, which no design
+    row uses).
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -260,13 +258,15 @@ def load_protocol(text: str) -> AcquisitionProtocol:
             f"gradient {bad[0]} has norm {norms[bad[0]]:.8g}, more than "
             f"{_NORM_TOL_LOAD:g} away from 1"
         )
-    g /= norms[:, None]
+    fix = off > _NORM_TOL_STRICT
+    g[fix] /= norms[fix, None]
     return AcquisitionProtocol(b, g)
 
 
 def dump_protocol(protocol: AcquisitionProtocol) -> str:
-    """Render a protocol in the text file format accepted by :func:`load_protocol`."""
+    """Render a protocol in the text file format accepted by
+    :func:`load_protocol`, with every value written to full precision."""
     lines = ["# b gx gy gz"]
     for b, g in zip(protocol.bvals, protocol.bvecs):
-        lines.append(f"{b:.6f} {g[0]:.9f} {g[1]:.9f} {g[2]:.9f}")
+        lines.append(f"{b:.17g} {g[0]:.17g} {g[1]:.17g} {g[2]:.17g}")
     return "\n".join(lines) + "\n"

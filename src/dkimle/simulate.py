@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1234
+# mean kurtosis range of random tensor truths, and the relative distance
+# they keep from the decay bound at the protocol's largest b
+MEAN_K_RANGE = (0.4, 1.2)
+DECAY_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,7 @@ class BiexpParams:
             raise ValueError(f"f_in must be in [0, 1], got {self.f_in}")
 
 
-# mean biexponential parameters for six regions of interest in normal
-# human brain (point values; the reported spreads are in _ROI_SPREADS)
+# mean biexponential parameters of six regions of interest in normal human brain
 ROI_PRESETS = {
     "GM/CSF": BiexpParams(1.479e-3, 0.466e-3, 0.490),
     "GM/WM": BiexpParams(1.142e-3, 0.338e-3, 0.622),
@@ -69,15 +72,6 @@ ROI_PRESETS = {
     "PU/GP": BiexpParams(1.609e-3, 0.257e-3, 0.648),
     "FWM": BiexpParams(1.155e-3, 0.125e-3, 0.648),
     "ICWM": BiexpParams(1.215e-3, 0.183e-3, 0.637),
-}
-
-_ROI_SPREADS = {
-    "GM/CSF": (0.166e-3, 0.017e-3, 0.012),
-    "GM/WM": (0.106e-3, 0.027e-3, 0.038),
-    "TH": (0.164e-3, 0.040e-3, 0.069),
-    "PU/GP": (0.039e-3, 0.026e-3, 0.028),
-    "FWM": (0.046e-3, 0.026e-3, 0.050),
-    "ICWM": (0.024e-3, 0.009e-3, 0.020),
 }
 
 # optimized 18-direction gradient scheme (electrostatic energy minimum)
@@ -240,16 +234,17 @@ def _random_rotation(rng):
     return q
 
 
-def random_tensor_truth(rng: np.random.Generator, protocol: AcquisitionProtocol = None,
-                        mean_k_range=(0.4, 1.2), margin: float = 0.05) -> GroundTruthVoxel:
+def random_tensor_truth(rng: np.random.Generator,
+                        protocol: AcquisitionProtocol = None) -> GroundTruthVoxel:
     """Random feasible full-tensor ground truth.
 
     D has eigenvalues uniform in [0.6, 2.95] x 1e-3 mm^2/s at a random
     orientation (mean diffusivity ~1.78e-3, the regime of healthy-brain
     voxel archives); the kurtosis quartic comes from a random rank-3 PSD
-    Gram matrix scaled so mean directional kurtosis lands in
-    ``mean_k_range`` and, when a protocol is given, shrunk to satisfy the
-    decay bound at every acquisition with the given margin.
+    Gram matrix scaled so mean directional kurtosis is uniform in
+    ``MEAN_K_RANGE`` and, when a protocol is given, shrunk so K_app stays
+    at most (1 - ``DECAY_MARGIN``) times the decay bound 3 / (b_max D_app)
+    at every direction of the grid and the protocol.
     """
     evals = rng.uniform(0.6e-3, 2.95e-3, size=3)
     R = _random_rotation(rng)
@@ -267,7 +262,7 @@ def random_tensor_truth(rng: np.random.Generator, protocol: AcquisitionProtocol 
     d_app = np.einsum("ni,ij,nj->n", dirs, D, dirs)
     w_app = quartic_rows(dirs) @ theta_w
     mk = float(np.mean((md / d_app) ** 2 * w_app))
-    target = rng.uniform(*mean_k_range)
+    target = rng.uniform(*MEAN_K_RANGE)
     scale = target / mk if mk > 0 else 0.0
     theta_w = theta_w * scale
     w_app = w_app * scale
@@ -280,8 +275,8 @@ def random_tensor_truth(rng: np.random.Generator, protocol: AcquisitionProtocol 
             k_app = (md / d_app) ** 2 * w_app
             limit = 3.0 / (b_max * d_app)
             ratio = np.max(k_app / limit)
-            if ratio > 1.0 - margin:
-                theta_w = theta_w * (1.0 - margin) / ratio
+            if ratio > 1.0 - DECAY_MARGIN:
+                theta_w = theta_w * (1.0 - DECAY_MARGIN) / ratio
 
     return GroundTruthVoxel(kind="tensor", theta_d=theta_d, theta_w=theta_w)
 

@@ -26,8 +26,8 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return _fib_cached(int(n))
 
 
-@lru_cache(maxsize=8)
-def _gl_cached(n_polar, n_azimuth):
+def gauss_legendre_sphere(n_polar: int, n_azimuth: int):
+    """Weighted spherical quadrature nodes; weights sum to one."""
     # product rule: Gauss-Legendre in cos(polar) x uniform azimuth; exact
     # weights make sphere averages of smooth integrands spectrally accurate
     x, w = np.polynomial.legendre.leggauss(n_polar)
@@ -37,11 +37,4 @@ def _gl_cached(n_polar, n_azimuth):
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
     ph = np.tile(phi, n_polar)
     dirs = np.column_stack([st * np.cos(ph), st * np.sin(ph), ct])
-    wt = wt / wt.sum()
-    dirs.setflags(write=False)
-    wt.setflags(write=False)
-    return dirs, wt
-
-def gauss_legendre_sphere(n_polar: int, n_azimuth: int):
-    """Weighted spherical quadrature nodes; weights sum to one."""
-    return _gl_cached(int(n_polar), int(n_azimuth))
+    return dirs, wt / wt.sum()

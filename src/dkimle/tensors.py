@@ -48,6 +48,8 @@ __all__ = [
 # exp() arguments above this are clamped in predict_signal; anything that
 # large is already deep in constraint-violating territory
 EXP_CAP = 50.0
+# iteration budget of factor_kurtosis
+FACTOR_ITERATIONS = 60
 
 
 class NotPositiveDefinite(ValueError):
@@ -266,20 +268,21 @@ _GRAM_MAP = _gram_to_kurtosis_map()
 _GRAM_MAP3 = _GRAM_MAP.reshape(15, 6, 6)
 
 
-def factor_kurtosis(theta_w, q0, max_iter: int = 60):
+def factor_kurtosis(theta_w, q0):
     """Rank-3 factor Q minimizing the quartic mismatch to theta_W.
 
     Levenberg-Marquardt on the residual quartic(Q Q^T) - theta_W from the
-    starting factor ``q0`` (6 x 3).  When theta_W admits a PSD rank-3
-    representation this converges to it (zero residual); otherwise it
-    lands at a locally closest representable quartic.  Returns (Q, cost).
+    starting factor ``q0`` (6 x 3), for at most ``FACTOR_ITERATIONS``
+    iterations.  When theta_W admits a PSD rank-3 representation this
+    converges to it (zero residual); otherwise it lands at a locally
+    closest representable quartic.  Returns (Q, cost).
     """
     w = np.asarray(theta_w, dtype=float)
     Q = np.asarray(q0, dtype=float).reshape(6, 3).copy()
     lam = 1e-6
     r = _GRAM_MAP @ (Q @ Q.T).reshape(36) - w
     cost = float(r @ r)
-    for _ in range(max_iter):
+    for _ in range(FACTOR_ITERATIONS):
         if cost < 1e-28:
             break
         m1 = np.einsum("waj,jb->wab", _GRAM_MAP3, Q)
@@ -415,25 +418,25 @@ class ExponentModel:
         return H
 
 
-def predict_signal(params: ModelParams, design: DesignMatrices, cap: float = EXP_CAP):
+def predict_signal(params: ModelParams, design: DesignMatrices):
     """Noise-free signal S_j = S0 exp(Z_Dj theta_D + theta_Q^T P_j theta_Q).
 
-    Exponent arguments above ``cap`` are clamped and a RuntimeWarning is
+    Exponent arguments above ``EXP_CAP`` are clamped and a RuntimeWarning is
     emitted; this only happens for parameters violating the
     monotone-decay constraint, where the model itself is unphysical.
     """
     eta_d, eta_q, _ = ExponentModel(design).exponent(params.L, params.theta_q)
     expo = eta_d + eta_q
-    n_clamped = int(np.sum(expo > cap))
+    n_clamped = int(np.sum(expo > EXP_CAP))
     if n_clamped:
         import warnings
 
         warnings.warn(
-            f"{n_clamped} signal exponent(s) exceeded the cap {cap:g}; clamped",
+            f"{n_clamped} signal exponent(s) exceeded the cap {EXP_CAP:g}; clamped",
             RuntimeWarning,
             stacklevel=2,
         )
-        expo = np.minimum(expo, cap)
+        expo = np.minimum(expo, EXP_CAP)
     return params.s0 * np.exp(expo)
 
 

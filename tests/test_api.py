@@ -32,11 +32,23 @@ DELETED = [
     "tensor4_to_kurtosis",
     "ring_directions",
     "vonmises_logpdf",
+    "MAX_OUTER",
+    "_ROI_SPREADS",
 ]
 
-# deleted keyword arguments, as (module, callable, keyword)
+# deleted keyword arguments and fields, as (module, callable, keyword)
 DELETED_KEYWORDS = [
     ("dkimle.estimators", "VoxelData", "zero_mask"),
+    ("dkimle.metrics", "scalar_metrics", "n_polar"),
+    ("dkimle.metrics", "scalar_metrics", "n_azimuth"),
+    ("dkimle.metrics", "scalar_metrics", "n_ring"),
+    ("dkimle.metrics", "evaluate", "labels"),
+    ("dkimle.metrics", "EvalReport", "by_label"),
+    ("dkimle.metrics", "EvalReport.to_json", "kwargs"),
+    ("dkimle.simulate", "random_tensor_truth", "mean_k_range"),
+    ("dkimle.simulate", "random_tensor_truth", "margin"),
+    ("dkimle.tensors", "factor_kurtosis", "max_iter"),
+    ("dkimle.tensors", "predict_signal", "cap"),
 ]
 
 
@@ -53,9 +65,7 @@ def test_star_import_works():
     assert "fit_voxel" in namespace and "solve" in namespace
 
 
-@pytest.mark.parametrize("module", ["dkimle", "dkimle.estimators", "dkimle.barrier",
-                                    "dkimle.protocol", "dkimle.tensors", "dkimle.sphere",
-                                    "dkimle.rician"])
+@pytest.mark.parametrize("module", ["dkimle"] + [f"dkimle.{name}" for name in MODULES])
 def test_deleted_names_are_unreachable(module):
     mod = importlib.import_module(module)
     assert not [n for n in DELETED if hasattr(mod, n)]
@@ -63,5 +73,7 @@ def test_deleted_names_are_unreachable(module):
 
 @pytest.mark.parametrize("module, name, keyword", DELETED_KEYWORDS)
 def test_deleted_keywords_are_not_accepted(module, name, keyword):
-    target = getattr(importlib.import_module(module), name)
+    target = importlib.import_module(module)
+    for attr in name.split("."):
+        target = getattr(target, attr)
     assert keyword not in inspect.signature(target).parameters

@@ -210,6 +210,27 @@ class TestSolve:
         theta, diag = solve(prob, np.array([-1.0, -1.0]))
         assert diag.final_mu <= MU_MIN * (1 + 1e-12)
 
+    def test_outer_passes_end_at_mu_min(self):
+        """min (t - 5)^2 s.t. t <= 1 from t = 0 starts at the cap MU0 = 1;
+        since 0.2^14 > MU_MIN >= 0.2^15, the 16th pass runs at MU_MIN and
+        is the last, which bounds every solve without an iteration cap."""
+        prob = BarrierProblem(
+            dim=1,
+            n_constraints=1,
+            objective=lambda t: float((t[0] - 5.0) ** 2),
+            gradient=lambda t: np.array([2.0 * (t[0] - 5.0)]),
+            information=lambda t, lam: np.array([[2.0]]),
+            constraints=lambda t: np.array([t[0] - 1.0]),
+            constraint_gradients=lambda t: np.array([[1.0]]),
+        )
+        theta0 = np.array([0.0])
+        assert barrier._initial_mu(prob, theta0, -prob.constraints(theta0)) == barrier.MU0
+        theta, diag = solve(prob, theta0)
+        assert diag.outer_iterations == 16
+        assert diag.final_mu == MU_MIN
+        assert diag.converged and diag.reason == "mu and score tolerances"
+        assert 0.0 < 1.0 - theta[0] < 1e-8
+
     def test_nonconvergence_carries_best_iterate(self):
         """A problem whose gradient lies about the objective forces step
         collapse; the exception must carry the last iterate."""

@@ -13,6 +13,8 @@ from dkimle.cli import (
     load_voxel_table,
     main,
 )
+from dkimle.estimators import fit_voxel
+from dkimle.simulate import scenario
 
 
 def run_cli(*args):
@@ -121,6 +123,21 @@ class TestFitCommand:
         assert rec["estimator"] == "wls"
         assert len(rec["theta_d"]) == 6 and len(rec["theta_w"]) == 15
         assert "metrics" in rec and "diagnostics" in rec
+
+    def test_fit_of_written_files_equals_in_process_fit(self, simulated, tmp_path):
+        """`simulate` then `fit` fits the simulated protocol exactly: the
+        records carry fit_voxel's values on scenario()'s own protocol, bit
+        for bit."""
+        out = str(tmp_path / "fits.jsonl")
+        assert run_cli("fit", "--protocol", simulated + ".protocol.txt",
+                       "--data", simulated + ".voxels.csv",
+                       "--estimator", "wls", "--out", out) == 0
+        protocol, rows, _ = scenario("dataset3", seed=7, n_voxels=4)
+        for rec, y in zip(fit_records(out), rows):
+            fit = fit_voxel(y, protocol, "wls")
+            assert rec["theta_d"] == fit.theta_d.tolist()
+            assert rec["theta_w"] == fit.theta_w.tolist()
+            assert (rec["S0"], rec["sigma2"]) == (fit.s0, fit.sigma2)
 
     def test_mle_fit_records_params(self, simulated, tmp_path):
         out = str(tmp_path / "fits_mle.jsonl")

@@ -88,37 +88,40 @@ class TestScalarMetrics:
             assert b.mk == pytest.approx(a.mk, abs=1e-6)
             assert b.k_perp == pytest.approx(a.k_perp, abs=1e-6)
 
+    @staticmethod
+    def quadrature_mk(theta_d, theta_w, n_polar, n_azimuth):
+        dirs, wts = gauss_legendre_sphere(n_polar, n_azimuth)
+        d_app = np.einsum("ni,ij,nj->n", dirs, d_matrix(theta_d), dirs)
+        md = mean_diffusivity(theta_d)
+        k_app = (md / d_app) ** 2 * (quartic_rows(dirs) @ theta_w)
+        return float(np.sum(wts * k_app))
+
     def test_mk_quadrature_converged(self, rng):
-        """Doubling the quadrature changes MK far below tolerance."""
+        """MK on a quadrature of twice the size in each angle differs from
+        the default MK far below tolerance."""
         for _ in range(5):
             theta_d, theta_w = realistic_tensors(rng)
-            a = scalar_metrics(theta_d, theta_w, 1.0, 1.0, n_polar=32, n_azimuth=64)
-            b = scalar_metrics(theta_d, theta_w, 1.0, 1.0, n_polar=64, n_azimuth=128)
-            assert abs(a.mk - b.mk) < 1e-4
+            a = scalar_metrics(theta_d, theta_w, 1.0, 1.0)
+            assert abs(a.mk - self.quadrature_mk(theta_d, theta_w, 64, 128)) < 1e-4
 
     def test_mk_equals_uncached_quadrature(self, rng):
         """MK from the cached, read-only quadrature table equals, bit for
         bit, the sum over freshly built quartic rows of the nodes."""
-        for n_polar, n_azimuth in ((32, 64), (16, 32)):
-            dirs, wts = gauss_legendre_sphere(n_polar, n_azimuth)
-            rows = quartic_rows(dirs)
-            cached = metrics._quadrature(n_polar, n_azimuth)[2]
-            np.testing.assert_array_equal(cached, rows)
+        dirs, wts = gauss_legendre_sphere(metrics.N_POLAR, metrics.N_AZIMUTH)
+        for cached, fresh in zip(metrics._quadrature(), (dirs, wts, quartic_rows(dirs))):
+            np.testing.assert_array_equal(cached, fresh)
             with pytest.raises(ValueError, match="read-only"):
-                cached[0, 0] = 1.0
-            for _ in range(5):
-                theta_d, theta_w = realistic_tensors(rng)
-                sm = scalar_metrics(theta_d, theta_w, 1.0, 1.0,
-                                    n_polar=n_polar, n_azimuth=n_azimuth)
-                d_app = np.einsum("ni,ij,nj->n", dirs, d_matrix(theta_d), dirs)
-                md = mean_diffusivity(theta_d)
-                k_app = (md / d_app) ** 2 * (rows @ theta_w)
-                assert sm.mk == float(np.sum(wts * k_app))
+                cached[0] = 1.0
+        for _ in range(5):
+            theta_d, theta_w = realistic_tensors(rng)
+            sm = scalar_metrics(theta_d, theta_w, 1.0, 1.0)
+            assert sm.mk == self.quadrature_mk(theta_d, theta_w, metrics.N_POLAR,
+                                               metrics.N_AZIMUTH)
 
     def test_k_perp_equals_ring_formula(self, rng):
         """K_perp from the five-sample ring tables equals the mean of the
-        directional kurtosis over ring_directions to 1e-12 relative, for
-        either seed of the ring basis and for several ring sizes."""
+        directional kurtosis over N_RING ring_directions to 1e-12 relative,
+        for either seed of the ring basis."""
         def oracle(theta_d, theta_w, n_ring):
             D = d_matrix(theta_d)
             ring = ring_directions(np.linalg.eigh(D)[1][:, -1], n_ring)
@@ -136,11 +139,10 @@ class TestScalarMetrics:
             assert abs(np.linalg.eigh(D)[1][0, -1]) >= 0.9
             cases.append((np.array([D[0, 0], D[1, 1], D[2, 2], D[0, 1], D[0, 2], D[1, 2]]),
                           theta_w))
-        for n_ring in (256, 64, 37, 512):
-            for theta_d, theta_w in cases:
-                sm = scalar_metrics(theta_d, theta_w, 1.0, 1.0, n_ring=n_ring)
-                assert sm.k_perp == pytest.approx(oracle(theta_d, theta_w, n_ring),
-                                                  rel=1e-12, abs=0)
+        for theta_d, theta_w in cases:
+            sm = scalar_metrics(theta_d, theta_w, 1.0, 1.0)
+            assert sm.k_perp == pytest.approx(oracle(theta_d, theta_w, metrics.N_RING),
+                                              rel=1e-12, abs=0)
 
     def test_fa_bounds(self, rng):
         for _ in range(500):
@@ -219,11 +221,6 @@ class TestEvaluate:
         rep = evaluate([fit], [gt])
         assert rep.mse["mk"] == pytest.approx(0.0, abs=1e-6)
         assert rep.mse["dt"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_by_label_grouping(self, rng):
-        fits, truths = self._pairs(rng, n=4)
-        rep = evaluate(fits, truths, labels=["a", "a", "b", "b"])
-        assert set(rep.by_label) == {"a", "b"}
 
     def test_report_serialization(self, rng):
         fits, truths = self._pairs(rng, n=3)

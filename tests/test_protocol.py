@@ -9,6 +9,7 @@ from dkimle.protocol import (
     dump_protocol,
     load_protocol,
 )
+from dkimle.simulate import scenario
 
 from conftest import apply_p, apply_p_batch, contraction_oracle, dense_p_matrix, random_unit, vvec
 
@@ -119,11 +120,20 @@ class TestDtiReduction:
 
 class TestLoadProtocol:
     def test_text_roundtrip(self, rng):
+        """A written protocol loads back bit for bit."""
         g = np.array([random_unit(rng) for _ in range(5)])
         p = make_protocol(rng.uniform(0, 2000, 5), g)
         p2 = load_protocol(dump_protocol(p))
-        np.testing.assert_allclose(p2.bvals, p.bvals, rtol=1e-6)
-        np.testing.assert_allclose(p2.bvecs, p.bvecs, atol=1e-8)
+        np.testing.assert_array_equal(p2.bvals, p.bvals)
+        np.testing.assert_array_equal(p2.bvecs, p.bvecs)
+
+    @pytest.mark.parametrize("name", ["dataset1", "dataset2", "dataset3"])
+    def test_scenario_protocol_roundtrip(self, name):
+        """The protocols `dkimle simulate` writes load back bit for bit."""
+        p = scenario(name, n_voxels=6 if name == "dataset1" else 1)[0]
+        p2 = load_protocol(dump_protocol(p))
+        np.testing.assert_array_equal(p2.bvals, p.bvals)
+        np.testing.assert_array_equal(p2.bvecs, p.bvecs)
 
     def test_json_form(self):
         text = json.dumps({
