@@ -32,28 +32,37 @@ __all__ = [
 # to ~2e-14 at the split
 SERIES_ASYMPTOTIC_SPLIT = 15.0
 
+# the asymptotic tails sum at most 39 terms; their coefficients
+# -(mu - (2k-1)^2) for mu = 4 (I1) and mu = 0 (I0), and the divisors k
+_TAIL_K = np.arange(1.0, 40.0)
+_TAIL_COEF = -(np.array([[4.0], [0.0]]) - (2.0 * _TAIL_K - 1.0) ** 2)[:, :, None]
+# arguments per block of the asymptotic branch, which bounds its
+# (2, 40, block) temporaries
+_TAIL_CHUNK = 4096
+# series denominators k^2 (I0) and k (k+1) (I1), one (2, 1) column per k
+_SERIES_DEN = np.array([[[k * k], [k * (k + 1)]] for k in range(1, 60)], dtype=float)
+
 
 def _ratio_series(x):
     """I1(x)/I0(x) by the ascending power series, x < ~20.
 
     Terms of I0 are (x^2/4)^k / (k!)^2 and of I1/(x/2) are
     (x^2/4)^k / (k! (k+1)!); both converge fast for moderate x and
-    neither overflows below the branch split.
+    neither overflows below the branch split.  Each term is rounded
+    after its multiply and its divide, so the terms are built in order.
     """
     x = np.asarray(x, dtype=float)
     q = 0.25 * x * x
-    t0 = np.ones_like(x)
-    t1 = np.ones_like(x)
-    s0 = t0.copy()
-    s1 = t1.copy()
-    for k in range(1, 60):
-        t0 = t0 * q / (k * k)
-        t1 = t1 * q / (k * (k + 1))
-        s0 += t0
-        s1 += t1
-        if np.all(t0 <= 1e-18 * s0):
+    t = np.ones((2,) + x.shape)  # rows: the I0 and I1 terms
+    s = t.copy()
+    t0, s0 = t[0], s[0]  # views, updated in place with t and s
+    for den in _SERIES_DEN:
+        t *= q
+        t /= den
+        s += t
+        if (t0 <= 1e-18 * s0).all():
             break
-    return 0.5 * x * s1 / s0
+    return 0.5 * x * s[1] / s0
 
 
 def _ratio_asymptotic(x):
@@ -63,39 +72,36 @@ def _ratio_asymptotic(x):
     in the ratio; the remaining 1/x series are summed until their terms
     stop decreasing (the usual optimal truncation of a divergent
     asymptotic series), giving ~1e-13 accuracy at the branch split and
-    machine precision for large x.
+    machine precision for large x.  All 39 terms of both tails are built
+    at once; the products and the sum run in term order along the axis,
+    so every rounding is that of a term-by-term loop.
     """
     x = np.asarray(x, dtype=float)
-    inv8x = 1.0 / (8.0 * x)
-
-    def tail(mu):
-        term = np.ones_like(x)
-        total = np.ones_like(x)
-        active = np.ones_like(x, dtype=bool)
-        prev = np.abs(term)
-        for k in range(1, 40):
-            term = term * (-(mu - (2 * k - 1) ** 2) * inv8x / k)
-            mag = np.abs(term)
-            active = active & (mag < prev)
-            total = np.where(active, total + term, total)
-            prev = mag
-            if not np.any(active):
-                break
-        return total
-
-    return tail(4.0) / tail(0.0)
+    out = np.empty_like(x)
+    for i in range(0, x.size, _TAIL_CHUNK):
+        inv8x = 1.0 / (8.0 * x[i:i + _TAIL_CHUNK])
+        term = np.ones((2, 40, inv8x.size))
+        term[:, 1:] = _TAIL_COEF * inv8x / _TAIL_K[:, None]
+        term = np.multiply.accumulate(term, axis=1)
+        mag = np.abs(term)
+        # the prefix of terms each smaller in magnitude than the one before
+        kept = np.logical_and.accumulate(mag[:, 1:] < mag[:, :-1], axis=1)
+        term[:, 1:][~kept] = 0.0
+        total = np.add.accumulate(term, axis=1)[:, -1]
+        out[i:i + _TAIL_CHUNK] = total[0] / total[1]
+    return out
 
 
 def bessel_ratio(x):
     """A(x) = I1(x)/I0(x), stable for any non-negative x.
 
     Monotone increasing with A(0) = 0 and A(x) -> 1; accepts scalars or
-    arrays.  Negative arguments raise ValueError.
+    arrays.  Negative and NaN arguments raise ValueError.
     """
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("bessel_ratio requires x >= 0")
+    if not np.all(x >= 0):
+        raise ValueError("bessel_ratio requires x >= 0 and not NaN")
     lo = x < SERIES_ASYMPTOTIC_SPLIT
     out = np.empty_like(x)
     if np.any(lo):
@@ -172,15 +178,16 @@ def sample_magnitude(s, sigma, rng):
 class AugmentedState:
     """Per-acquisition conditional expectations of cos(phase).
 
-    Entries lie in [0, 1); exact-zero magnitudes degenerate to 0.
+    Entries lie in [0, 1), so NaN and infinities are rejected; exact-zero
+    magnitudes degenerate to 0.
     """
 
     cos_phi: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.cos_phi, dtype=float)
-        if np.any(c < 0) or np.any(c >= 1):
-            raise ValueError("cos(phase) expectations must lie in [0, 1)")
+        if not np.all((c >= 0) & (c < 1)):
+            raise ValueError("cos(phase) expectations must be finite and lie in [0, 1)")
         self.cos_phi = c
 
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ive
 
+from dkimle import rician
 from dkimle.protocol import AcquisitionProtocol, build_design
 from dkimle.rician import (
     AugmentedState,
@@ -14,7 +15,7 @@ from dkimle.rician import (
 )
 from dkimle.tensors import ModelParams
 
-from conftest import random_unit, vonmises_logpdf
+from conftest import bessel_ratio_loop_oracle, random_unit, vonmises_logpdf
 
 
 def series_ratio_oracle(x):
@@ -34,6 +35,29 @@ def series_ratio_oracle(x):
         if t0 < 1e-20 * s0:
             break
     return 0.5 * x * s1 / s0
+
+
+def kernel_grid():
+    """5 x 10^5 arguments on both branches plus the edge values.
+
+    Uniform on [0, 15) for the series; exponential above 15 for the
+    asymptotic tails, where a reordered rounding changes about one value
+    in 10^5, most of them below 20; log-spaced up to 1e300, where the
+    terms underflow; 15 +- 3 ulps; and 0, the smallest subnormal and inf.
+    """
+    rng = np.random.default_rng(7)
+    return np.concatenate([
+        rng.uniform(0.0, 15.0, 100_000),
+        15.0 + rng.exponential(5.0, 400_000),
+        np.logspace(np.log10(15.0), 300.0, 2_000),
+        15.0 + np.spacing(15.0) * np.arange(-3, 4),
+        [0.0, 5e-324, np.inf],
+    ])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestBesselRatio:
@@ -76,6 +100,46 @@ class TestBesselRatio:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bessel_ratio(-0.5)
+
+    def test_nan_rejected(self):
+        # NaN used to take the asymptotic branch with no active term and
+        # come back as 1.0, a pinned phase
+        with pytest.raises(ValueError):
+            bessel_ratio(np.nan)
+        with pytest.raises(ValueError):
+            bessel_ratio(np.array([1.0, 20.0, np.nan]))
+
+    def test_matches_loop_oracle_bit_for_bit(self):
+        x = kernel_grid()
+        assert np.sum(x >= 15.0) > rician._TAIL_CHUNK
+        ref = bessel_ratio_loop_oracle(x)
+        assert same_bits(bessel_ratio(x), ref)
+        # each value depends on its own argument alone, whatever block or
+        # batch it lands in; numpy may reorder a sum over a short axis, so
+        # short batches are checked too
+        perm = np.random.default_rng(8).permutation(x.size)
+        assert same_bits(bessel_ratio(x[perm]), ref[perm])
+        for size in (1, 2, 180):
+            batches = perm[:200 * size].reshape(200, size)
+            assert all(same_bits(bessel_ratio(x[b]), ref[b]) for b in batches)
+
+    @pytest.mark.parametrize("x", [0.0, 3.5, 15.0, 40.0, 1e300, float("inf")])
+    def test_scalar_and_zero_d_inputs(self, x):
+        ref = bessel_ratio_loop_oracle(np.array([x]))
+        out = bessel_ratio(x)
+        assert type(out) is float and same_bits(out, ref[0])
+        out0 = bessel_ratio(np.array(x))
+        assert out0.shape == () and same_bits(out0, ref[0])
+
+    def test_empty_input(self):
+        out = bessel_ratio(np.zeros(0))
+        assert out.shape == (0,) and out.dtype == float
+
+    def test_no_floating_point_errors(self):
+        # the whole-array tails build terms past the truncation point too
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = bessel_ratio(kernel_grid())
+        assert np.all((out >= 0) & (out <= 1))
 
 
 class TestRicianLogpdf:
@@ -133,6 +197,10 @@ class TestVonMises:
 
     def test_approaches_one(self):
         assert vonmises_expected_cos(10.0, 10.0, 1e-6) > 1 - 1e-7
+
+    def test_nan_concentration_rejected(self):
+        with pytest.raises(ValueError):
+            vonmises_expected_cos(np.array([2.0, np.nan]), 1.0, 1.0)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.3, 2.0, 25.0])
     def test_density_integrates_to_one(self, kappa):
@@ -194,6 +262,11 @@ class TestAugmentedState:
             AugmentedState(np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             AugmentedState(np.array([-0.1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            AugmentedState(np.array([0.5, bad]))
 
 
 class TestJointLoglik:
