@@ -203,6 +203,17 @@ def cmd_fit(args) -> int:
     return 1 if n_failed else 0
 
 
+def _tensor_field(rec: dict, key: str, size: int, lineno: int) -> np.ndarray:
+    """The ``size`` finite numbers of a fit record's tensor field."""
+    try:
+        values = np.asarray(rec.get(key), dtype=float)
+    except (TypeError, ValueError):
+        values = np.zeros(0)
+    if values.shape != (size,) or not np.all(np.isfinite(values)):
+        raise CliError(f"fit line {lineno}: {key} must be {size} finite numbers")
+    return values
+
+
 def _fits_from_jsonl(path: str):
     """(voxel index, FitResult) pairs of the ok records of a fit file.
 
@@ -218,14 +229,16 @@ def _fits_from_jsonl(path: str):
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CliError(f"fit line {lineno}: {exc}") from None
+        if not isinstance(rec, dict):
+            raise CliError(f"fit line {lineno}: expected a JSON object")
         if rec.get("status") == "error":
             skipped += 1
             continue
         viol = rec.get("diagnostics", {}).get("violations", {})
         fits.append((int(rec["voxel"]), FitResult(
             estimator=rec.get("estimator", "?"),
-            theta_d=np.asarray(rec["theta_d"], dtype=float),
-            theta_w=np.asarray(rec["theta_w"], dtype=float),
+            theta_d=_tensor_field(rec, "theta_d", 6, lineno),
+            theta_w=_tensor_field(rec, "theta_w", 15, lineno),
             s0=float(rec["S0"]),
             sigma2=float(rec["sigma2"]),
             loglik_trace=np.zeros(0),
@@ -254,7 +267,13 @@ def cmd_compare(args) -> int:
         if missing:
             raise CliError(f"{path}: voxel {missing[0]} has no truth in {args.truth}")
         fits = [fit for _, fit in pairs]
-        report = evaluate(fits, [GroundTruthVoxel.from_dict(sidecar[str(i)]) for i, _ in pairs])
+        truths = []
+        for i, _ in pairs:
+            try:
+                truths.append(GroundTruthVoxel.from_dict(sidecar[str(i)]))
+            except (TypeError, ValueError) as exc:
+                raise CliError(f"{args.truth}: voxel {i}: bad truth entry ({exc})") from None
+        report = evaluate(fits, truths)
         name = fits[0].estimator
         report_all[f"{name}:{path}"] = report
         print(report.format_table(title=f"--- {name} ({path}) ---"))

@@ -370,23 +370,23 @@ def _solve(problem, theta0, grad_tol):
 # ---------------------------------------------------------------------------
 # EM building blocks
 
-def em_estep(params: ModelParams, y, design: DesignMatrices) -> AugmentedState:
+def em_estep(params: ModelParams, y, eta) -> AugmentedState:
     """Conditional expectations <cos phi_j> at the current parameters.
 
     Each entry is the Bessel ratio at Y_j S0 zeta_j psi_j / sigma^2, with
-    zeta = exp(eta_D) and psi = exp(eta_Q); zero magnitudes give exactly
-    zero (the augmentation degenerates).
+    (zeta, psi) = exp(eta) for the exponent pair eta = (eta_D, eta_Q);
+    zero magnitudes give exactly zero (the augmentation degenerates).
     """
-    eta_d, eta_q, _ = ExponentModel(design).exponent(params.L, params.theta_q)
+    eta_d, eta_q = eta
     kappa = np.asarray(y, dtype=float) * params.s0 * np.exp(eta_d) * np.exp(eta_q) / params.sigma2
     cos = bessel_ratio(kappa)
     # float rounding can reach 1.0 at extreme SNR; keep the open interval
     return AugmentedState(np.minimum(cos, np.nextafter(1.0, 0.0)))
 
 
-def em_mstep_s0(state: AugmentedState, params: ModelParams, y, design) -> float:
+def em_mstep_s0(state: AugmentedState, params: ModelParams, y, eta) -> float:
     """Closed-form amplitude update S0 = sum tau zeta psi / sum zeta^2 psi^2."""
-    eta_d, eta_q, _ = ExponentModel(design).exponent(params.L, params.theta_q)
+    eta_d, eta_q = eta
     zeta, psi = np.exp(eta_d), np.exp(eta_q)
     tau = np.asarray(y, dtype=float) * state.cos_phi
     denom = float(np.sum(zeta**2 * psi**2))
@@ -395,14 +395,14 @@ def em_mstep_s0(state: AugmentedState, params: ModelParams, y, design) -> float:
     return float(np.sum(tau * zeta * psi) / denom)
 
 
-def em_mstep_sigma2(state: AugmentedState, params: ModelParams, y, design) -> float:
+def em_mstep_sigma2(state: AugmentedState, params: ModelParams, y, eta) -> float:
     """Noise update sigma^2 = sum {Y^2 + S0^2 z^2 p^2 - 2 S0 tau z p} / (2 (m-1)).
 
     A non-positive result (possible at pathological phase expectations)
     is clamped to 1e-12.
     """
     y = np.asarray(y, dtype=float)
-    eta_d, eta_q, _ = ExponentModel(design).exponent(params.L, params.theta_q)
+    eta_d, eta_q = eta
     tau = y * state.cos_phi
     zp = np.exp(eta_d) * np.exp(eta_q)
     m = y.size
@@ -411,7 +411,7 @@ def em_mstep_sigma2(state: AugmentedState, params: ModelParams, y, design) -> fl
     return out if out > 0 else 1e-12
 
 
-def update_tensors(params: ModelParams, state: AugmentedState, y, design,
+def update_tensors(params: ModelParams, state: AugmentedState, y, model: ExponentModel,
                    grad_tol: float = barrier.GRAD_TOL):
     """Constrained Fisher-scoring update of (L, theta_Q) on the EM objective.
 
@@ -419,7 +419,7 @@ def update_tensors(params: ModelParams, state: AugmentedState, y, design,
     tolerance returns its best iterate and False.
     """
     tau = np.asarray(y, dtype=float) * state.cos_phi
-    problem = tensor_problem(ExponentModel(design), RicianSurrogate(params.s0, tau))
+    problem = tensor_problem(model, RicianSurrogate(params.s0, tau))
     theta, diag = _solve(problem, np.concatenate([params.L, params.theta_q]), grad_tol)
     return theta[:6], theta[6:], diag.converged
 
@@ -522,9 +522,10 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
     { closed-form amplitude/noise updates, each followed by an E-step, to
     their joint fixed point; the constrained update of (L, theta_Q)
     (:func:`update_tensors`); an E-step and the surrogate evaluation }
-    until the surrogate change falls below tolerance.  Each E-step serves
-    every step up to the next parameter change, so none is repeated at
-    the same parameters.  A sweep that would decrease the surrogate is
+    until the surrogate change falls below tolerance.  The exponent, from
+    the fit's one :class:`ExponentModel`, and each E-step serve every step
+    up to the next parameter change, so neither is evaluated twice at the
+    same parameters.  A sweep that would decrease the surrogate is
     undone and ends the fit, so the recorded trace is non-decreasing.  A
     b0-only protocol identifies S0 alone and gets the flagged WLS fit.
     """
@@ -536,29 +537,32 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
     if wls.underdetermined:
         return _wls_result("mle", wls, design, start)
     params = init_params(wls, design)
+    model = ExponentModel(design)
+    eta = model.exponent(params.L, params.theta_q)[:2]
 
     trace = []
     stopped = solved = False
     sweeps = 0
-    state = em_estep(params, y, design)
+    state = em_estep(params, y, eta)
     for sweeps in range(1, opts.max_sweeps + 1):
         checkpoint, checkpoint_solved = params.copy(), solved
 
         for _ in range(MAX_INNER_EM):
-            s0_new = em_mstep_s0(state, params, y, design)
+            s0_new = em_mstep_s0(state, params, y, eta)
             rel_s0 = abs(s0_new - params.s0) / max(abs(params.s0), 1e-30)
             params.s0 = max(s0_new, 1e-30)
-            sig_new = em_mstep_sigma2(state, params, y, design)
+            sig_new = em_mstep_sigma2(state, params, y, eta)
             rel_sig = abs(sig_new - params.sigma2) / max(params.sigma2, 1e-30)
             params.sigma2 = sig_new
-            state = em_estep(params, y, design)
+            state = em_estep(params, y, eta)
             if max(rel_s0, rel_sig) < TOL_INNER:
                 break
 
-        params.L, params.theta_q, solved = update_tensors(params, state, y, design, opts.grad_tol)
+        params.L, params.theta_q, solved = update_tensors(params, state, y, model, opts.grad_tol)
+        eta = model.exponent(params.L, params.theta_q)[:2]
 
-        state = em_estep(params, y, design)
-        ll = joint_loglik(params, y, design, state)
+        state = em_estep(params, y, eta)
+        ll = joint_loglik(y, params.s0 * np.exp(eta[0] + eta[1]), params.sigma2, state)
 
         if trace and ll < trace[-1] - 1e-9:
             # non-improving sweep: keep the previous iterate and stop

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import DesignMatrices
-from .tensors import ExponentModel, ModelParams
-
 __all__ = [
     "bessel_ratio",
     "rician_logpdf",
@@ -191,7 +188,7 @@ class AugmentedState:
         self.cos_phi = c
 
 
-def joint_loglik(params: ModelParams, y, design: DesignMatrices, state: AugmentedState):
+def joint_loglik(y, s, sigma2, state: AugmentedState):
     """Augmented joint log-likelihood with cos(phase) at its expectation.
 
     m log(1/sigma^2) - 1/(2 sigma^2) sum_j { Y_j^2 + S_j^2
@@ -200,11 +197,9 @@ def joint_loglik(params: ModelParams, y, design: DesignMatrices, state: Augmente
     with S_j the noise-free model signal; additive constants are
     omitted.  This is the EM surrogate maximized by the M-steps.
     """
-    if not params.sigma2 > 0:
-        raise ValueError(f"sigma^2 must be positive, got {params.sigma2}")
-    y = np.asarray(y, dtype=float)
-    eta_d, eta_q, _ = ExponentModel(design).exponent(params.L, params.theta_q)
-    s = params.s0 * np.exp(eta_d + eta_q)
+    if not sigma2 > 0:
+        raise ValueError(f"sigma^2 must be positive, got {sigma2}")
+    y, s = np.asarray(y, dtype=float), np.asarray(s, dtype=float)
     m = y.size
     quad = np.sum(y * y + s * s - 2.0 * state.cos_phi * y * s)
-    return float(-m * np.log(params.sigma2) - quad / (2.0 * params.sigma2))
+    return float(-m * np.log(sigma2) - quad / (2.0 * sigma2))

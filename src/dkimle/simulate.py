@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import B_INTERNAL_SCALE, VoxelData
-from .protocol import AcquisitionProtocol, build_design, quartic_rows
+from .estimators import B_INTERNAL_SCALE, VoxelData, _internal_design
+from .protocol import AcquisitionProtocol, quartic_rows
 from .rician import sample_magnitude
 from .sphere import fibonacci_sphere
 from .tensors import d_matrix, kurtosis_from_gram, mean_diffusivity
@@ -182,7 +182,7 @@ def _noise_free(gt: GroundTruthVoxel, protocol: AcquisitionProtocol, s0: float):
         return s0 * np.exp(expo)
     # linear representation: exponent = Z_D theta_D + Z_W (MD^2 theta_W),
     # exact for any theta_w without factoring the Gram matrix
-    design = build_design(protocol.rescaled(B_INTERNAL_SCALE))
+    design = _internal_design(protocol.bvals.tobytes(), protocol.bvecs.tobytes())
     theta_d_int = gt.theta_d / B_INTERNAL_SCALE
     md = mean_diffusivity(theta_d_int)
     expo = design.z_d @ theta_d_int + design.z_w @ (md * md * gt.theta_w)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
-from dkimle import barrier, estimators
+from dkimle import barrier, estimators, rician
 from dkimle.simulate import scenario
 from dkimle.barrier import (
     MU_MIN,
@@ -417,3 +417,45 @@ class TestSolverWorkOnPanels:
         for row in rows:
             estimators.fit_voxel(row, protocol, "mle")
         assert len(calls) == 828
+
+    def test_mle_signal_model_evaluations(self, monkeypatch):
+        """Each EM-MLE fit builds one exponent model and evaluates its
+        exponent outside the tensor solves only at the start and after each
+        tensor update (50 solves): the E-steps, M-steps and surrogate take
+        that exponent (2448 models and 2398 evaluations on this panel when
+        each step rebuilt the model)."""
+        protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=18)
+        model = estimators.ExponentModel
+        original_init, original_exponent, original_solve = (
+            model.__init__, model.exponent, barrier.solve)
+        counts = Counter()
+        in_solve = []
+
+        def counting_init(self, design):
+            counts["models"] += 1
+            original_init(self, design)
+
+        def counting_exponent(self, L, theta_q):
+            if not in_solve:
+                counts["exponents"] += 1
+            return original_exponent(self, L, theta_q)
+
+        def marked_solve(*args):
+            in_solve.append(1)
+            try:
+                return original_solve(*args)
+            finally:
+                in_solve.pop()
+
+        monkeypatch.setattr(model, "__init__", counting_init)
+        monkeypatch.setattr(model, "exponent", counting_exponent)
+        monkeypatch.setattr(barrier, "solve", marked_solve)
+        for row in rows:
+            estimators.fit_voxel(row, protocol, "mle")
+        assert (counts["models"], counts["exponents"]) == (18, 68)
+
+    def test_noise_model_stands_alone(self):
+        """The Rician module holds the noise model only: it takes model
+        signals, not tensors or designs."""
+        for name in ("ExponentModel", "DesignMatrices", "ModelParams"):
+            assert not hasattr(rician, name), name

@@ -378,3 +378,46 @@ class TestMetricsCommand:
         lines = open(csv_out).read().strip().splitlines()
         assert lines[0].startswith("voxel,md,fa,mk")
         assert len(lines) == 5
+
+
+class TestMalformedInput:
+    """``compare`` and ``metrics`` exit 2 with an ``error:`` line, not a
+    traceback, on fit lines and truth entries they cannot read."""
+
+    RECORD = {"voxel": 0, "estimator": "wls", "status": "ok", "S0": 1.0, "sigma2": 0.01,
+              "theta_d": [1e-3, 1e-3, 1e-3, 0.0, 0.0, 0.0], "theta_w": [0.0] * 15}
+    TRUTH = {"kind": "isotropic", "d_app": 1e-3, "k_app": 1.0}
+
+    def _run(self, tmp_path, command, fit, truth=TRUTH):
+        fits = tmp_path / "f.jsonl"
+        fits.write_text((fit if isinstance(fit, str) else json.dumps(fit)) + "\n")
+        sidecar = tmp_path / "truth.json"
+        sidecar.write_text(json.dumps({"0": truth}))
+        if command == "metrics":
+            return run_cli("metrics", "--fits", str(fits))
+        return run_cli("compare", "--truth", str(sidecar), "--fits", str(fits))
+
+    @pytest.mark.parametrize("command", ["metrics", "compare"])
+    @pytest.mark.parametrize("fit", [
+        "[1, 2]",
+        "7",
+        {**RECORD, "theta_d": [1e-3, 1e-3]},
+        {**RECORD, "theta_d": None},
+        {**RECORD, "theta_w": [0.0] * 14},
+        {**RECORD, "theta_w": ["a"] * 15},
+        {**RECORD, "theta_d": [1e-3, 1e-3, float("nan"), 0.0, 0.0, 0.0]},
+    ])
+    def test_bad_fit_line(self, tmp_path, capsys, command, fit):
+        assert self._run(tmp_path, command, fit) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 1" in err
+
+    @pytest.mark.parametrize("truth", [{**TRUTH, "colour": "red"}, {"d_app": 1e-3, "k_app": 1.0}])
+    def test_bad_truth_entry(self, tmp_path, capsys, truth):
+        assert self._run(tmp_path, "compare", self.RECORD, truth) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "voxel 0" in err
+
+    def test_well_formed_input_passes(self, tmp_path):
+        for command in ("metrics", "compare"):
+            assert self._run(tmp_path, command, self.RECORD) == 0

@@ -56,6 +56,11 @@ def internal_design(protocol):
     return build_design(protocol.rescaled(B_INTERNAL_SCALE))
 
 
+def exponent(params, design):
+    """The (eta_D, eta_Q) pair the EM steps take, at ``params``."""
+    return ExponentModel(design).exponent(params.L, params.theta_q)[:2]
+
+
 def three_shell_protocol():
     dirs = fibonacci_sphere(24)
     shells = [500.0, 1000.0, 1500.0]
@@ -239,7 +244,7 @@ class TestEStep:
         design = internal_design(protocol)
         params = feasible_params(np.random.default_rng(0), design)
         params.s0 = 1e-300
-        state = em_estep(params, vox.y, design)
+        state = em_estep(params, vox.y, exponent(params, design))
         np.testing.assert_allclose(state.cos_phi, 0.0, atol=1e-250)
 
     def test_snr_to_infinity(self):
@@ -247,7 +252,7 @@ class TestEStep:
         design = internal_design(protocol)
         params = feasible_params(np.random.default_rng(1), design)
         params.sigma2 = 1e-20
-        state = em_estep(params, vox.y, design)
+        state = em_estep(params, vox.y, exponent(params, design))
         assert np.all(state.cos_phi > 1 - 1e-12)
 
     def test_matches_reassembled_argument(self, rng):
@@ -256,7 +261,7 @@ class TestEStep:
         protocol, gt, vox = noiseless_voxel(10)
         design = internal_design(protocol)
         params = feasible_params(rng, design)
-        state = em_estep(params, vox.y, design)
+        state = em_estep(params, vox.y, exponent(params, design))
         s = predict_signal(params, design)
         kappa = vox.y * s / params.sigma2
         np.testing.assert_allclose(state.cos_phi, bessel_ratio(kappa), atol=1e-14)
@@ -277,7 +282,7 @@ class TestMSteps:
         params.L = np.zeros(6) + 1e-12
         params.theta_q = np.zeros(18)
         tau = y * state.cos_phi
-        s0 = em_mstep_s0(state, params, y, design)
+        s0 = em_mstep_s0(state, params, y, exponent(params, design))
         assert s0 == pytest.approx(float(np.mean(tau)), rel=1e-12)
 
     def test_noiseless_exact_amplitude(self):
@@ -290,7 +295,7 @@ class TestMSteps:
             1e-12,
         )
         state = AugmentedState(np.full(design.m, np.nextafter(1.0, 0.0)))
-        s0 = em_mstep_s0(state, params, vox.y, design)
+        s0 = em_mstep_s0(state, params, vox.y, exponent(params, design))
         assert s0 == pytest.approx(1.0, rel=1e-5)
 
     def test_s0_maximizes_surrogate(self):
@@ -301,11 +306,11 @@ class TestMSteps:
 
         def neg(s0):
             p = ModelParams(params.L, params.theta_q, s0, params.sigma2)
-            return -joint_loglik(p, y, design, state)
+            return -joint_loglik(y, predict_signal(p, design), p.sigma2, state)
 
         best = minimize_scalar(neg, bounds=(1e-6, 10.0), method="bounded",
                                options={"xatol": 1e-12})
-        s0 = em_mstep_s0(state, params, y, design)
+        s0 = em_mstep_s0(state, params, y, exponent(params, design))
         assert s0 == pytest.approx(best.x, rel=1e-6)
 
     def test_sigma2_formula_and_convention(self):
@@ -318,14 +323,13 @@ class TestMSteps:
         m = design.m
         total = float(np.sum(y * y + s * s - 2 * tau * s))
         expected = total / (2 * (m - 1))
-        got = em_mstep_sigma2(state, params, y, design)
+        got = em_mstep_sigma2(state, params, y, exponent(params, design))
         assert got == pytest.approx(expected, rel=1e-12)
 
         from dkimle.rician import joint_loglik
 
         def neg(sig2):
-            p = ModelParams(params.L, params.theta_q, params.s0, sig2)
-            return -joint_loglik(p, y, design, state)
+            return -joint_loglik(y, s, sig2, state)
 
         best = minimize_scalar(neg, bounds=(1e-8, 10.0), method="bounded",
                                options={"xatol": 1e-14})
@@ -337,14 +341,14 @@ class TestMSteps:
         wls = wls_fit(vox, design)
         params = init_params(wls, design)
         state = AugmentedState(np.full(design.m, np.nextafter(1.0, 0.0)))
-        out = em_mstep_sigma2(state, params, vox.y, design)
+        out = em_mstep_sigma2(state, params, vox.y, exponent(params, design))
         assert out < 1e-12  # clamp floor or genuine tiny residual
 
     def test_degenerate_amplitude(self):
         design, params, y, state = self._instance(16)
         params.L = np.full(6, 1e3)  # attenuation underflows every row
         with pytest.raises(DegenerateVoxel):
-            em_mstep_s0(state, params, y, design)
+            em_mstep_s0(state, params, y, exponent(params, design))
 
 
 def block_objectives(problem, params, scale=1.0):
@@ -418,8 +422,8 @@ class TestTensorUpdates:
         wls = wls_fit(vox, design)
         params = init_params(wls, design)
         params.sigma2 = 1e-14
-        state = em_estep(params, vox.y, design)
-        L_new, q_new, _ = update_tensors(params, state, vox.y, design)
+        state = em_estep(params, vox.y, exponent(params, design))
+        L_new, q_new, _ = update_tensors(params, state, vox.y, ExponentModel(design))
         np.testing.assert_allclose(
             theta_d_from_l(L_new), theta_d_from_l(params.L), atol=1e-6
         )
@@ -442,7 +446,7 @@ class TestTensorUpdates:
         params = ModelParams([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], np.zeros(18), 1.0, 0.01)
         tau = y * state.cos_phi
 
-        L_new, q_new, _ = update_tensors(params, state, y, design)
+        L_new, q_new, _ = update_tensors(params, state, y, ExponentModel(design))
         np.testing.assert_array_equal(q_new, 0.0)
         eta_fit = float(design.z_d[0] @ theta_d_from_l(L_new))
 
@@ -797,7 +801,7 @@ class TestSolveFailures:
         protocol, gt, vox = noiseless_voxel(31)
         design = internal_design(protocol)
         params = init_params(wls_fit(vox, design), design)
-        state = em_estep(params, vox.y, design)
+        state = em_estep(params, vox.y, exponent(params, design))
         carried = np.linspace(0.1, 2.4, 24)
         calls = []
 
@@ -807,7 +811,7 @@ class TestSolveFailures:
             raise barrier.NonConvergence("collapsed", carried.copy(), diag)
 
         monkeypatch.setattr(barrier, "solve", collapse)
-        L, theta_q, converged = update_tensors(params, state, vox.y, design)
+        L, theta_q, converged = update_tensors(params, state, vox.y, ExponentModel(design))
         assert len(calls) == 1
         np.testing.assert_array_equal(L, carried[:6])
         np.testing.assert_array_equal(theta_q, carried[6:])
