@@ -51,7 +51,7 @@ print("stacked factor theta_Q has", theta_q.size, "entries")
 # factored form:  Z_D theta_D(L) + theta_Q^T P_j theta_Q, the exponent
 #                 model every estimator fits (ExponentModel)
 lin = design.z_d @ theta_d + design.z_w @ (md * md * theta_w)
-eta_d, eta_q, _ = dk.tensors.ExponentModel(design).exponent(L, theta_q)
+eta_d, eta_q = dk.tensors.ExponentModel(design).exponent(L, theta_q)
 fac = eta_d + eta_q
 print("\nmax |linear - factored| exponent gap:", float(np.max(np.abs(lin - fac))))
 

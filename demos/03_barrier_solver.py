@@ -23,6 +23,7 @@ prob = BarrierProblem(
     information=lambda t, lam: np.eye(3),
     constraints=lambda t: np.array([float(np.sum(t)) - 10.0]),
     constraint_gradients=lambda t: np.ones((1, 3)),
+    constraint_quadratic=lambda s: np.zeros(1),  # linear: no alpha^2 term
 )
 theta, diag = solve(prob, np.zeros(3), grad_tol=1e-10)
 print("inactive constraint: theta* =", np.round(theta, 10), f"(final mu {diag.final_mu:.0e})")
@@ -39,6 +40,7 @@ prob = BarrierProblem(
     information=lambda t, lam: np.eye(2),
     constraints=lambda t: np.array([float(a @ t) - 1.0]),
     constraint_gradients=lambda t: a[None, :],
+    constraint_quadratic=lambda s: np.zeros(1),
 )
 theta, diag = solve(prob, np.array([-1.0, -1.0]))
 print("\nhalf-space projection: theta* =", np.round(theta, 6))
@@ -57,6 +59,7 @@ prob = BarrierProblem(
     information=lambda t, lam: np.array([[1e-12]]),
     constraints=lambda t: np.array([-t[0]]),
     constraint_gradients=lambda t: np.array([[-1.0]]),
+    constraint_quadratic=lambda s: np.zeros(1),
 )
 theta, diag = solve(prob, np.array([1.0]))
 print(f"\nlinear objective over theta >= 0: theta* = {theta[0]:.2e}"
@@ -76,6 +79,7 @@ prob = BarrierProblem(
     information=lambda t, lam: np.eye(2),
     constraints=lambda t: np.array([float(t[0] + t[1]) - 100.0]),
     constraint_gradients=lambda t: np.ones((1, 2)),
+    constraint_quadratic=lambda s: np.zeros(1),
 )
 _, diag = solve(prob, np.array([5.0, 5.0]))
 trace = np.array(diag.objective_trace)

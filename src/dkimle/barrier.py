@@ -15,6 +15,9 @@ and takes a damped Fisher step on the barrier merit
     f(theta) - mu * sum_j log(-g_j(theta)),
 
 backtracking until the merit does not increase and feasibility is strict.
+Constraints are at most quadratic, so when a backtrack's first trial is
+infeasible, the alphas that g(theta - alpha s) = g - alpha A s + alpha^2 q(s)
+proves infeasible are skipped unevaluated, and the accepted point stays.
 Each outer pass shrinks mu by MU_SHRINK down to the floor MU_MIN, and the
 pass at MU_MIN is the last: mu starts at most MU0 = 1 and 0.2^15 < 1e-10,
 so a solve takes at most 16 outer passes and needs no iteration cap.
@@ -68,6 +71,7 @@ class BarrierProblem:
     positive definiteness before solving).  ``constraints`` returns the
     m-vector g(theta) and ``constraint_gradients`` the m x d matrix of
     stacked gradient rows; m = ``n_constraints`` is at least one.
+    ``constraint_quadratic(s)`` is q(s): 0 for linear g, g(s) for homogeneous g.
     """
 
     dim: int
@@ -77,6 +81,7 @@ class BarrierProblem:
     information: Callable[[np.ndarray, np.ndarray], np.ndarray]
     constraints: Callable[[np.ndarray], np.ndarray]
     constraint_gradients: Callable[[np.ndarray], np.ndarray]
+    constraint_quadratic: Callable[[np.ndarray], np.ndarray]
 
 
 # barrier parameter: MU0 caps the start value, which is scaled down to the
@@ -124,6 +129,9 @@ class SolverDiagnostics:
     objective_trace: list = field(default_factory=list)
     converged: bool = False
     reason: str = ""
+    trials_evaluated: int = 0  # line-search trial points evaluated,
+    trials_infeasible: int = 0  # the infeasible ones among them,
+    trials_skipped: int = 0  # and trial points proven infeasible, not evaluated
 
 
 def regularize(H, shift):
@@ -163,12 +171,12 @@ def fisher_step(info_reg, score, factor):
 
 
 def _evaluate(problem, theta):
-    """(f, g) at theta; f is inf, and the objective is not called, when
-    theta is not strictly feasible."""
+    """(f, g, feasible) at theta; f is inf, and the objective is not
+    called, when theta is not strictly feasible."""
     g = problem.constraints(theta)
     if (g >= 0).any():
-        return np.inf, g
-    return problem.objective(theta), g
+        return np.inf, g, False
+    return problem.objective(theta), g, True
 
 
 def _merit(f, g, mu):
@@ -177,6 +185,16 @@ def _merit(f, g, mu):
     if f == np.inf:
         return f
     return f - mu * np.sum(np.log(-g))
+
+
+def _feasible_bound(problem, theta, step, g, A):
+    """Alpha past which a g_j convex along step is violated (+1e-6 rounding guard), or inf."""
+    q, slope = problem.constraint_quadratic(step), A @ step
+    g = g - 1e-15 * (np.abs(A) @ np.abs(theta))  # guard: g's terms are about |A||theta|
+    with np.errstate(divide="ignore", invalid="ignore"):  # the positive root, no cancellation
+        disc = np.sqrt(slope * slope - 4.0 * q * g)
+        roots = np.where(slope > 0, (slope + disc) / (2.0 * q), -2.0 * g / (disc - slope))
+    return (1.0 + 1e-6) * float(np.min(roots, where=(q >= 0) & (roots > 0), initial=np.inf))
 
 
 def _initial_mu(problem, theta, nu):
@@ -226,8 +244,8 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
     theta = np.asarray(theta0, dtype=float).copy()
     diag = SolverDiagnostics()
 
-    f, g = _evaluate(problem, theta)
-    if np.any(g >= 0):
+    f, g, feasible = _evaluate(problem, theta)
+    if not feasible:
         raise Infeasible(
             f"starting point violates constraint {int(np.argmax(g >= 0))} "
             f"(g = {float(np.max(g)):.3g})"
@@ -268,12 +286,19 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
             cap = MAX_STEP_SCALE * (1.0 + float(np.linalg.norm(theta)))
             if step_norm > cap:
                 alpha = cap / step_norm
-            merit = _merit(f, g, mu)
+            merit, bound = _merit(f, g, mu), None
             while ((trial := theta - alpha * step) != theta).any():
-                f_trial, g_trial = _evaluate(problem, trial)
-                if _merit(f_trial, g_trial, mu) <= merit:
-                    theta, f, g = trial, f_trial, g_trial
-                    break
+                if bound is not None and alpha > bound:
+                    diag.trials_skipped += 1
+                else:
+                    f_trial, g_trial, feasible = _evaluate(problem, trial)
+                    diag.trials_evaluated += 1
+                    if _merit(f_trial, g_trial, mu) <= merit:
+                        theta, f, g = trial, f_trial, g_trial
+                        break
+                    diag.trials_infeasible += not feasible
+                    if bound is None:
+                        bound = np.inf if feasible else _feasible_bound(problem, theta, step, g, A)
                 alpha *= STEP_SHRINK
                 if alpha < MIN_STEP:
                     diag.final_mu = mu

@@ -214,6 +214,14 @@ def _tensor_field(rec: dict, key: str, size: int, lineno: int) -> np.ndarray:
     return values
 
 
+def _number_field(rec: dict, key: str, kind, lineno: int, default=None):
+    """A fit record's number ``key`` as ``kind`` (int or float)."""
+    try:
+        return kind(rec.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(f"fit line {lineno}: {key} must be a number") from None
+
+
 def _fits_from_jsonl(path: str):
     """(voxel index, FitResult) pairs of the ok records of a fit file.
 
@@ -234,22 +242,26 @@ def _fits_from_jsonl(path: str):
         if rec.get("status") == "error":
             skipped += 1
             continue
-        viol = rec.get("diagnostics", {}).get("violations", {})
-        fits.append((int(rec["voxel"]), FitResult(
+        diag = rec.get("diagnostics", {})
+        viol = diag.get("violations", {}) if isinstance(diag, dict) else None
+        if not isinstance(viol, dict):
+            raise CliError(f"fit line {lineno}: diagnostics and their violations "
+                           "must be JSON objects")
+        fits.append((_number_field(rec, "voxel", int, lineno), FitResult(
             estimator=rec.get("estimator", "?"),
             theta_d=_tensor_field(rec, "theta_d", 6, lineno),
             theta_w=_tensor_field(rec, "theta_w", 15, lineno),
-            s0=float(rec["S0"]),
-            sigma2=float(rec["sigma2"]),
+            s0=_number_field(rec, "S0", float, lineno),
+            sigma2=_number_field(rec, "sigma2", float, lineno),
             loglik_trace=np.zeros(0),
-            em_iterations=int(rec.get("diagnostics", {}).get("iterations", 0)),
-            converged=bool(rec.get("diagnostics", {}).get("converged", True)),
+            em_iterations=_number_field(diag, "iterations", int, lineno, default=0),
+            converged=bool(diag.get("converged", True)),
             violations=ConstraintFlags(
                 d_not_pd=bool(viol.get("d_not_pd", False)),
                 kurtosis_negative=bool(viol.get("kurtosis_negative", False)),
                 decay_bound=bool(viol.get("decay_bound", False)),
             ),
-            wall_time=float(rec.get("diagnostics", {}).get("wall_time", 0.0)),
+            wall_time=_number_field(diag, "wall_time", float, lineno, default=0.0),
         )))
     if skipped:
         print(f"{path}: skipped {skipped} error records", file=sys.stderr)

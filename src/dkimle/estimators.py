@@ -322,41 +322,50 @@ def tensor_problem(model: ExponentModel, loss) -> BarrierProblem:
     sum_j d2_j grad eta_j grad eta_j^T + sum_j d1_j Hess eta_j (its L block
     only if the loss asks for it) + the constraint curvature.
 
-    The exponent at the last theta asked for is kept, with the loss
-    derivatives and the sensitivities once they are needed, so the
-    objective, gradient and information at one point share them (the
-    solver takes the gradient and information at the trial it accepted).
+    The exponent and constraints at the last theta asked for are kept, with
+    the loss derivatives and both Jacobians once they are needed, so every
+    callable at one point shares one evaluation (the solver takes the
+    constraints and objective at a trial, and the constraint gradients,
+    gradient and information at the trial it accepted).  The constraints'
+    second-order coefficient along a step s is g(s), since g is a
+    homogeneous quadratic in theta.
     """
-    memo = {}  # bytes of the last theta -> [exponent, derivatives, sensitivities]
+    memo = {}  # bytes of the last theta -> [evaluation, derivatives, jacobians]
 
     def at(theta, derivatives=False):
         key = theta.tobytes()
         point = memo.get(key)
         if point is None:
             memo.clear()
-            point = memo[key] = [model.exponent(theta[:6], theta[6:])]
+            point = memo[key] = [model.evaluate(theta)]
         if derivatives and len(point) == 1:
-            eta_d, eta_q, u = point[0]
-            point += [loss.derivatives(eta_d, eta_q), model.sensitivities(theta[:6], u)]
+            eta_d, eta_q, _, u = point[0]
+            point += [loss.derivatives(eta_d, eta_q), model.jacobians(theta[:6], u)]
         return point
 
     def objective(theta):
-        eta_d, eta_q, _ = at(theta)[0]
+        eta_d, eta_q, _, _ = at(theta)[0]
         return loss.value(eta_d, eta_q)
 
     def gradient(theta):
-        _, (d1, _), U = at(theta, derivatives=True)
+        _, (d1, _), (U, _) = at(theta, derivatives=True)
         return U.T @ d1
 
     def information(theta, lam):
-        _, (d1, d2), U = at(theta, derivatives=True)
+        _, (d1, d2), (U, _) = at(theta, derivatives=True)
         H = (U.T * d2) @ U + model.curvature(d1, loss.curvature_in_l)
         if lam.size:
             H += model.constraint_curvature(lam)
         return H
 
+    def constraints(theta):
+        return at(theta)[0][2]
+
+    def constraint_gradients(theta):
+        return at(theta, derivatives=True)[2][1]
+
     return BarrierProblem(24, model.n_constraints, objective, gradient, information,
-                          model.constraints, model.constraint_gradients)
+                          constraints, constraint_gradients, model.constraints)
 
 
 def _solve(problem, theta0, grad_tol):
@@ -538,7 +547,7 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
         return _wls_result("mle", wls, design, start)
     params = init_params(wls, design)
     model = ExponentModel(design)
-    eta = model.exponent(params.L, params.theta_q)[:2]
+    eta = model.exponent(params.L, params.theta_q)
 
     trace = []
     stopped = solved = False
@@ -559,7 +568,7 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
                 break
 
         params.L, params.theta_q, solved = update_tensors(params, state, y, model, opts.grad_tol)
-        eta = model.exponent(params.L, params.theta_q)[:2]
+        eta = model.exponent(params.L, params.theta_q)
 
         state = em_estep(params, y, eta)
         ll = joint_loglik(y, params.s0 * np.exp(eta[0] + eta[1]), params.sigma2, state)

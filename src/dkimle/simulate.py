@@ -166,11 +166,14 @@ class GroundTruthVoxel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruthVoxel":
+        """Inverse of :meth:`to_dict`; raises ValueError when a tensor voxel
+        (or any entry that has them) lacks 6 and 15 finite tensor entries."""
         kw = dict(d)
-        if "theta_d" in kw:
-            kw["theta_d"] = np.asarray(kw["theta_d"], dtype=float)
-        if "theta_w" in kw:
-            kw["theta_w"] = np.asarray(kw["theta_w"], dtype=float)
+        for key, size in (("theta_d", 6), ("theta_w", 15)):
+            if key in kw or kw.get("kind") == "tensor":
+                kw[key] = np.asarray(kw.get(key), dtype=float)
+                if kw[key].shape != (size,) or not np.all(np.isfinite(kw[key])):
+                    raise ValueError(f"{key} must be {size} finite numbers")
         return cls(**kw)
 
 

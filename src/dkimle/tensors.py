@@ -352,38 +352,63 @@ def _qform(theta_q, v):
 
 
 class ExponentModel:
-    """The signal exponent of one design and its derivatives.
+    """The signal exponent of one design, its decay constraints, and their
+    derivatives.
 
     Every estimator models log S_j = log S0 + eta_j with eta_j =
     Z_Dj theta_D(L) + theta_Q^T P_j theta_Q, a function of the stacked
     theta = (L; theta_Q) of length 24; its two terms are returned apart so
     that each caller keeps its order of floating-point operations.  The
     decay constraints are :func:`dkimle.estimators.constraint_values` as
-    functions of theta.
+    functions of theta, a homogeneous quadratic in theta.  One quadratic
+    form and one theta_D(L) per point serve both the exponent and the
+    constraints, and one d theta_D / d L and one u (x) v product serve
+    both Jacobians.
     """
 
     def __init__(self, design: DesignMatrices):
         self.design = design
         self.c = design.b**2 / 6.0
+        rows = design.decay_rows
         # v and (3/b^2) Z_D of the b > 0 rows, which carry the constraints
-        self.v_c, self.zc = design.decay_rows.v, design.decay_rows.z_d_scaled
+        self.v_c, self.zc = rows.v, rows.z_d_scaled
+        # those rows of a full-design array; a view when they are all rows
+        self._decay = slice(None) if rows.mask.all() else rows.mask
 
     @property
     def n_constraints(self) -> int:
         return self.v_c.shape[0]
 
-    def exponent(self, L, theta_q):
-        """(eta_D, eta_Q, u) per row; u_j = (<v_j, q-block_i>)_i, shape (m, 3)."""
-        qf, u = _qform(theta_q, self.design.v)
-        return self.design.z_d @ theta_d_from_l(L), self.c * qf, u
+    def evaluate(self, theta):
+        """(eta_D, eta_Q, g, u) at theta: the exponent's two terms, the decay
+        constraints and u_j = (<v_j, q-block_i>)_i of shape (m, 3)."""
+        theta_d = theta_d_from_l(theta[:6])
+        qf, u = _qform(theta[6:], self.design.v)
+        return self.design.z_d @ theta_d, self.c * qf, qf[self._decay] + self.zc @ theta_d, u
 
-    def sensitivities(self, L, u):
-        """d eta / d theta, shape (m, 24)."""
-        m, v = self.design.m, self.design.v
-        out = np.empty((m, 24))
-        out[:, :6] = self.design.z_d @ jacobian_l(L)
-        out[:, 6:] = 2.0 * self.c[:, None] * (u[:, :, None] * v[:, None, :]).reshape(m, 18)
-        return out
+    def exponent(self, L, theta_q):
+        """(eta_D, eta_Q) per row."""
+        eta_d, eta_q, _, _ = self.evaluate(np.concatenate([L, theta_q]))
+        return eta_d, eta_q
+
+    def constraints(self, theta):
+        """The decay constraints g(theta); g(s) is also the second-order
+        coefficient of g(theta - alpha s) in alpha."""
+        return self.evaluate(theta)[2]
+
+    def jacobians(self, L, u):
+        """(d eta / d theta, shape (m, 24); d g / d theta, shape
+        (n_constraints, 24)) from the u of :meth:`evaluate`."""
+        design, m = self.design, self.design.m
+        J = jacobian_l(L)
+        uv = (u[:, :, None] * design.v[:, None, :]).reshape(m, 18)
+        U = np.empty((m, 24))
+        U[:, :6] = design.z_d @ J
+        U[:, 6:] = 2.0 * self.c[:, None] * uv
+        A = np.empty((self.n_constraints, 24))
+        A[:, :6] = self.zc @ J
+        A[:, 6:] = 2.0 * uv[self._decay]
+        return U, A
 
     def curvature(self, w, with_l):
         """sum_j w_j d^2 eta_j / d theta^2, the L block only if with_l; eta is
@@ -395,19 +420,6 @@ class ExponentModel:
         # the same 6 x 6 block for each of the three theta_Q blocks
         H[6:12, 6:12] = H[12:18, 12:18] = H[18:24, 18:24] = (v.T * (2.0 * w * self.c)) @ v
         return H
-
-    def constraints(self, theta):
-        v_c, zc = self.v_c, self.zc
-        qf, _ = _qform(theta[6:], v_c)
-        return qf + zc @ theta_d_from_l(theta[:6])
-
-    def constraint_gradients(self, theta):
-        v_c, zc = self.v_c, self.zc
-        A = np.empty((v_c.shape[0], 24))
-        A[:, :6] = zc @ jacobian_l(theta[:6])
-        u = v_c @ theta[6:].reshape(3, 6).T
-        A[:, 6:] = 2.0 * (u[:, :, None] * v_c[:, None, :]).reshape(v_c.shape[0], 18)
-        return A
 
     def constraint_curvature(self, lam):
         """sum_j lam_j d^2 g_j / d theta^2 (block diagonal)."""
@@ -425,7 +437,7 @@ def predict_signal(params: ModelParams, design: DesignMatrices):
     emitted; this only happens for parameters violating the
     monotone-decay constraint, where the model itself is unphysical.
     """
-    eta_d, eta_q, _ = ExponentModel(design).exponent(params.L, params.theta_q)
+    eta_d, eta_q = ExponentModel(design).exponent(params.L, params.theta_q)
     expo = eta_d + eta_q
     n_clamped = int(np.sum(expo > EXP_CAP))
     if n_clamped:

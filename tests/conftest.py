@@ -15,7 +15,7 @@ import scipy.linalg
 from scipy.special import i0e
 
 from dkimle.barrier import BarrierProblem
-from dkimle.tensors import second_derivative_contraction
+from dkimle.tensors import jacobian_l, second_derivative_contraction, theta_d_from_l
 
 
 W_INDEX = [
@@ -173,29 +173,54 @@ def kron_constraint_curvature(model, lam):
 
 def reference_tensor_problem(model, loss):
     """:func:`dkimle.estimators.tensor_problem` without its memo: every
-    callable evaluates the exponent afresh, and the curvature comes from
-    the np.kron oracles."""
+    callable evaluates afresh what it needs, in the separate forms of one
+    pass per quantity (the exponent over all rows; the constraints and
+    their gradients from a quadratic form of their own over the b > 0
+    rows), and the curvature comes from the np.kron oracles."""
+    design, v_c, zc = model.design, model.v_c, model.zc
+
+    def exponent(theta):
+        u = design.v @ theta[6:].reshape(3, 6).T
+        return design.z_d @ theta_d_from_l(theta[:6]), model.c * np.einsum("mi,mi->m", u, u), u
+
+    def sensitivities(theta, u):
+        m = design.m
+        out = np.empty((m, 24))
+        out[:, :6] = design.z_d @ jacobian_l(theta[:6])
+        out[:, 6:] = 2.0 * model.c[:, None] * (u[:, :, None] * design.v[:, None, :]).reshape(m, 18)
+        return out
 
     def objective(theta):
-        eta_d, eta_q, _ = model.exponent(theta[:6], theta[6:])
+        eta_d, eta_q, _ = exponent(theta)
         return loss.value(eta_d, eta_q)
 
     def gradient(theta):
-        eta_d, eta_q, u = model.exponent(theta[:6], theta[6:])
+        eta_d, eta_q, u = exponent(theta)
         d1, _ = loss.derivatives(eta_d, eta_q)
-        return model.sensitivities(theta[:6], u).T @ d1
+        return sensitivities(theta, u).T @ d1
 
     def information(theta, lam):
-        eta_d, eta_q, u = model.exponent(theta[:6], theta[6:])
+        eta_d, eta_q, u = exponent(theta)
         d1, d2 = loss.derivatives(eta_d, eta_q)
-        U = model.sensitivities(theta[:6], u)
+        U = sensitivities(theta, u)
         H = (U.T * d2) @ U + kron_curvature(model, d1, loss.curvature_in_l)
         if lam.size:
             H += kron_constraint_curvature(model, lam)
         return H
 
+    def constraints(theta):
+        u = v_c @ theta[6:].reshape(3, 6).T
+        return np.einsum("mi,mi->m", u, u) + zc @ theta_d_from_l(theta[:6])
+
+    def constraint_gradients(theta):
+        A = np.empty((v_c.shape[0], 24))
+        A[:, :6] = zc @ jacobian_l(theta[:6])
+        u = v_c @ theta[6:].reshape(3, 6).T
+        A[:, 6:] = 2.0 * (u[:, :, None] * v_c[:, None, :]).reshape(v_c.shape[0], 18)
+        return A
+
     return BarrierProblem(24, model.n_constraints, objective, gradient, information,
-                          model.constraints, model.constraint_gradients)
+                          constraints, constraint_gradients, constraints)
 
 
 def cho_regularize(H, shift):

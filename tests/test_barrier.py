@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import cho_solve
 
 from dkimle import barrier, estimators, rician
+from dkimle.protocol import build_design
 from dkimle.simulate import scenario
 from dkimle.barrier import (
     MU_MIN,
@@ -21,10 +22,13 @@ from conftest import cho_fisher_step, cho_regularize
 
 
 def quadratic_problem(c, constraints=None, constraint_grads=None, hessians=None):
-    """min 1/2 ||theta - c||^2 with optional linear/quadratic constraints."""
+    """min 1/2 ||theta - c||^2 with optional linear/quadratic constraints;
+    ``hessians`` holds the constant Hessian of each quadratic constraint
+    (None: all linear)."""
     c = np.asarray(c, dtype=float)
     d = c.size
     n = 0 if constraints is None else len(constraints)
+    hessians = [np.zeros((d, d))] * n if hessians is None else hessians
 
     def g_fun(theta):
         return np.array([gi(theta) for gi in constraints])
@@ -34,9 +38,8 @@ def quadratic_problem(c, constraints=None, constraint_grads=None, hessians=None)
 
     def info(theta, lam):
         H = np.eye(d)
-        if hessians is not None:
-            for lj, hj in zip(lam, hessians):
-                H = H + lj * hj(theta)
+        for lj, hj in zip(lam, hessians):
+            H = H + lj * hj
         return H
 
     return BarrierProblem(
@@ -47,6 +50,7 @@ def quadratic_problem(c, constraints=None, constraint_grads=None, hessians=None)
         information=info,
         constraints=g_fun if n else None,
         constraint_gradients=a_fun if n else None,
+        constraint_quadratic=lambda s: np.array([0.5 * s @ hj @ s for hj in hessians]),
     )
 
 
@@ -155,6 +159,7 @@ class TestSolve:
             information=lambda t, lam: np.array([[1e-12]]),
             constraints=lambda t: np.array([-t[0]]),
             constraint_gradients=lambda t: np.array([[-1.0]]),
+            constraint_quadratic=lambda s: np.zeros(1),
         )
         theta, diag = solve(prob, np.array([1.0]))
         assert 0 < theta[0] <= 10 * diag.final_mu
@@ -222,6 +227,7 @@ class TestSolve:
             information=lambda t, lam: np.array([[2.0]]),
             constraints=lambda t: np.array([t[0] - 1.0]),
             constraint_gradients=lambda t: np.array([[1.0]]),
+            constraint_quadratic=lambda s: np.zeros(1),
         )
         theta0 = np.array([0.0])
         assert barrier._initial_mu(prob, theta0, -prob.constraints(theta0)) == barrier.MU0
@@ -242,6 +248,7 @@ class TestSolve:
             information=lambda t, lam: np.array([[1.0]]),
             constraints=lambda t: np.array([t[0] - 100.0]),  # inactive
             constraint_gradients=lambda t: np.array([[1.0]]),
+            constraint_quadratic=lambda s: np.zeros(1),
         )
         with pytest.raises(NonConvergence) as err:
             solve(prob, np.array([1.0]))
@@ -263,6 +270,69 @@ class TestGradTol:
         for grad_tol in (0.0, -1e-6, float("nan")):
             with pytest.raises(ValueError, match="grad_tol"):
                 solve(quadratic_problem([1.0, 2.0]), np.zeros(2), grad_tol)
+
+
+def disk_problem(c):
+    """min 1/2 ||theta - c||^2 s.t. ||theta||^2 <= 1: q(s) = s^T s."""
+    return quadratic_problem(c, constraints=[lambda t: float(t @ t) - 1.0],
+                             constraint_grads=[lambda t: 2.0 * t],
+                             hessians=[2.0 * np.eye(len(c))])
+
+
+class TestSkipRule:
+    """The line search halves past a trial without evaluating it only when
+    the constraints prove it infeasible, and so accepts the point that
+    evaluating every trial accepts."""
+
+    @pytest.mark.parametrize("slack", [0.5, 1e-3, 1e-6, 1e-9, 1e-12])
+    def test_never_skips_a_feasible_alpha(self, slack):
+        """Random feasible theta of the tensor problem whose kurtosis block
+        is scaled to within ``slack`` (relative) of the decay boundary, and
+        random steps: each alpha above the bound, of the halving sequence
+        from 1 and of a dense set just above the bound, is infeasible."""
+        protocol, _, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=1)
+        design = build_design(protocol.rescaled(estimators.B_INTERNAL_SCALE))
+        model = estimators.ExponentModel(design)
+        loss = estimators.RicianSurrogate(1.0, np.ones(design.m))
+        problem = estimators.tensor_problem(model, loss)
+        rng = np.random.default_rng(20261019)
+        skipped = 0
+        for _ in range(150):
+            L = rng.normal(size=6) * 0.3
+            L[:3] = np.abs(L[:3]) + 0.7
+            tq = rng.normal(size=18)
+            # g(L; t tq) = g(L; 0) + t^2 g(0; tq): this t puts theta on the boundary
+            t = np.sqrt(np.min(-model.constraints(np.r_[L, np.zeros(18)])
+                               / model.constraints(np.r_[np.zeros(6), tq])))
+            theta = np.r_[L, tq * t * (1.0 - slack)]
+            g = problem.constraints(theta)
+            if not np.all(g < 0):
+                continue
+            step = rng.normal(size=24) * 10.0 ** rng.uniform(-3, 1)
+            bound = barrier._feasible_bound(problem, theta, step, g,
+                                            problem.constraint_gradients(theta))
+            alphas = 0.5 ** np.arange(41)
+            if np.isfinite(bound):
+                alphas = np.r_[alphas, bound * (1.0 + np.logspace(-12, 0, 25))]
+            for alpha in alphas[alphas > bound]:
+                assert np.any(model.constraints(theta - alpha * step) >= 0), (slack, alpha, bound)
+                skipped += 1
+        assert skipped > 1000
+
+    def test_disk_projection_skips_and_matches_evaluating_every_trial(self, monkeypatch):
+        """Projection of (3, 1) onto the unit disk: the constraint is
+        quadratic, trials beyond the circle are skipped, and the iterates are
+        those of the line search that evaluates every trial."""
+        c = np.array([3.0, 1.0])
+        theta, diag = solve(disk_problem(c), np.array([0.1, -0.2]))
+        np.testing.assert_allclose(theta, c / np.linalg.norm(c), atol=1e-6)
+        assert diag.trials_skipped > 0
+        monkeypatch.setattr(barrier, "_feasible_bound", lambda *args: np.inf)
+        ref, ref_diag = solve(disk_problem(c), np.array([0.1, -0.2]))
+        assert np.array_equal(theta, ref) and ref_diag.trials_skipped == 0
+        assert diag.objective_trace == ref_diag.objective_trace
+        assert diag.trials_evaluated + diag.trials_skipped == ref_diag.trials_evaluated
+        assert diag.trials_infeasible + diag.trials_skipped == ref_diag.trials_infeasible
 
 
 def counted(problem):
@@ -325,6 +395,7 @@ class TestOneEvaluationPerPoint:
             information=lambda t, lam: np.array([[1e-12]]),
             constraints=lambda t: np.array([-t[0]]),
             constraint_gradients=lambda t: np.array([[-1.0]]),
+            constraint_quadratic=lambda s: np.zeros(1),
         ), np.array([1.0])),
     }
 
@@ -373,10 +444,16 @@ class TestOneEvaluationPerPoint:
 
 
 class TestSolverWorkOnPanels:
-    """The number of tensor solves and their total inner iterations on the
-    benchmark's seed-0 accuracy panels (dataset2, 18 voxels; mle at SNR 15,
-    cwls at SNR 5).  They repeat exactly, so a change that moves them moves
-    the solver's work and has to report the new counts."""
+    """The number of tensor solves, their total inner iterations and their
+    line-search trials on the benchmark's seed-0 accuracy panels (dataset2,
+    18 voxels; mle at SNR 15, cwls at SNR 5).  They repeat exactly, so a
+    change that moves them moves the solver's work and has to report the
+    new counts.  Evaluating every trial took 16370 trials on the mle panel
+    (8312 infeasible) and 5127 on the cwls panel (947 infeasible); the
+    skip rule leaves the solves and inner iterations as they were."""
+
+    # line-search trials (evaluated, evaluated and infeasible, skipped)
+    TRIALS = {"mle": (9327, 1269, 7043), "cwls": (4680, 500, 447)}
 
     @pytest.mark.parametrize("estimator, snr, solves, inner", [
         ("mle", 15.0, 50, 3049),
@@ -385,21 +462,23 @@ class TestSolverWorkOnPanels:
     def test_solves_and_inner_iterations(self, monkeypatch, estimator, snr, solves, inner):
         protocol, rows, _ = scenario("dataset2", snr=snr, seed=0, n_voxels=18)
         original = barrier.solve
-        counts = []
+        diags = []
 
         def counting_solve(problem, theta0, grad_tol):
             try:
                 theta, diag = original(problem, theta0, grad_tol)
             except NonConvergence as exc:
-                counts.append(exc.diagnostics.inner_iterations)
+                diags.append(exc.diagnostics)
                 raise
-            counts.append(diag.inner_iterations)
+            diags.append(diag)
             return theta, diag
 
         monkeypatch.setattr(barrier, "solve", counting_solve)
         for row in rows:
             estimators.fit_voxel(row, protocol, estimator)
-        assert (len(counts), sum(counts)) == (solves, inner)
+        assert (len(diags), sum(d.inner_iterations for d in diags)) == (solves, inner)
+        assert tuple(sum(getattr(d, f"trials_{kind}") for d in diags)
+                     for kind in ("evaluated", "infeasible", "skipped")) == self.TRIALS[estimator]
 
     def test_mle_estep_count(self, monkeypatch):
         """Each EM E-step is taken once per parameter change: the E-step

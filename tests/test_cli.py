@@ -406,13 +406,21 @@ class TestMalformedInput:
         {**RECORD, "theta_w": [0.0] * 14},
         {**RECORD, "theta_w": ["a"] * 15},
         {**RECORD, "theta_d": [1e-3, 1e-3, float("nan"), 0.0, 0.0, 0.0]},
+        {**RECORD, "S0": None},
+        {**RECORD, "sigma2": None},
+        {**RECORD, "voxel": None},
+        {**RECORD, "diagnostics": []},
     ])
     def test_bad_fit_line(self, tmp_path, capsys, command, fit):
         assert self._run(tmp_path, command, fit) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 1" in err
 
-    @pytest.mark.parametrize("truth", [{**TRUTH, "colour": "red"}, {"d_app": 1e-3, "k_app": 1.0}])
+    @pytest.mark.parametrize("truth", [
+        {**TRUTH, "colour": "red"},
+        {"d_app": 1e-3, "k_app": 1.0},
+        {"kind": "tensor", "theta_d": [1e-3, 1e-3], "theta_w": [0.0] * 15},
+    ])
     def test_bad_truth_entry(self, tmp_path, capsys, truth):
         assert self._run(tmp_path, "compare", self.RECORD, truth) == 2
         err = capsys.readouterr().err

@@ -58,7 +58,7 @@ def internal_design(protocol):
 
 def exponent(params, design):
     """The (eta_D, eta_Q) pair the EM steps take, at ``params``."""
-    return ExponentModel(design).exponent(params.L, params.theta_q)[:2]
+    return ExponentModel(design).exponent(params.L, params.theta_q)
 
 
 def three_shell_protocol():
@@ -673,8 +673,8 @@ class TestTensorProblem:
     """Finite-difference checks of the problem the constrained fits solve,
     and bit-for-bit checks against the reference forms in conftest."""
 
-    def _instance(self, seed):
-        design = internal_design(three_shell_protocol())
+    def _instance(self, seed, protocol=None):
+        design = internal_design(protocol or three_shell_protocol())
         rng = np.random.default_rng(seed)
         params = feasible_params(rng, design)
         theta = np.concatenate([params.L, params.theta_q])
@@ -715,8 +715,8 @@ class TestTensorProblem:
 
     def test_constraint_gradients_match_fd(self):
         for seed in (75, 76):
-            model, _, theta, _ = self._instance(seed)
-            A = model.constraint_gradients(theta)
+            model, losses, theta, _ = self._instance(seed)
+            A = tensor_problem(model, losses["mle"]).constraint_gradients(theta)
             assert A.shape == (model.n_constraints, 24)
             h = 1e-6
             fd = np.column_stack([
@@ -751,15 +751,23 @@ class TestTensorProblem:
             )
 
     def test_memo_is_bit_identical_on_revisited_points(self):
-        """The memoized problem gives exactly what one fresh exponent per
-        call gave, on a sequence that returns to earlier points."""
-        for seed in (82, 83):
-            model, losses, a, rng = self._instance(seed)
+        """The memoized problem gives exactly what one fresh evaluation per
+        quantity gave, on a sequence that returns to earlier points; the
+        constraints and their gradients share the exponent's quadratic form
+        and Jacobian pieces also when b = 0 rows carry no constraint."""
+        with_b0 = three_shell_protocol()
+        b = np.insert(with_b0.bvals, [0, 0, 30], 0.0)
+        with_b0 = AcquisitionProtocol(b, np.insert(with_b0.bvecs, [0, 0, 30], [0.0, 0.0, 1.0], 0))
+        for seed, protocol in ((82, None), (83, None), (84, with_b0), (85, with_b0)):
+            model, losses, a, rng = self._instance(seed, protocol)
+            assert model.n_constraints == model.design.m - (3 if protocol else 0)
             b = a + 1e-3 * rng.normal(size=24)
             lam = rng.uniform(0.0, 2.0, size=model.n_constraints)
             # fresh copies, so the memo is keyed on values
-            sequence = [("gradient", a), ("objective", b), ("information", a),
-                        ("gradient", b), ("information", b), ("objective", a)]
+            sequence = [("gradient", a), ("constraints", b), ("objective", b),
+                        ("information", a), ("constraint_gradients", b), ("gradient", b),
+                        ("constraints", a), ("information", b), ("objective", a),
+                        ("constraint_gradients", a), ("constraint_quadratic", b)]
             for loss in losses.values():
                 fast, ref = tensor_problem(model, loss), reference_tensor_problem(model, loss)
                 for name, theta in sequence:
@@ -767,6 +775,21 @@ class TestTensorProblem:
                                  if name == "information" else [(theta.copy(),)]):
                         assert np.array_equal(getattr(fast, name)(*args),
                                               getattr(ref, name)(*args)), name
+
+    def test_constraints_are_quadratic_along_a_step(self):
+        """g(theta - alpha s) = g(theta) - alpha A(theta) s + alpha^2 g(s): the
+        decay constraints are a homogeneous quadratic in theta, which the
+        line search's skip rule rests on."""
+        for seed in range(86, 92):
+            model, losses, theta, rng = self._instance(seed)
+            A = tensor_problem(model, losses["mle"]).constraint_gradients(theta)
+            g = model.constraints(theta)
+            for alpha in (1e-3, 0.1, 1.0, 7.0):
+                s = rng.normal(size=24) * 10.0 ** rng.uniform(-2, 1)
+                want = model.constraints(theta - alpha * s)
+                terms = (g, -alpha * (A @ s), alpha**2 * model.constraints(s))
+                scale = np.max(np.abs(terms)) + np.max(np.abs(want))
+                assert np.max(np.abs(sum(terms) - want)) <= 1e-12 * scale
 
     def test_curvature_blocks_equal_kron(self):
         for seed in (84, 85):
@@ -780,12 +803,14 @@ class TestTensorProblem:
 
     @pytest.mark.parametrize("estimator, snr, voxel", [("cwls", 5.0, 7), ("mle", 15.0, 0)])
     def test_fit_voxel_bit_identical_to_reference(self, monkeypatch, estimator, snr, voxel):
-        """Against the uncached problem, np.kron curvature and scipy's
-        cho_factor/cho_solve, on seed-0 panel voxels of the benchmark
-        (dataset2, 18 voxels); cwls voxel 7 has a stalled solve."""
+        """Against the uncached problem, np.kron curvature, scipy's
+        cho_factor/cho_solve and a line search that evaluates every trial,
+        on seed-0 panel voxels of the benchmark (dataset2, 18 voxels); cwls
+        voxel 7 has a stalled solve."""
         protocol, rows, _ = scenario("dataset2", snr=snr, seed=0, n_voxels=18)
         fit = fit_voxel(rows[voxel], protocol, estimator)
         monkeypatch.setattr(estimators, "tensor_problem", reference_tensor_problem)
+        monkeypatch.setattr(barrier, "_feasible_bound", lambda *args: np.inf)
         monkeypatch.setattr(barrier, "regularize", cho_regularize)
         monkeypatch.setattr(barrier, "fisher_step", cho_fisher_step)
         ref = fit_voxel(rows[voxel], protocol, estimator)
