@@ -26,11 +26,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import FitOptions, FitResult, ConstraintFlags, fit_voxel
+from .estimators import B_INTERNAL_SCALE, ConstraintFlags, FitOptions, FitResult, fit_voxel
 from .metrics import evaluate, scalar_metrics
 from .protocol import AcquisitionProtocol, dump_protocol, load_protocol
 from .simulate import DEFAULT_SEED, GroundTruthVoxel, SCENARIOS, scenario
@@ -142,7 +142,7 @@ def _result_record(index: int, r: FitResult | VoxelError) -> dict:
     record["sigma2"] = float(r.sigma2)
     record["theta_d"] = [float(x) for x in r.theta_d]
     record["theta_w"] = [float(x) for x in r.theta_w]
-    record["b_scale"] = r.b_scale
+    record["b_scale"] = B_INTERNAL_SCALE
     record["metrics"] = sm.to_dict()
     record["diagnostics"] = {
         "iterations": r.em_iterations,
@@ -214,12 +214,22 @@ def _tensor_field(rec: dict, key: str, size: int, lineno: int) -> np.ndarray:
     return values
 
 
-def _number_field(rec: dict, key: str, kind, lineno: int, default=None):
-    """A fit record's number ``key`` as ``kind`` (int or float)."""
+def _number_field(rec: dict, key: str, lineno: int, default=None) -> float:
+    """A fit record's number ``key``."""
     try:
-        return kind(rec.get(key, default))
+        return float(rec.get(key, default))
     except (TypeError, ValueError, OverflowError):
         raise CliError(f"fit line {lineno}: {key} must be a number") from None
+
+
+def _json_field(rec: dict, key: str, kind, lineno: int, default=None):
+    """A fit record's ``key``, which must be a JSON integer (``kind`` int;
+    1.5 and true are not) or a JSON boolean (``kind`` bool)."""
+    value = rec.get(key, default)
+    if type(value) is not kind:
+        name = "boolean" if kind is bool else "integer"
+        raise CliError(f"fit line {lineno}: {key} must be a JSON {name}")
+    return value
 
 
 def _fits_from_jsonl(path: str):
@@ -247,21 +257,19 @@ def _fits_from_jsonl(path: str):
         if not isinstance(viol, dict):
             raise CliError(f"fit line {lineno}: diagnostics and their violations "
                            "must be JSON objects")
-        fits.append((_number_field(rec, "voxel", int, lineno), FitResult(
+        fits.append((_json_field(rec, "voxel", int, lineno), FitResult(
             estimator=rec.get("estimator", "?"),
             theta_d=_tensor_field(rec, "theta_d", 6, lineno),
             theta_w=_tensor_field(rec, "theta_w", 15, lineno),
-            s0=_number_field(rec, "S0", float, lineno),
-            sigma2=_number_field(rec, "sigma2", float, lineno),
+            s0=_number_field(rec, "S0", lineno),
+            sigma2=_number_field(rec, "sigma2", lineno),
             loglik_trace=np.zeros(0),
-            em_iterations=_number_field(diag, "iterations", int, lineno, default=0),
-            converged=bool(diag.get("converged", True)),
-            violations=ConstraintFlags(
-                d_not_pd=bool(viol.get("d_not_pd", False)),
-                kurtosis_negative=bool(viol.get("kurtosis_negative", False)),
-                decay_bound=bool(viol.get("decay_bound", False)),
-            ),
-            wall_time=_number_field(diag, "wall_time", float, lineno, default=0.0),
+            em_iterations=_json_field(diag, "iterations", int, lineno, default=0),
+            converged=_json_field(diag, "converged", bool, lineno, default=True),
+            violations=ConstraintFlags(**{
+                flag.name: _json_field(viol, flag.name, bool, lineno, default=False)
+                for flag in fields(ConstraintFlags)}),
+            wall_time=_number_field(diag, "wall_time", lineno, default=0.0),
         )))
     if skipped:
         print(f"{path}: skipped {skipped} error records", file=sys.stderr)

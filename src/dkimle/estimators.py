@@ -1,21 +1,22 @@
-"""The three per-voxel fitting pipelines: WLS, CWLS, and EM maximum
-likelihood under Rician noise.
+"""Per-voxel fitting: one driver and the steps of the WLS, CWLS and EM
+maximum-likelihood (Rician noise) estimators.
 
-WLS is a log-linear weighted least squares fit of the kurtosis signal
-model and provides starting values for everything else.  CWLS minimizes
-the same weighted log residuals under the positivity and monotone-decay
-constraints.  The EM estimator treats the latent signal phase as missing
-data: the E-step computes the conditional expectation of cos(phase)
-through the Bessel ratio, and closed-form M-steps update the amplitude
-and noise level.  Both constrained pipelines solve one constrained
-problem in the stacked tensors (L; theta_Q) (:func:`tensor_problem` on
-the :class:`ExponentModel`) by barrier Fisher scoring; only the loss
-differs.
+:func:`fit_voxel` runs the log-linear weighted least squares fit
+(:func:`wls_fit`), which is the WLS estimate; for the other two it maps
+that fit to a strictly feasible start (:func:`init_params`) and calls
+the estimator's step function.  :func:`cwls_fit` minimizes the weighted
+log residuals under the positivity and monotone-decay constraints.
+:func:`em_mle_fit` treats the latent signal phase as missing data: the
+E-step computes the conditional expectation of cos(phase) through the
+Bessel ratio, and closed-form M-steps update the amplitude and noise
+level.  Both solve one constrained problem in the stacked tensors
+(L; theta_Q) (:func:`tensor_problem` on the :class:`ExponentModel`) by
+barrier Fisher scoring; only the loss differs.
 
-All routines are unit-agnostic: they work in whatever b-units the design
-matrices were built with.  :func:`fit_voxel` is the convenience driver
-that rescales an s/mm^2 protocol to ms/um^2 internally (which keeps the
-quartic design well conditioned) and converts the results back.
+The steps work in whatever b-units the design matrices were built with.
+The driver rescales an s/mm^2 protocol to ms/um^2 (which keeps the
+quartic design well conditioned), flags constraint violations and
+converts the results back.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "em_mle_fit",
     "cwls_fit",
     "fit_voxel",
-    "constraint_values",
     "violation_flags",
     "B_INTERNAL_SCALE",
 ]
@@ -155,9 +155,9 @@ class ConstraintFlags:
 
 @dataclass
 class FitOptions:
-    """The sweep budget of EM-MLE and the score tolerance of the tensor
-    solves of CWLS and EM-MLE (``dkimle fit --max-sweeps/--grad-tol``).
-    CWLS always takes two solves and reports two iterations."""
+    """The settings the driver passes to the step functions: the sweep
+    budget of EM-MLE and the score tolerance of the CWLS and EM-MLE tensor
+    solves (``dkimle fit --max-sweeps/--grad-tol``; CWLS always takes two)."""
 
     max_sweeps: int = 50
     grad_tol: float = barrier.GRAD_TOL
@@ -182,7 +182,6 @@ class FitResult:
     converged: bool = True
     violations: ConstraintFlags = field(default_factory=ConstraintFlags)
     wall_time: float = 0.0
-    b_scale: float = 1.0
 
     @property
     def snr(self) -> float:
@@ -251,19 +250,6 @@ def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
 
 # ---------------------------------------------------------------------------
 # the signal exponent and the tensor subproblem
-
-def constraint_values(theta_d, theta_q, design: DesignMatrices):
-    """g_j = (6/b^2) theta_Q^T P_j theta_Q + (3/b^2) Z_Dj theta_D for b > 0 rows.
-
-    Returns (g, mask) where mask selects the b > 0 acquisitions;
-    g <= 0 is the directional monotone-decay constraint
-    K_app <= 3 / (b D_app).
-    """
-    rows = design.decay_rows
-    q, _ = _qform(theta_q, rows.v)
-    g = q + rows.three_over_b2 * (rows.z_d @ np.asarray(theta_d))
-    return g, rows.mask
-
 
 class RicianSurrogate:
     """The EM objective times sigma^2 as a function of the exponent,
@@ -393,7 +379,7 @@ def em_estep(params: ModelParams, y, eta) -> AugmentedState:
     return AugmentedState(np.minimum(cos, np.nextafter(1.0, 0.0)))
 
 
-def em_mstep_s0(state: AugmentedState, params: ModelParams, y, eta) -> float:
+def em_mstep_s0(state: AugmentedState, y, eta) -> float:
     """Closed-form amplitude update S0 = sum tau zeta psi / sum zeta^2 psi^2."""
     eta_d, eta_q = eta
     zeta, psi = np.exp(eta_d), np.exp(eta_q)
@@ -464,16 +450,15 @@ def init_params(wls: WlsFit, design: DesignMatrices) -> ModelParams:
     Q, _ = factor_kurtosis(theta_w, theta_q.reshape(3, 6).T / md)
     theta_q = md * Q.T.reshape(18)
 
-    g, _ = constraint_values(theta_d, theta_q, design)
-    if g.size:
-        q_part, _ = _qform(theta_q, design.decay_rows.v)
-        bound = q_part - g  # the positive 3 D_app / b term
-        tight = q_part > (1.0 - INIT_MARGIN) * bound
-        if np.any(tight):
-            with np.errstate(divide="ignore"):
-                ratio = np.where(q_part > 0, (1.0 - INIT_MARGIN) * bound / q_part, np.inf)
-            shrink = float(np.sqrt(np.clip(np.min(ratio), 0.0, 1.0)))
-            theta_q = theta_q * shrink
+    # the decay constraints g_j = q_j + (3/b_j^2) Z_Dj theta_D, b_j > 0
+    rows = design.decay_rows
+    q_part, _ = _qform(theta_q, rows.v)
+    g = q_part + rows.three_over_b2 * (rows.z_d @ theta_d)
+    bound = q_part - g  # the positive 3 D_app / b term
+    if np.any(q_part > (1.0 - INIT_MARGIN) * bound):
+        with np.errstate(divide="ignore"):
+            ratio = np.where(q_part > 0, (1.0 - INIT_MARGIN) * bound / q_part, np.inf)
+        theta_q = theta_q * float(np.sqrt(np.clip(np.min(ratio), 0.0, 1.0)))
 
     return ModelParams(L, theta_q, max(wls.s0, 1e-30), max(wls.sigma2, 1e-30))
 
@@ -513,51 +498,35 @@ def violation_flags(theta_d, theta_w, design: DesignMatrices) -> ConstraintFlags
 
 
 # ---------------------------------------------------------------------------
-# full pipelines
+# the estimators' own steps
 
-def _constrained_result(estimator, params, sigma2, trace, sweeps, converged, design,
-                        start) -> FitResult:
-    theta_d, theta_w = params.theta_d, params.theta_w
-    return FitResult(estimator, theta_d, theta_w, params.s0, sigma2, params=params,
-                     loglik_trace=np.asarray(trace), em_iterations=sweeps, converged=converged,
-                     violations=violation_flags(theta_d, theta_w, design),
-                     wall_time=time.perf_counter() - start)
+def em_mle_fit(data: VoxelData, params: ModelParams, model: ExponentModel,
+               options: FitOptions):
+    """The EM-MLE steps of one voxel, from the start ``params``.
 
+    An E-step; then sweeps of { closed-form amplitude/noise updates, each
+    followed by an E-step, to their joint fixed point; the constrained
+    update of (L, theta_Q) (:func:`update_tensors`); an E-step and the
+    surrogate evaluation } until the surrogate change falls below
+    tolerance.  The exponent, from ``model``, and each E-step serve every
+    step up to the next parameter change, so neither is evaluated twice
+    at the same parameters.  A sweep that would decrease the surrogate is
+    undone and ends the fit, so the recorded trace is non-decreasing.
 
-def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None) -> FitResult:
-    """EM maximum-likelihood fit of one voxel.
-
-    Pipeline: WLS initialization and an E-step; then sweeps of
-    { closed-form amplitude/noise updates, each followed by an E-step, to
-    their joint fixed point; the constrained update of (L, theta_Q)
-    (:func:`update_tensors`); an E-step and the surrogate evaluation }
-    until the surrogate change falls below tolerance.  The exponent, from
-    the fit's one :class:`ExponentModel`, and each E-step serve every step
-    up to the next parameter change, so neither is evaluated twice at the
-    same parameters.  A sweep that would decrease the surrogate is
-    undone and ends the fit, so the recorded trace is non-decreasing.  A
-    b0-only protocol identifies S0 alone and gets the flagged WLS fit.
+    Returns (params, reported sigma^2, surrogate trace, sweeps, converged).
     """
-    opts = options or FitOptions()
-    start = time.perf_counter()
     y = data.y
-
-    wls = wls_fit(data, design)
-    if wls.underdetermined:
-        return _wls_result("mle", wls, design, start)
-    params = init_params(wls, design)
-    model = ExponentModel(design)
     eta = model.exponent(params.L, params.theta_q)
 
     trace = []
     stopped = solved = False
     sweeps = 0
     state = em_estep(params, y, eta)
-    for sweeps in range(1, opts.max_sweeps + 1):
+    for sweeps in range(1, options.max_sweeps + 1):
         checkpoint, checkpoint_solved = params.copy(), solved
 
         for _ in range(MAX_INNER_EM):
-            s0_new = em_mstep_s0(state, params, y, eta)
+            s0_new = em_mstep_s0(state, y, eta)
             rel_s0 = abs(s0_new - params.s0) / max(abs(params.s0), 1e-30)
             params.s0 = max(s0_new, 1e-30)
             sig_new = em_mstep_sigma2(state, params, y, eta)
@@ -567,7 +536,8 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
             if max(rel_s0, rel_sig) < TOL_INNER:
                 break
 
-        params.L, params.theta_q, solved = update_tensors(params, state, y, model, opts.grad_tol)
+        params.L, params.theta_q, solved = update_tensors(params, state, y, model,
+                                                          options.grad_tol)
         eta = model.exponent(params.L, params.theta_q)
 
         state = em_estep(params, y, eta)
@@ -585,63 +555,42 @@ def em_mle_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = No
     # the recursion divides by 2(m-1), which ignores the 22 fitted mean
     # parameters and inflates the apparent SNR at small m; report the WLS
     # degrees-of-freedom convention (params.sigma2 keeps the fixed point)
-    m = data.m
-    sigma2_report = params.sigma2 * (m - 1) / max(m - _N_PARAMS, 1)
-    return _constrained_result("mle", params, sigma2_report, trace, sweeps,
-                               stopped and solved, design, start)
+    sigma2_report = params.sigma2 * (data.m - 1) / max(data.m - _N_PARAMS, 1)
+    return params, sigma2_report, trace, sweeps, stopped and solved
 
 
-def cwls_fit(data: VoxelData, design: DesignMatrices, options: FitOptions = None) -> FitResult:
-    """Constrained weighted least squares fit of one voxel.
+def cwls_fit(data: VoxelData, params: ModelParams, model: ExponentModel,
+             options: FitOptions):
+    """The CWLS steps of one voxel, from the start ``params``.
 
     Minimizes the weighted log residuals (:class:`LogResidual`,
     w_j = Y_j^2/S0^2, zero magnitudes excluded) over (L, theta_Q) under
-    the decay constraints, with S0 and sigma^2 held at their WLS values.
-    The loss is fixed, so the fit is two constrained Fisher-scoring
-    solves, the second started from the first's result: the restart
-    gives the final subproblem a fresh barrier parameter, which on a few
-    voxels moves the result by ~1e-10 relative.  ``converged`` is the
-    second solve's flag, ``loglik_trace`` holds -f after each solve and
-    ``em_iterations`` is 2.  A b0-only protocol gets the flagged WLS fit.
-    """
-    opts = options or FitOptions()
-    start = time.perf_counter()
+    the decay constraints, with S0 and sigma^2 held at their start
+    values.  The loss is fixed, so the fit is two constrained
+    Fisher-scoring solves, the second started from the first's result:
+    the restart gives the final subproblem a fresh barrier parameter,
+    which on a few voxels moves the result by ~1e-10 relative.
 
-    wls = wls_fit(data, design)
-    if wls.underdetermined:
-        return _wls_result("cwls", wls, design, start)
-    params = init_params(wls, design)
+    Returns (params, sigma^2, [-f after each solve], 2, the second
+    solve's converged flag).
+    """
     s0 = params.s0
     rows = (~data.zero_mask).nonzero()[0]
     loss = LogResidual(float(np.log(s0)), data.y[rows] ** 2 / (s0 * s0),
-                       np.log(data.y[rows]), rows, design.m)
-    problem = tensor_problem(ExponentModel(design), loss)
+                       np.log(data.y[rows]), rows, data.m)
+    problem = tensor_problem(model, loss)
 
     theta = np.concatenate([params.L, params.theta_q])
     trace = []
     for _ in range(2):
-        theta, diag = _solve(problem, theta, opts.grad_tol)
+        theta, diag = _solve(problem, theta, options.grad_tol)
         trace.append(-problem.objective(theta))
     params.L, params.theta_q = theta[:6], theta[6:]
-    return _constrained_result("cwls", params, params.sigma2, trace, 2, diag.converged,
-                               design, start)
+    return params, params.sigma2, trace, 2, diag.converged
 
 
-def _wls_result(estimator, wls, design, start) -> FitResult:
-    """The unconstrained WLS fit as a result; on a b0-only protocol every
-    estimator returns this flagged, not converged fit."""
-    theta_w = wls.theta_w()
-    return FitResult(
-        estimator=estimator,
-        theta_d=wls.theta_d,
-        theta_w=theta_w,
-        s0=wls.s0,
-        sigma2=wls.sigma2,
-        converged=not wls.underdetermined,
-        violations=violation_flags(wls.theta_d, theta_w, design),
-        wall_time=time.perf_counter() - start,
-    )
-
+# ---------------------------------------------------------------------------
+# the driver
 
 @lru_cache(maxsize=8)
 def _internal_design(bvals: bytes, bvecs: bytes) -> DesignMatrices:
@@ -657,27 +606,35 @@ def _internal_design(bvals: bytes, bvecs: bytes) -> DesignMatrices:
 
 def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
               options: FitOptions = None) -> FitResult:
-    """Fit one voxel from a protocol in s/mm^2 units.
+    """Fit one voxel from a protocol in s/mm^2 units; the one driver of
+    the ``wls``, ``cwls`` and ``mle`` estimators.
 
-    Rescales b by 1e-3 internally (so the quartic design is O(1)),
-    dispatches to the requested estimator and converts the diffusion
-    block back to mm^2/s.  ``estimator`` is one of ``wls``, ``cwls``,
-    ``mle``.
+    Rescales b by 1e-3 internally (so the quartic design is O(1)) and runs
+    :func:`wls_fit`.  That fit is the result for ``wls``, and for every
+    estimator on a b0-only protocol, which identifies S0 alone (flagged
+    not converged).  Otherwise :func:`init_params` turns it into a
+    feasible start and the estimator's step function, :func:`cwls_fit` or
+    :func:`em_mle_fit`, fits on one :class:`ExponentModel` of the design.
+    The violation flags are checked in the internal units, and the
+    diffusion block is converted back to mm^2/s.
     """
     start = time.perf_counter()
+    if estimator not in ("wls", "cwls", "mle"):
+        raise ValueError(f"unknown estimator {estimator!r}")
     data = y if isinstance(y, VoxelData) else VoxelData(np.asarray(y, dtype=float))
     design = _internal_design(protocol.bvals.tobytes(), protocol.bvecs.tobytes())
 
-    if estimator == "wls":
-        result = _wls_result("wls", wls_fit(data, design), design, start)
-    elif estimator == "cwls":
-        result = cwls_fit(data, design, options)
-    elif estimator == "mle":
-        result = em_mle_fit(data, design, options)
+    wls = wls_fit(data, design)
+    if estimator == "wls" or wls.underdetermined:
+        params, theta_d, theta_w, s0 = None, wls.theta_d, wls.theta_w(), wls.s0
+        sigma2, trace, sweeps, converged = wls.sigma2, [], 0, not wls.underdetermined
     else:
-        raise ValueError(f"unknown estimator {estimator!r}")
+        step = cwls_fit if estimator == "cwls" else em_mle_fit
+        params, sigma2, trace, sweeps, converged = step(
+            data, init_params(wls, design), ExponentModel(design), options or FitOptions())
+        theta_d, theta_w, s0 = params.theta_d, params.theta_w, params.s0
 
-    result.theta_d = result.theta_d * B_INTERNAL_SCALE
-    result.b_scale = B_INTERNAL_SCALE
-    result.wall_time = time.perf_counter() - start
-    return result
+    return FitResult(estimator, theta_d * B_INTERNAL_SCALE, theta_w, s0, sigma2, params=params,
+                     loglik_trace=np.asarray(trace, dtype=float), em_iterations=sweeps,
+                     converged=converged, violations=violation_flags(theta_d, theta_w, design),
+                     wall_time=time.perf_counter() - start)

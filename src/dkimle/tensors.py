@@ -359,8 +359,8 @@ class ExponentModel:
     Z_Dj theta_D(L) + theta_Q^T P_j theta_Q, a function of the stacked
     theta = (L; theta_Q) of length 24; its two terms are returned apart so
     that each caller keeps its order of floating-point operations.  The
-    decay constraints are :func:`dkimle.estimators.constraint_values` as
-    functions of theta, a homogeneous quadratic in theta.  One quadratic
+    decay constraints g_j = (6/b^2) theta_Q^T P_j theta_Q + (3/b^2) Z_Dj
+    theta_D <= 0 (b_j > 0) are a homogeneous quadratic in theta.  One quadratic
     form and one theta_D(L) per point serve both the exponent and the
     constraints, and one d theta_D / d L and one u (x) v product serve
     both Jacobians.

@@ -38,9 +38,6 @@ from dkimle.estimators import (
     LogResidual,
     RicianSurrogate,
     VoxelData,
-    constraint_values,
-    cwls_fit,
-    em_mle_fit,
     fit_voxel,
     tensor_problem,
 )
@@ -87,7 +84,7 @@ def feasible_point(rng, design):
     L[:3] = np.abs(L[:3]) + 0.7
     theta_q = rng.normal(size=18) * 0.3
     for _ in range(40):
-        g, _ = constraint_values(theta_d_from_l(L), theta_q, design)
+        g = ExponentModel(design).constraints(np.concatenate([L, theta_q]))
         if np.all(g < -1e-3):
             break
         theta_q *= 0.7
@@ -228,12 +225,11 @@ class TestCriterion03NoiselessIdentifiability:
 class TestCriterion04EmAscent:
     def test_fifty_noisy_voxels(self):
         protocol, rows, truths = scenario("dataset3", seed=41, n_voxels=50)
-        design = build_design(protocol.rescaled(B_INTERNAL_SCALE))
         t0 = time.perf_counter()
         iters = []
         worst_drop = 0.0
         for i in range(50):
-            fit = em_mle_fit(VoxelData(rows[i]), design)
+            fit = fit_voxel(VoxelData(rows[i]), protocol, "mle")
             iters.append(fit.em_iterations)
             d = np.diff(fit.loglik_trace)
             if d.size:
@@ -318,7 +314,7 @@ class TestCriterion05Derivatives:
 class TestCriterion06ConstraintSuite:
     def test_two_hundred_fits(self):
         protocol, rows, truths = scenario("dataset3", seed=77, n_voxels=100)
-        design = build_design(protocol.rescaled(B_INTERNAL_SCALE))
+        model = ExponentModel(build_design(protocol.rescaled(B_INTERNAL_SCALE)))
         dirs = np.array([random_unit(np.random.default_rng(5)) for _ in range(1000)])
         v_dirs = np.array([vvec(g) for g in dirs])
         checked = 0
@@ -326,18 +322,19 @@ class TestCriterion06ConstraintSuite:
         worst_quartic = np.inf
         worst_g = -np.inf
         for i in range(100):
-            for fitter in (cwls_fit, em_mle_fit):
-                fit = fitter(VoxelData(rows[i]), design)
+            for estimator in ("cwls", "mle"):
+                fit = fit_voxel(VoxelData(rows[i]), protocol, estimator)
+                theta_d = fit.params.theta_d
                 D = np.array([
-                    [fit.theta_d[0], fit.theta_d[3], fit.theta_d[4]],
-                    [fit.theta_d[3], fit.theta_d[1], fit.theta_d[5]],
-                    [fit.theta_d[4], fit.theta_d[5], fit.theta_d[2]],
+                    [theta_d[0], theta_d[3], theta_d[4]],
+                    [theta_d[3], theta_d[1], theta_d[5]],
+                    [theta_d[4], theta_d[5], theta_d[2]],
                 ])
                 worst_eig = min(worst_eig, float(np.linalg.eigvalsh(D).min()))
-                md = mean_diffusivity(fit.theta_d)
+                md = fit.params.md
                 G = gram_from_q(fit.params.theta_q, md)
                 worst_quartic = min(worst_quartic, float(np.min(np.einsum("ni,ij,nj->n", v_dirs, G, v_dirs))))
-                g, _ = constraint_values(fit.theta_d, fit.params.theta_q, design)
+                g = model.constraints(np.concatenate([fit.params.L, fit.params.theta_q]))
                 worst_g = max(worst_g, float(np.max(g)))
                 checked += 1
         ok = (

@@ -13,7 +13,7 @@ from dkimle.cli import (
     load_voxel_table,
     main,
 )
-from dkimle.estimators import fit_voxel
+from dkimle.estimators import B_INTERNAL_SCALE, fit_voxel
 from dkimle.simulate import scenario
 
 
@@ -152,6 +152,7 @@ class TestFitCommand:
         assert len(rec["thetaQ"]) == 18
         assert rec["S0"] > 0 and rec["sigma2"] > 0
         assert rec["diagnostics"]["iterations"] >= 1
+        assert rec["b_scale"] == B_INTERNAL_SCALE
 
     @pytest.mark.parametrize("estimator", ["wls", "cwls", "mle"])
     def test_b0_only_protocol_writes_unconverged_records(self, tmp_path, capsys, estimator):
@@ -409,7 +410,15 @@ class TestMalformedInput:
         {**RECORD, "S0": None},
         {**RECORD, "sigma2": None},
         {**RECORD, "voxel": None},
+        {**RECORD, "voxel": 1.5},
+        {**RECORD, "voxel": True},
+        {**RECORD, "voxel": "0"},
         {**RECORD, "diagnostics": []},
+        {**RECORD, "diagnostics": {"iterations": 2.5}},
+        {**RECORD, "diagnostics": {"converged": "false"}},
+        {**RECORD, "diagnostics": {"converged": 0}},
+        {**RECORD, "diagnostics": {"violations": {"d_not_pd": "false"}}},
+        {**RECORD, "diagnostics": {"violations": {"decay_bound": None}}},
     ])
     def test_bad_fit_line(self, tmp_path, capsys, command, fit):
         assert self._run(tmp_path, command, fit) == 2

@@ -13,10 +13,7 @@ from dkimle.estimators import (
     RankDeficient,
     RicianSurrogate,
     VoxelData,
-    constraint_values,
-    cwls_fit,
     em_estep,
-    em_mle_fit,
     em_mstep_s0,
     em_mstep_sigma2,
     fit_voxel,
@@ -42,6 +39,7 @@ from dkimle.tensors import (
 from conftest import (
     cho_fisher_step,
     cho_regularize,
+    dense_p_matrix,
     fd_gradient,
     fd_hessian,
     kron_constraint_curvature,
@@ -59,6 +57,11 @@ def internal_design(protocol):
 def exponent(params, design):
     """The (eta_D, eta_Q) pair the EM steps take, at ``params``."""
     return ExponentModel(design).exponent(params.L, params.theta_q)
+
+
+def decay_constraints(L, theta_q, design):
+    """The decay constraints g of ``design`` at (L, theta_Q)."""
+    return ExponentModel(design).constraints(np.concatenate([L, theta_q]))
 
 
 def three_shell_protocol():
@@ -83,7 +86,7 @@ def feasible_params(rng, design, scale=0.3):
     theta_q = rng.normal(size=18) * scale
     # shrink until strictly feasible
     for _ in range(40):
-        g, _ = constraint_values(theta_d_from_l(L), theta_q, design)
+        g = decay_constraints(L, theta_q, design)
         if np.all(g < -1e-3):
             break
         theta_q *= 0.7
@@ -186,7 +189,7 @@ class TestInitParams:
         wls.theta_w_scaled = np.zeros(15)
         params = init_params(wls, design)
         np.testing.assert_allclose(params.theta_q, 0.0, atol=0)
-        g, _ = constraint_values(params.theta_d, params.theta_q, design)
+        g = decay_constraints(params.L, params.theta_q, design)
         assert np.all(g < 0)
 
     def test_rank3_gram_roundtrip(self, rng):
@@ -233,7 +236,7 @@ class TestInitParams:
             vox = simulate_voxel(gt, protocol, 1.0, 1.0 / 5.0, np.random.default_rng(seed))
             wls = wls_fit(vox, design)
             params = init_params(wls, design)
-            g, _ = constraint_values(params.theta_d, params.theta_q, design)
+            g = decay_constraints(params.L, params.theta_q, design)
             assert np.all(g < 0)
 
 
@@ -282,7 +285,7 @@ class TestMSteps:
         params.L = np.zeros(6) + 1e-12
         params.theta_q = np.zeros(18)
         tau = y * state.cos_phi
-        s0 = em_mstep_s0(state, params, y, exponent(params, design))
+        s0 = em_mstep_s0(state, y, exponent(params, design))
         assert s0 == pytest.approx(float(np.mean(tau)), rel=1e-12)
 
     def test_noiseless_exact_amplitude(self):
@@ -295,7 +298,7 @@ class TestMSteps:
             1e-12,
         )
         state = AugmentedState(np.full(design.m, np.nextafter(1.0, 0.0)))
-        s0 = em_mstep_s0(state, params, vox.y, exponent(params, design))
+        s0 = em_mstep_s0(state, vox.y, exponent(params, design))
         assert s0 == pytest.approx(1.0, rel=1e-5)
 
     def test_s0_maximizes_surrogate(self):
@@ -310,7 +313,7 @@ class TestMSteps:
 
         best = minimize_scalar(neg, bounds=(1e-6, 10.0), method="bounded",
                                options={"xatol": 1e-12})
-        s0 = em_mstep_s0(state, params, y, exponent(params, design))
+        s0 = em_mstep_s0(state, y, exponent(params, design))
         assert s0 == pytest.approx(best.x, rel=1e-6)
 
     def test_sigma2_formula_and_convention(self):
@@ -348,7 +351,7 @@ class TestMSteps:
         design, params, y, state = self._instance(16)
         params.L = np.full(6, 1e3)  # attenuation underflows every row
         with pytest.raises(DegenerateVoxel):
-            em_mstep_s0(state, params, y, exponent(params, design))
+            em_mstep_s0(state, y, exponent(params, design))
 
 
 def block_objectives(problem, params, scale=1.0):
@@ -467,8 +470,8 @@ class TestTensorUpdates:
         gt = dkimle.GroundTruthVoxel(kind="isotropic", d_app=d_iso, k_app=k_app)
         rng = np.random.default_rng(0)
         vox = simulate_voxel(gt, protocol, 1.0, 1.0 / 25.0, rng)
-        fit = em_mle_fit(vox, design)
-        g, _ = constraint_values(fit.theta_d, fit.params.theta_q, design)
+        fit = fit_voxel(vox, protocol, "mle")
+        g = decay_constraints(fit.params.L, fit.params.theta_q, design)
         assert np.all(g <= 1e-6)
 
 
@@ -486,7 +489,7 @@ class TestEmMleFit:
         for seed in range(4):
             gt = random_tensor_truth(np.random.default_rng(seed), protocol)
             vox = simulate_voxel(gt, protocol, 1.0, 1.0 / 10.0, np.random.default_rng(seed))
-            fit = em_mle_fit(vox, internal_design(protocol))
+            fit = fit_voxel(vox, protocol, "mle")
             diffs = np.diff(fit.loglik_trace)
             assert diffs.size == 0 or diffs.min() >= -1e-8
 
@@ -495,12 +498,12 @@ class TestEmMleFit:
         design = internal_design(protocol)
         gt = random_tensor_truth(np.random.default_rng(50), protocol)
         vox = simulate_voxel(gt, protocol, 1.0, 1.0 / 8.0, np.random.default_rng(51))
-        fit = em_mle_fit(vox, design)
-        vals = np.linalg.eigvalsh(dkimle.tensors.d_matrix(fit.theta_d)) if hasattr(dkimle, "tensors") else None
-        md = mean_diffusivity(fit.theta_d)
+        fit = fit_voxel(vox, protocol, "mle")
+        vals = np.linalg.eigvalsh(dkimle.tensors.d_matrix(fit.params.theta_d)) if hasattr(dkimle, "tensors") else None
+        md = fit.params.md
         G = gram_from_q(fit.params.theta_q, md)
         assert np.linalg.eigvalsh(G).min() >= -1e-10
-        g, _ = constraint_values(fit.theta_d, fit.params.theta_q, design)
+        g = decay_constraints(fit.params.L, fit.params.theta_q, design)
         assert np.all(g <= 1e-8)
 
 
@@ -515,7 +518,7 @@ class TestCwlsFit:
         protocol = three_shell_protocol()
         gt = random_tensor_truth(np.random.default_rng(60), protocol)
         vox = simulate_voxel(gt, protocol, 1.0, 1.0 / 12.0, np.random.default_rng(61))
-        fit = cwls_fit(vox, internal_design(protocol))
+        fit = fit_voxel(vox, protocol, "cwls")
         diffs = np.diff(fit.loglik_trace)
         assert diffs.size == 0 or diffs.min() >= -1e-10
 
@@ -662,7 +665,6 @@ class TestFitVoxelUnits:
     def test_output_units_are_protocol_units(self):
         protocol, gt, vox = noiseless_voxel(44)
         fit = fit_voxel(vox, protocol, "wls")
-        assert fit.b_scale == B_INTERNAL_SCALE
         # ground truth is stored in mm^2/s and so is the fit output
         np.testing.assert_allclose(fit.theta_d, gt.theta_d, rtol=1e-6)
         md = mean_diffusivity(fit.theta_d)
@@ -725,9 +727,13 @@ class TestTensorProblem:
             ])
             np.testing.assert_allclose(A, fd, rtol=1e-6, atol=1e-8)
 
-    def test_constraints_agree_with_constraint_values(self):
+    def test_constraints_agree_with_the_printed_form(self):
+        """g_j = (6/b^2) theta_Q^T P_j theta_Q + (3/b^2) Z_Dj theta_D on the
+        b > 0 rows, with P_j the dense 18 x 18 matrix."""
         model, _, theta, _ = self._instance(77)
-        g, _ = constraint_values(theta_d_from_l(theta[:6]), theta[6:], model.design)
+        design, theta_d, theta_q = model.design, theta_d_from_l(theta[:6]), theta[6:]
+        g = [6.0 / b**2 * (theta_q @ dense_p_matrix(v, b) @ theta_q) + 3.0 / b**2 * (z @ theta_d)
+             for v, b, z in zip(design.v, design.b, design.z_d) if b > 0]
         np.testing.assert_allclose(model.constraints(theta), g, rtol=1e-12, atol=1e-14)
 
     def test_constraint_curvature_matches_fd(self):
@@ -845,7 +851,7 @@ class TestSolveFailures:
 
 class TestConvergedFlag:
     def _scripted_mle(self, monkeypatch, solved_flags, logliks):
-        """em_mle_fit with the tensor solves' flags and the surrogate
+        """An EM-MLE fit with the tensor solves' flags and the surrogate
         values of each sweep scripted."""
         real_update = estimators.update_tensors
         flags, values = iter(solved_flags), iter(logliks)
@@ -857,7 +863,7 @@ class TestConvergedFlag:
         monkeypatch.setattr(estimators, "update_tensors", update)
         monkeypatch.setattr(estimators, "joint_loglik", lambda *args: next(values))
         protocol, gt, vox = noiseless_voxel(47)
-        return em_mle_fit(vox, internal_design(protocol))
+        return fit_voxel(vox, protocol, "mle")
 
     def test_mle_flag_follows_the_last_solve(self, monkeypatch):
         fit = self._scripted_mle(monkeypatch, [True, False], [0.0, 0.0])
@@ -873,13 +879,12 @@ class TestConvergedFlag:
 
     def test_mle_without_stopping_is_not_converged(self, monkeypatch):
         protocol, gt, vox = noiseless_voxel(47)
-        fit = em_mle_fit(vox, internal_design(protocol), dkimle.FitOptions(max_sweeps=1))
+        fit = fit_voxel(vox, protocol, "mle", dkimle.FitOptions(max_sweeps=1))
         assert fit.em_iterations == 1 and not fit.converged
 
     def test_cwls_flag_follows_the_solver(self, monkeypatch):
         protocol, gt, vox = noiseless_voxel(48)
-        design = internal_design(protocol)
-        honest = cwls_fit(vox, design)
+        honest = fit_voxel(vox, protocol, "cwls")
         assert honest.converged
         real_solve = barrier.solve
 
@@ -889,7 +894,7 @@ class TestConvergedFlag:
             return theta, diag
 
         monkeypatch.setattr(barrier, "solve", short)
-        flagged = cwls_fit(vox, design)
+        flagged = fit_voxel(vox, protocol, "cwls")
         assert not flagged.converged
         np.testing.assert_array_equal(flagged.theta_d, honest.theta_d)
 
@@ -918,3 +923,48 @@ class TestConvergedFlag:
             fit = fit_voxel(y, protocol, estimator)
             assert not fit.converged, estimator
             assert fit.s0 == pytest.approx(3.0, rel=1e-2)
+
+
+class TestDriver:
+    """``fit_voxel`` is the one driver: it runs the WLS fit and the
+    violation check once per voxel for every estimator, and the start and
+    the estimator's own step function once per constrained voxel."""
+
+    STEPS = ("wls_fit", "init_params", "cwls_fit", "em_mle_fit", "violation_flags")
+
+    def _counting(self, monkeypatch):
+        calls = dict.fromkeys(self.STEPS, 0)
+        for name in self.STEPS:
+            def counted(*args, _real=getattr(estimators, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(estimators, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("estimator", ["wls", "cwls", "mle"])
+    def test_each_step_runs_once_per_voxel(self, monkeypatch, estimator):
+        protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=2)
+        calls = self._counting(monkeypatch)
+        for y in rows:
+            fit_voxel(y, protocol, estimator)
+        constrained = 0 if estimator == "wls" else 2
+        assert calls == {"wls_fit": 2, "init_params": constrained,
+                         "cwls_fit": constrained if estimator == "cwls" else 0,
+                         "em_mle_fit": constrained if estimator == "mle" else 0,
+                         "violation_flags": 2}
+
+    @pytest.mark.parametrize("estimator", ["wls", "cwls", "mle"])
+    def test_b0_only_protocol_stops_after_wls(self, monkeypatch, estimator):
+        protocol = AcquisitionProtocol(np.zeros(25), np.tile([1.0, 0, 0], (25, 1)))
+        y = 3.0 + 0.01 * np.random.default_rng(5).normal(size=25)
+        calls = self._counting(monkeypatch)
+        fit_voxel(y, protocol, estimator)
+        assert calls == {"wls_fit": 1, "init_params": 0, "cwls_fit": 0, "em_mle_fit": 0,
+                         "violation_flags": 1}
+
+    def test_unknown_estimator_raises_before_any_step(self, monkeypatch):
+        protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=1)
+        calls = self._counting(monkeypatch)
+        with pytest.raises(ValueError, match="unknown estimator 'ls'"):
+            fit_voxel(rows[0], protocol, "ls")
+        assert calls == dict.fromkeys(self.STEPS, 0)
