@@ -727,7 +727,7 @@ class TestTensorProblem:
             ])
             np.testing.assert_allclose(A, fd, rtol=1e-6, atol=1e-8)
 
-    def test_constraints_agree_with_the_printed_form(self):
+    def test_constraints_agree_with_constraint_values(self):
         """g_j = (6/b^2) theta_Q^T P_j theta_Q + (3/b^2) Z_Dj theta_D on the
         b > 0 rows, with P_j the dense 18 x 18 matrix."""
         model, _, theta, _ = self._instance(77)
