@@ -32,7 +32,7 @@ import numpy as np
 
 from .estimators import B_INTERNAL_SCALE, ConstraintFlags, FitOptions, FitResult, fit_voxel
 from .metrics import evaluate, scalar_metrics
-from .protocol import AcquisitionProtocol, dump_protocol, load_protocol
+from .protocol import AcquisitionProtocol, dump_protocol, json_field, load_protocol
 from .simulate import DEFAULT_SEED, GroundTruthVoxel, SCENARIOS, scenario
 
 _WORKERS_ENV = "DKIMLE_WORKERS"
@@ -94,10 +94,7 @@ def _read(path: str) -> str:
 # subcommands
 
 def cmd_simulate(args) -> int:
-    if args.snr is not None and args.snr <= 0:
-        raise CliError(f"--snr must be positive, got {args.snr}")
-    snr = args.snr if args.snr is not None else 15.0
-    protocol, rows, truths = scenario(args.scenario, snr=snr, seed=args.seed,
+    protocol, rows, truths = scenario(args.scenario, snr=args.snr, seed=args.seed,
                                       n_voxels=args.voxels)
     prefix = args.out
     _write(prefix + ".protocol.txt", dump_protocol(protocol))
@@ -148,11 +145,7 @@ def _result_record(index: int, r: FitResult | VoxelError) -> dict:
         "iterations": r.em_iterations,
         "converged": bool(r.converged),
         "loglik": float(r.loglik_trace[-1]) if r.loglik_trace.size else None,
-        "violations": {
-            "d_not_pd": bool(r.violations.d_not_pd),
-            "kurtosis_negative": bool(r.violations.kurtosis_negative),
-            "decay_bound": bool(r.violations.decay_bound),
-        },
+        "violations": vars(r.violations),
         "wall_time": r.wall_time,
     }
     return record
@@ -203,35 +196,6 @@ def cmd_fit(args) -> int:
     return 1 if n_failed else 0
 
 
-def _tensor_field(rec: dict, key: str, size: int, lineno: int) -> np.ndarray:
-    """The ``size`` finite numbers of a fit record's tensor field."""
-    try:
-        values = np.asarray(rec.get(key), dtype=float)
-    except (TypeError, ValueError):
-        values = np.zeros(0)
-    if values.shape != (size,) or not np.all(np.isfinite(values)):
-        raise CliError(f"fit line {lineno}: {key} must be {size} finite numbers")
-    return values
-
-
-def _number_field(rec: dict, key: str, lineno: int, default=None) -> float:
-    """A fit record's number ``key``."""
-    try:
-        return float(rec.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        raise CliError(f"fit line {lineno}: {key} must be a number") from None
-
-
-def _json_field(rec: dict, key: str, kind, lineno: int, default=None):
-    """A fit record's ``key``, which must be a JSON integer (``kind`` int;
-    1.5 and true are not) or a JSON boolean (``kind`` bool)."""
-    value = rec.get(key, default)
-    if type(value) is not kind:
-        name = "boolean" if kind is bool else "integer"
-        raise CliError(f"fit line {lineno}: {key} must be a JSON {name}")
-    return value
-
-
 def _fits_from_jsonl(path: str):
     """(voxel index, FitResult) pairs of the ok records of a fit file.
 
@@ -240,37 +204,35 @@ def _fits_from_jsonl(path: str):
     fits = []
     skipped = 0
     for lineno, line in enumerate(_read(path).splitlines(), start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+            if not isinstance(rec, dict):
+                raise ValueError("expected a JSON object")
+            if rec.get("status") == "error":
+                skipped += 1
+                continue
+            diag = rec.get("diagnostics", {})
+            viol = diag.get("violations", {}) if isinstance(diag, dict) else None
+            if not isinstance(viol, dict):
+                raise ValueError("diagnostics and their violations must be JSON objects")
+            fits.append((json_field(rec, "voxel", int), FitResult(
+                estimator=rec.get("estimator", "?"),
+                theta_d=json_field(rec, "theta_d", (6,)),
+                theta_w=json_field(rec, "theta_w", (15,)),
+                s0=json_field(rec, "S0"),
+                sigma2=json_field(rec, "sigma2"),
+                loglik_trace=np.zeros(0),
+                em_iterations=json_field(diag, "iterations", int, default=0),
+                converged=json_field(diag, "converged", bool, default=True),
+                violations=ConstraintFlags(**{
+                    flag.name: json_field(viol, flag.name, bool, default=False)
+                    for flag in fields(ConstraintFlags)}),
+                wall_time=json_field(diag, "wall_time", default=0.0),
+            )))
+        except ValueError as exc:
             raise CliError(f"fit line {lineno}: {exc}") from None
-        if not isinstance(rec, dict):
-            raise CliError(f"fit line {lineno}: expected a JSON object")
-        if rec.get("status") == "error":
-            skipped += 1
-            continue
-        diag = rec.get("diagnostics", {})
-        viol = diag.get("violations", {}) if isinstance(diag, dict) else None
-        if not isinstance(viol, dict):
-            raise CliError(f"fit line {lineno}: diagnostics and their violations "
-                           "must be JSON objects")
-        fits.append((_json_field(rec, "voxel", int, lineno), FitResult(
-            estimator=rec.get("estimator", "?"),
-            theta_d=_tensor_field(rec, "theta_d", 6, lineno),
-            theta_w=_tensor_field(rec, "theta_w", 15, lineno),
-            s0=_number_field(rec, "S0", lineno),
-            sigma2=_number_field(rec, "sigma2", lineno),
-            loglik_trace=np.zeros(0),
-            em_iterations=_json_field(diag, "iterations", int, lineno, default=0),
-            converged=_json_field(diag, "converged", bool, lineno, default=True),
-            violations=ConstraintFlags(**{
-                flag.name: _json_field(viol, flag.name, bool, lineno, default=False)
-                for flag in fields(ConstraintFlags)}),
-            wall_time=_number_field(diag, "wall_time", lineno, default=0.0),
-        )))
     if skipped:
         print(f"{path}: skipped {skipped} error records", file=sys.stderr)
     if not fits:
@@ -280,6 +242,8 @@ def _fits_from_jsonl(path: str):
 
 def cmd_compare(args) -> int:
     sidecar = json.loads(_read(args.truth))
+    if not isinstance(sidecar, dict):
+        raise CliError(f"{args.truth} must be a JSON object keyed by voxel index")
     report_all = {}
     for path in args.fits:
         pairs = _fits_from_jsonl(path)
@@ -331,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="write a synthetic voxel dataset")
     p_sim.add_argument("--scenario", choices=sorted(SCENARIOS), default="dataset1")
-    p_sim.add_argument("--snr", type=float, default=None,
+    p_sim.add_argument("--snr", type=float, default=15.0,
                        help="signal-to-noise ratio (dataset3 uses its own ramp)")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--voxels", type=int, default=None,

@@ -149,9 +149,6 @@ class ConstraintFlags:
     kurtosis_negative: bool = False  # constraint 2: K_app >= 0
     decay_bound: bool = False     # constraint 3: K_app <= 3 / (b D_app)
 
-    def any(self) -> bool:
-        return self.d_not_pd or self.kurtosis_negative or self.decay_bound
-
 
 @dataclass
 class FitOptions:
@@ -434,7 +431,7 @@ def init_params(wls: WlsFit, design: DesignMatrices) -> ModelParams:
     """
     D = d_matrix(wls.theta_d)
     vals, vecs = np.linalg.eigh(D)
-    scale = max(float(vals[-1]), float(np.max(np.abs(vals))), 1e-12)
+    scale = max(float(np.max(np.abs(vals))), 1e-12)
     floor = 1e-6 * scale
     vals = np.clip(vals, floor, None)
     D = (vecs * vals) @ vecs.T

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
+from .estimators import ConstraintFlags
 from .protocol import quartic_rows
 from .simulate import GroundTruthVoxel
 from .sphere import gauss_legendre_sphere
@@ -80,10 +81,7 @@ class ScalarMetrics:
     valid: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "md": self.md, "fa": self.fa, "mk": self.mk,
-            "k_perp": self.k_perp, "snr": self.snr, "valid": self.valid,
-        }
+        return dict(vars(self))
 
 
 def scalar_metrics(theta_d, theta_w, s0, sigma2) -> ScalarMetrics:
@@ -152,13 +150,7 @@ class EvalReport:
     mean_em_iterations: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "n_voxels": self.n_voxels,
-            "mse": self.mse,
-            "violation_pct": self.violation_pct,
-            "runtime": self.runtime,
-            "mean_em_iterations": self.mean_em_iterations,
-        })
+        return json.dumps(vars(self))
 
     def format_table(self, title: str = "") -> str:
         head = ["metric", "MSE"]
@@ -172,8 +164,8 @@ class EvalReport:
             lines.append(f"{name:<{width}}{value:>14.6g}")
         lines.append(
             "violations %  "
-            + "  ".join(f"#{i + 1}: {self.violation_pct[k]:.2f}" for i, k in
-                        enumerate(("d_not_pd", "kurtosis_negative", "decay_bound")))
+            + "  ".join(f"#{i}: {pct:.2f}" for i, pct in
+                        enumerate(self.violation_pct.values(), start=1))
         )
         lines.append(
             f"runtime s/voxel  mean: {self.runtime['mean']:.4g}  "
@@ -199,7 +191,7 @@ def evaluate(fits, truths) -> EvalReport:
     sq_err["dt"] = []
     sq_err["kt"] = []
     sq_err["snr"] = []
-    counts = {"d_not_pd": 0, "kurtosis_negative": 0, "decay_bound": 0}
+    counts = {flag.name: 0 for flag in fields(ConstraintFlags)}
     times = []
     iters = []
 
@@ -221,9 +213,8 @@ def evaluate(fits, truths) -> EvalReport:
             tw[3:6] = gt.k_app / 3.0
             sq_err["dt"].append(float(np.mean((fit.theta_d - td) ** 2)))
             sq_err["kt"].append(float(np.mean((fit.theta_w - tw) ** 2)))
-        counts["d_not_pd"] += fit.violations.d_not_pd
-        counts["kurtosis_negative"] += fit.violations.kurtosis_negative
-        counts["decay_bound"] += fit.violations.decay_bound
+        for flag, raised in vars(fit.violations).items():
+            counts[flag] += raised
         times.append(fit.wall_time)
         iters.append(fit.em_iterations)
 

@@ -10,6 +10,7 @@ amplitude and noise level.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -184,6 +185,34 @@ def build_design(protocol: AcquisitionProtocol) -> DesignMatrices:
     return DesignMatrices(z_d=z_d, z_w=z_w, v=v, b=b.copy())
 
 
+def _finite(value, shape) -> bool:
+    """Whether parsed JSON is finite numbers in nested lists of these
+    lengths (None: any length); NaN and the infinities fail the bound, and
+    a boolean or a string is not a number."""
+    if shape:
+        return (type(value) is list and shape[0] in (None, len(value))
+                and all(_finite(item, shape[1:]) for item in value))
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def json_field(record: dict, key: str, kind=(), default=None):
+    """``record[key]``, or ``default`` when absent, checked as parsed JSON:
+    ``kind`` ``int`` or ``bool`` takes only a JSON integer or boolean; the
+    shape ``()`` a finite JSON number, returned as a float; a longer shape
+    nested lists of finite numbers (:func:`_finite`), returned as an array.
+    Raises ValueError naming ``key`` otherwise."""
+    value = record.get(key, default)
+    if kind in (int, bool):
+        if type(value) is not kind:
+            raise ValueError(f"{key} must be a JSON {'boolean' if kind is bool else 'integer'}")
+        return value
+    if not _finite(value, kind):
+        lengths = " x ".join("m" if n is None else str(n) for n in kind)
+        raise ValueError(f"{key} must be " + (f"{lengths} finite numbers" if kind
+                                               else "a finite number"))
+    return np.array(value, dtype=float) if kind else float(value)
+
+
 def _parse_text_protocol(text: str):
     bvals, bvecs = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -201,7 +230,7 @@ def _parse_text_protocol(text: str):
             raise ValueError(f"line {lineno}: {exc}") from None
         bvals.append(vals[0])
         bvecs.append(vals[1:])
-    return bvals, bvecs
+    return np.array(bvals, dtype=float), np.array(bvecs, dtype=float)
 
 
 def load_protocol(text: str) -> AcquisitionProtocol:
@@ -225,19 +254,12 @@ def load_protocol(text: str) -> AcquisitionProtocol:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON protocol: {exc}") from None
-        try:
-            bvals, bvecs = obj["bvals"], obj["bvecs"]
-        except (KeyError, TypeError):
-            raise ValueError("JSON protocol needs 'bvals' and 'bvecs'") from None
+        b = json_field(obj, "bvals", (None,))
+        g = json_field(obj, "bvecs", (b.size, 3))
     else:
-        bvals, bvecs = _parse_text_protocol(text)
-
-    b = np.asarray(bvals, dtype=float)
-    g = np.asarray(bvecs, dtype=float)
+        b, g = _parse_text_protocol(text)
     if b.size == 0:
         raise ValueError("protocol is empty")
-    if g.ndim != 2 or g.shape != (b.size, 3):
-        raise ValueError(f"bvecs shape {g.shape} does not match {b.size} bvals")
     if not np.all(np.isfinite(b)) or not np.all(np.isfinite(g)):
         raise ValueError("protocol contains NaN or infinite values")
     if np.any(b < 0):

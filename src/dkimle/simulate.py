@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import B_INTERNAL_SCALE, VoxelData, _internal_design
-from .protocol import AcquisitionProtocol, quartic_rows
+from .protocol import AcquisitionProtocol, json_field, quartic_rows
 from .rician import sample_magnitude
 from .sphere import fibonacci_sphere
 from .tensors import d_matrix, kurtosis_from_gram, mean_diffusivity
@@ -153,28 +153,30 @@ class GroundTruthVoxel:
     roi: str = None
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "s0": self.s0, "sigma": self.sigma, "snr": self.snr}
-        if self.kind == "isotropic":
-            out["d_app"] = self.d_app
-            out["k_app"] = self.k_app
-        else:
-            out["theta_d"] = list(map(float, self.theta_d))
-            out["theta_w"] = list(map(float, self.theta_w))
-        if self.roi:
-            out["roi"] = self.roi
-        return out
+        """The fields that are set, tensors as lists."""
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in vars(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruthVoxel":
-        """Inverse of :meth:`to_dict`; raises ValueError when a tensor voxel
-        (or any entry that has them) lacks 6 and 15 finite tensor entries."""
-        kw = dict(d)
-        for key, size in (("theta_d", 6), ("theta_w", 15)):
-            if key in kw or kw.get("kind") == "tensor":
-                kw[key] = np.asarray(kw.get(key), dtype=float)
-                if kw[key].shape != (size,) or not np.all(np.isfinite(kw[key])):
-                    raise ValueError(f"{key} must be {size} finite numbers")
-        return cls(**kw)
+        """Inverse of :meth:`to_dict`.  Raises ValueError on a ``kind``
+        other than isotropic or tensor, and unless every number is a finite
+        JSON number, with ``d_app``/``k_app`` required of an isotropic voxel
+        and 6 and 15 tensor entries of a tensor voxel; TypeError on an
+        unknown key."""
+        if not isinstance(d, dict):
+            raise ValueError("a truth entry must be a JSON object")
+        kind = d.get("kind")
+        if kind not in ("isotropic", "tensor"):
+            raise ValueError(f"kind must be 'isotropic' or 'tensor', got {kind!r}")
+        if d.get("snr") == np.inf:  # a noise-free truth's SNR, the default
+            d = {key: value for key, value in d.items() if key != "snr"}
+        shapes = {"theta_d": (6,), "theta_w": (15,)}
+        required = ("d_app", "k_app") if kind == "isotropic" else tuple(shapes)
+        numbers = {key: json_field(d, key, shapes.get(key, ()))
+                   for key in ("s0", "sigma", "snr", "d_app", "k_app", *shapes)
+                   if key in d or key in required}
+        return cls(**{**d, **numbers})
 
 
 def _noise_free(gt: GroundTruthVoxel, protocol: AcquisitionProtocol, s0: float):
@@ -306,15 +308,20 @@ def _scenario_dataset1(snr, seed, n_voxels=None):
     return protocol, truths
 
 
-def _scenario_dataset2(snr, seed, n_voxels=18):
-    protocol = _protocol_shells(_SHELLS_6, fibonacci_sphere(30))
+def _tensor_truths(protocol, snrs, seed, stream):
+    """Random tensor truths at the given per-voxel SNRs, voxel i drawn from
+    the stream (seed, i, stream)."""
     truths = []
-    for i in range(n_voxels):
-        rng = np.random.default_rng([seed, i, 2])
-        gt = random_tensor_truth(rng, protocol)
+    for i, snr in enumerate(snrs):
+        gt = random_tensor_truth(np.random.default_rng([seed, i, stream]), protocol)
         gt.s0, gt.sigma, gt.snr = 1.0, 1.0 / snr, snr
         truths.append(gt)
-    return protocol, truths
+    return truths
+
+
+def _scenario_dataset2(snr, seed, n_voxels=18):
+    protocol = _protocol_shells(_SHELLS_6, fibonacci_sphere(30))
+    return protocol, _tensor_truths(protocol, [snr] * n_voxels, seed, 2)
 
 
 def _scenario_dataset3(snr, seed, n_voxels=180):
@@ -322,14 +329,8 @@ def _scenario_dataset3(snr, seed, n_voxels=180):
     # SNR ramps over [8, 40], one level per block of 20 voxels
     n_levels = max(1, int(np.ceil(n_voxels / 20)))
     levels = np.linspace(8.0, 40.0, n_levels)
-    truths = []
-    for i in range(n_voxels):
-        rng = np.random.default_rng([seed, i, 3])
-        gt = random_tensor_truth(rng, protocol)
-        lvl = float(levels[min(i // 20, n_levels - 1)])
-        gt.s0, gt.sigma, gt.snr = 1.0, 1.0 / lvl, lvl
-        truths.append(gt)
-    return protocol, truths
+    snrs = [float(levels[min(i // 20, n_levels - 1)]) for i in range(n_voxels)]
+    return protocol, _tensor_truths(protocol, snrs, seed, 3)
 
 
 SCENARIOS = {

@@ -419,6 +419,12 @@ class TestMalformedInput:
         {**RECORD, "diagnostics": {"converged": 0}},
         {**RECORD, "diagnostics": {"violations": {"d_not_pd": "false"}}},
         {**RECORD, "diagnostics": {"violations": {"decay_bound": None}}},
+        {**RECORD, "S0": True},
+        {**RECORD, "sigma2": "0.01"},
+        {**RECORD, "diagnostics": {"wall_time": False}},
+        {**RECORD, "theta_d": [1e-3, 1e-3, True, 0.0, 0.0, 0.0]},
+        {**RECORD, "theta_w": ["0.0"] * 15},
+        {**RECORD, "S0": 10 ** 400},
     ])
     def test_bad_fit_line(self, tmp_path, capsys, command, fit):
         assert self._run(tmp_path, command, fit) == 2
@@ -429,11 +435,24 @@ class TestMalformedInput:
         {**TRUTH, "colour": "red"},
         {"d_app": 1e-3, "k_app": 1.0},
         {"kind": "tensor", "theta_d": [1e-3, 1e-3], "theta_w": [0.0] * 15},
+        {**TRUTH, "d_app": "0.001"},
+        {"kind": "isotropic", "d_app": 1e-3},
+        {**TRUTH, "kind": "blob"},
+        {**TRUTH, "k_app": True},
+        [1e-3, 1.0],
     ])
     def test_bad_truth_entry(self, tmp_path, capsys, truth):
         assert self._run(tmp_path, "compare", self.RECORD, truth) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "voxel 0" in err
+
+    def test_truth_file_not_an_object(self, tmp_path, capsys):
+        fits = tmp_path / "f.jsonl"
+        fits.write_text(json.dumps(self.RECORD) + "\n")
+        sidecar = tmp_path / "truth.json"
+        sidecar.write_text("5")
+        assert run_cli("compare", "--truth", str(sidecar), "--fits", str(fits)) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_well_formed_input_passes(self, tmp_path):
         for command in ("metrics", "compare"):

@@ -482,7 +482,7 @@ class TestEmMleFit:
         np.testing.assert_allclose(fit.theta_d, gt.theta_d, rtol=1e-5)
         np.testing.assert_allclose(fit.theta_w, gt.theta_w, rtol=1e-4, atol=1e-7)
         assert fit.s0 == pytest.approx(1.0, rel=1e-5)
-        assert not fit.violations.any()
+        assert fit.violations == ConstraintFlags()
 
     def test_ascent_on_noisy_voxels(self):
         protocol = three_shell_protocol()
@@ -622,7 +622,7 @@ class TestViolationFlags:
         protocol, gt, vox = noiseless_voxel(43)
         design = internal_design(protocol)
         flags = violation_flags(gt.theta_d / B_INTERNAL_SCALE, gt.theta_w, design)
-        assert not flags.any()
+        assert flags == ConstraintFlags()
 
     def test_cached_directions_match_uncached_formula(self, rng):
         """The kurtosis-sign check uses a read-only table equal to the

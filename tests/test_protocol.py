@@ -144,6 +144,17 @@ class TestLoadProtocol:
         assert p.m == 2
         np.testing.assert_allclose(p.bvecs[1], [1, 0, 0])
 
+    @pytest.mark.parametrize("bvals, bvecs, key", [
+        ([0, True, 1000], [[1, 0, 0]] * 3, "bvals"),
+        (["0", 1000], [[1, 0, 0]] * 2, "bvals"),
+        ([0, 1000], [[1, 0, 0], [1, "0", 0]], "bvecs"),
+        ([0, 1000], [[1, 0, 0], [1, 0]], "bvecs"),
+    ])
+    def test_json_rejects_non_numbers(self, bvals, bvecs, key):
+        """Booleans and numeric strings are not b-values or gradient entries."""
+        with pytest.raises(ValueError, match=key):
+            load_protocol(json.dumps({"bvals": bvals, "bvecs": bvecs}))
+
     def test_json_and_text_agree(self):
         text = "0 0 0 1\n1500 0.5 0.5 0.7071067811865476\n"
         as_json = json.dumps({

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,13 @@ class TestScenarios:
         with pytest.raises(ValueError, match="6 fixed ROI voxels"):
             scenario("dataset1", n_voxels=n_voxels)
         assert len(scenario("dataset1", n_voxels=6)[1]) == 6
+
+    def test_noise_free_truth_roundtrip(self):
+        """A truth simulated without noise keeps its SNR of infinity, which
+        json writes as Infinity, through the sidecar."""
+        _, _, truths = scenario("dataset1", snr=np.inf)
+        clone = GroundTruthVoxel.from_dict(json.loads(json.dumps(truths[0].to_dict())))
+        assert clone == truths[0] and clone.snr == np.inf
 
     def test_truth_roundtrip_serialization(self):
         _, _, truths = scenario("dataset2", seed=4, n_voxels=2)
