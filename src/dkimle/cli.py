@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -32,10 +31,8 @@ import numpy as np
 
 from .estimators import B_INTERNAL_SCALE, ConstraintFlags, FitOptions, FitResult, fit_voxel
 from .metrics import evaluate, scalar_metrics
-from .protocol import AcquisitionProtocol, dump_protocol, json_field, load_protocol
+from .protocol import dump_protocol, json_field, load_protocol
 from .simulate import DEFAULT_SEED, GroundTruthVoxel, SCENARIOS, scenario
-
-_WORKERS_ENV = "DKIMLE_WORKERS"
 
 
 class CliError(Exception):
@@ -114,8 +111,7 @@ class VoxelError:
 
 
 def _fit_one(payload):
-    index, y, bvals, bvecs, estimator, options = payload
-    protocol = AcquisitionProtocol(bvals, bvecs)
+    index, y, protocol, estimator, options = payload
     try:
         result = fit_voxel(y, protocol, estimator, options)
     except ValueError as exc:  # bad magnitudes, RankDeficient, DegenerateVoxel, Infeasible
@@ -169,14 +165,11 @@ def cmd_fit(args) -> int:
             raise CliError(f"--grad-tol must be positive, got {args.grad_tol}")
         options.grad_tol = args.grad_tol
 
-    workers = args.workers if args.workers is not None else int(os.environ.get(_WORKERS_ENV, "1"))
+    workers = args.workers
     if workers < 1:
-        raise CliError(f"--workers and ${_WORKERS_ENV} must be at least 1, got {workers}")
+        raise CliError(f"--workers must be at least 1, got {workers}")
     n = rows.shape[0]
-    payloads = [
-        (i, rows[i], protocol.bvals, protocol.bvecs, args.estimator, options)
-        for i in range(n)
-    ]
+    payloads = [(i, rows[i], protocol, args.estimator, options) for i in range(n)]
     lines = []
     n_failed = n_bad = 0
     # records are formatted here as results arrive, while the pool fits on;
@@ -308,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--estimator", choices=("wls", "cwls", "mle"), default="mle")
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--workers", type=int, default=None,
-                       help=f"worker processes (default ${_WORKERS_ENV} or 1)")
+    p_fit.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p_fit.add_argument("--max-sweeps", type=int, default=None,
                        help="EM-MLE sweep budget (default 50; CWLS always takes 2 solves)")
     p_fit.add_argument("--grad-tol", type=float, default=None)

@@ -188,14 +188,6 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # weighted least squares
 
-@lru_cache(maxsize=64)
-def _full_column_rank(x_bytes: bytes) -> bool:
-    """Whether the regression matrix with these bytes has rank 22; keyed on
-    values, since the voxels of one protocol share it unless their zero
-    magnitudes drop different rows."""
-    return bool(np.linalg.matrix_rank(np.frombuffer(x_bytes).reshape(-1, _N_PARAMS)) == _N_PARAMS)
-
-
 def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
     """Log-linear weighted least squares fit of the kurtosis model.
 
@@ -230,10 +222,11 @@ def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
     X = np.column_stack([np.ones(int(np.sum(use))), design.z_d[use], design.z_w[use]])
     if y.size < _N_PARAMS:
         raise RankDeficient(f"{y.size} usable rows < {_N_PARAMS} parameters")
-    if not _full_column_rank(X.tobytes()):
+    # the rank counts the singular values above S_max max(m, n) eps, the
+    # rule of np.linalg.matrix_rank
+    beta0, _, rank, _ = np.linalg.lstsq(X, logy, rcond=None)
+    if rank < _N_PARAMS:
         raise RankDeficient("design matrix does not have full column rank")
-
-    beta0, *_ = np.linalg.lstsq(X, logy, rcond=None)
     s0_first = np.exp(beta0[0])
     w = y * y / (s0_first * s0_first)
     sw = np.sqrt(w)
@@ -362,24 +355,24 @@ def _solve(problem, theta0, grad_tol):
 # ---------------------------------------------------------------------------
 # EM building blocks
 
-def em_estep(params: ModelParams, y, eta) -> AugmentedState:
+def em_estep(params: ModelParams, y, att) -> AugmentedState:
     """Conditional expectations <cos phi_j> at the current parameters.
 
     Each entry is the Bessel ratio at Y_j S0 zeta_j psi_j / sigma^2, with
-    (zeta, psi) = exp(eta) for the exponent pair eta = (eta_D, eta_Q);
+    the attenuation pair att = (zeta, psi) = (exp(eta_D), exp(eta_Q));
     zero magnitudes give exactly zero (the augmentation degenerates).
     """
-    eta_d, eta_q = eta
-    kappa = np.asarray(y, dtype=float) * params.s0 * np.exp(eta_d) * np.exp(eta_q) / params.sigma2
+    zeta, psi = att
+    kappa = np.asarray(y, dtype=float) * params.s0 * zeta * psi / params.sigma2
     cos = bessel_ratio(kappa)
     # float rounding can reach 1.0 at extreme SNR; keep the open interval
     return AugmentedState(np.minimum(cos, np.nextafter(1.0, 0.0)))
 
 
-def em_mstep_s0(state: AugmentedState, y, eta) -> float:
-    """Closed-form amplitude update S0 = sum tau zeta psi / sum zeta^2 psi^2."""
-    eta_d, eta_q = eta
-    zeta, psi = np.exp(eta_d), np.exp(eta_q)
+def em_mstep_s0(state: AugmentedState, y, att) -> float:
+    """Closed-form amplitude update S0 = sum tau zeta psi / sum zeta^2 psi^2,
+    from the attenuation pair att = (zeta, psi)."""
+    zeta, psi = att
     tau = np.asarray(y, dtype=float) * state.cos_phi
     denom = float(np.sum(zeta**2 * psi**2))
     if denom <= 0.0 or not np.isfinite(denom):
@@ -387,16 +380,17 @@ def em_mstep_s0(state: AugmentedState, y, eta) -> float:
     return float(np.sum(tau * zeta * psi) / denom)
 
 
-def em_mstep_sigma2(state: AugmentedState, params: ModelParams, y, eta) -> float:
-    """Noise update sigma^2 = sum {Y^2 + S0^2 z^2 p^2 - 2 S0 tau z p} / (2 (m-1)).
+def em_mstep_sigma2(state: AugmentedState, params: ModelParams, y, att) -> float:
+    """Noise update sigma^2 = sum {Y^2 + S0^2 z^2 p^2 - 2 S0 tau z p} / (2 (m-1)),
+    from the attenuation pair att = (z, p).
 
     A non-positive result (possible at pathological phase expectations)
     is clamped to 1e-12.
     """
     y = np.asarray(y, dtype=float)
-    eta_d, eta_q = eta
+    zeta, psi = att
     tau = y * state.cos_phi
-    zp = np.exp(eta_d) * np.exp(eta_q)
+    zp = zeta * psi
     m = y.size
     total = float(np.sum(y * y + params.s0**2 * zp**2 - 2.0 * params.s0 * tau * zp))
     out = total / (2.0 * (m - 1))
@@ -505,39 +499,43 @@ def em_mle_fit(data: VoxelData, params: ModelParams, model: ExponentModel,
     followed by an E-step, to their joint fixed point; the constrained
     update of (L, theta_Q) (:func:`update_tensors`); an E-step and the
     surrogate evaluation } until the surrogate change falls below
-    tolerance.  The exponent, from ``model``, and each E-step serve every
-    step up to the next parameter change, so neither is evaluated twice
-    at the same parameters.  A sweep that would decrease the surrogate is
-    undone and ends the fit, so the recorded trace is non-decreasing.
+    tolerance.  The exponent, from ``model``, and its attenuation pair
+    are computed once per tensor change and each E-step once per parameter
+    change, so none is evaluated twice at the same parameters; the E-step
+    and M-steps take the attenuations, the surrogate the exponent.  A
+    sweep that would decrease the surrogate is undone and ends the fit, so
+    the recorded trace is non-decreasing.
 
     Returns (params, reported sigma^2, surrogate trace, sweeps, converged).
     """
     y = data.y
     eta = model.exponent(params.L, params.theta_q)
+    att = np.exp(eta[0]), np.exp(eta[1])
 
     trace = []
     stopped = solved = False
     sweeps = 0
-    state = em_estep(params, y, eta)
+    state = em_estep(params, y, att)
     for sweeps in range(1, options.max_sweeps + 1):
         checkpoint, checkpoint_solved = params.copy(), solved
 
         for _ in range(MAX_INNER_EM):
-            s0_new = em_mstep_s0(state, y, eta)
+            s0_new = em_mstep_s0(state, y, att)
             rel_s0 = abs(s0_new - params.s0) / max(abs(params.s0), 1e-30)
             params.s0 = max(s0_new, 1e-30)
-            sig_new = em_mstep_sigma2(state, params, y, eta)
+            sig_new = em_mstep_sigma2(state, params, y, att)
             rel_sig = abs(sig_new - params.sigma2) / max(params.sigma2, 1e-30)
             params.sigma2 = sig_new
-            state = em_estep(params, y, eta)
+            state = em_estep(params, y, att)
             if max(rel_s0, rel_sig) < TOL_INNER:
                 break
 
         params.L, params.theta_q, solved = update_tensors(params, state, y, model,
                                                           options.grad_tol)
         eta = model.exponent(params.L, params.theta_q)
+        att = np.exp(eta[0]), np.exp(eta[1])
 
-        state = em_estep(params, y, eta)
+        state = em_estep(params, y, att)
         ll = joint_loglik(y, params.s0 * np.exp(eta[0] + eta[1]), params.sigma2, state)
 
         if trace and ll < trace[-1] - 1e-9:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -127,7 +127,7 @@ def scalar_metrics(theta_d, theta_w, s0, sigma2) -> ScalarMetrics:
 def _truth_metrics(gt: GroundTruthVoxel) -> ScalarMetrics:
     if gt.kind == "isotropic":
         return ScalarMetrics(gt.d_app, 0.0, gt.k_app, gt.k_app, gt.snr)
-    return scalar_metrics(gt.theta_d, gt.theta_w, gt.s0, gt.sigma**2 if gt.sigma else 1.0)
+    return replace(scalar_metrics(gt.theta_d, gt.theta_w, gt.s0, 1.0), snr=gt.snr)
 
 
 _SCALARS = ("md", "fa", "mk", "k_perp")

@@ -260,11 +260,7 @@ def load_protocol(text: str) -> AcquisitionProtocol:
         b, g = _parse_text_protocol(text)
     if b.size == 0:
         raise ValueError("protocol is empty")
-    if not np.all(np.isfinite(b)) or not np.all(np.isfinite(g)):
-        raise ValueError("protocol contains NaN or infinite values")
-    if np.any(b < 0):
-        raise ValueError("negative b value")
-
+    # AcquisitionProtocol rejects non-finite values and negative b
     norms = np.linalg.norm(g, axis=1)
     zero_g = norms == 0.0
     if np.any(zero_g & (b > 0)):

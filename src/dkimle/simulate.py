@@ -153,9 +153,11 @@ class GroundTruthVoxel:
     roi: str = None
 
     def to_dict(self) -> dict:
-        """The fields that are set, tensors as lists."""
+        """The fields that are set, tensors as lists; the infinite ``snr`` of
+        a noise-free truth, which JSON cannot hold, is left to the default."""
         return {key: value.tolist() if isinstance(value, np.ndarray) else value
-                for key, value in vars(self).items() if value is not None}
+                for key, value in vars(self).items()
+                if value is not None and not (key == "snr" and value == np.inf)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruthVoxel":
@@ -169,7 +171,7 @@ class GroundTruthVoxel:
         kind = d.get("kind")
         if kind not in ("isotropic", "tensor"):
             raise ValueError(f"kind must be 'isotropic' or 'tensor', got {kind!r}")
-        if d.get("snr") == np.inf:  # a noise-free truth's SNR, the default
+        if d.get("snr") == np.inf:  # a noise-free truth's SNR, as older sidecars hold it
             d = {key: value for key, value in d.items() if key != "snr"}
         shapes = {"theta_d": (6,), "theta_w": (15,)}
         required = ("d_app", "k_app") if kind == "isotropic" else tuple(shapes)

@@ -25,6 +25,7 @@ published figure that the inputs do not reproduce:
 """
 
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -353,6 +354,20 @@ class TestCriterion06ConstraintSuite:
         assert worst_g <= 1e-8
 
 
+@lru_cache(maxsize=None)
+def snr15_panel(seed):
+    """The 18 dataset2 voxels of ``seed`` at SNR 15: (protocol, rows, truths)."""
+    return scenario("dataset2", snr=15.0, seed=seed, n_voxels=18)
+
+
+@lru_cache(maxsize=None)
+def snr15_fits(seed, estimator):
+    """One estimator's fits to :func:`snr15_panel`; both criterion 07 tests
+    read them, so each panel is fitted once per run."""
+    protocol, rows, _ = snr15_panel(seed)
+    return tuple(fit_voxel(rows[i], protocol, estimator) for i in range(18))
+
+
 class TestCriterion07EstimatorOrdering:
     def test_median_mse_ordering_over_seeds(self):
         """At SNR 15 over 10 seeds x 18 voxels: median MK-MSE of the
@@ -372,11 +387,8 @@ class TestCriterion07EstimatorOrdering:
         dt_mse = {"cwls": [], "mle": []}
         margins = []
         for seed in range(10):
-            protocol, rows, truths = scenario("dataset2", snr=15.0, seed=seed, n_voxels=18)
-            fits = {e: [] for e in ("wls", "cwls", "mle")}
-            for i in range(18):
-                for e in fits:
-                    fits[e].append(fit_voxel(rows[i], protocol, e))
+            protocol, rows, truths = snr15_panel(seed)
+            fits = {e: snr15_fits(seed, e) for e in ("wls", "cwls", "mle")}
             reports = {e: evaluate(fits[e], truths) for e in fits}
             mk_mse["wls"].append(reports["wls"].mse["mk"])
             mk_mse["mle"].append(reports["mle"].mse["mk"])
@@ -414,10 +426,8 @@ class TestCriterion07EstimatorOrdering:
         mean kurtosis, matching the published low-SNR curve ordering."""
         mk15 = {"wls": [], "mle": []}
         for seed in range(4):
-            protocol, rows, truths = scenario("dataset2", snr=15.0, seed=seed, n_voxels=18)
             for est in mk15:
-                fits = [fit_voxel(rows[i], protocol, est) for i in range(18)]
-                mk15[est].append(evaluate(fits, truths).mse["mk"])
+                mk15[est].append(evaluate(snr15_fits(seed, est), snr15_panel(seed)[2]).mse["mk"])
         low = {"cwls": {"dt": [], "mk": []}, "mle": {"dt": [], "mk": []}}
         for seed in range(6):
             protocol, rows, truths = scenario("dataset2", snr=10.0, seed=seed + 50, n_voxels=18)

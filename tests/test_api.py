@@ -34,6 +34,8 @@ DELETED = [
     "vonmises_logpdf",
     "MAX_OUTER",
     "_ROI_SPREADS",
+    "_full_column_rank",
+    "_WORKERS_ENV",
 ]
 
 # deleted keyword arguments and fields, as (module, callable, keyword)

@@ -202,26 +202,16 @@ class TestFitCommand:
         assert f"{flag} must be positive" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "-2"), (None, "0")])
-    def test_worker_count_below_one_rejected(self, simulated, tmp_path, capsys, monkeypatch,
-                                             flag, env):
-        if env is not None:
-            monkeypatch.setenv("DKIMLE_WORKERS", env)
+    # ids kept from when the cases also set a worker-count variable (None)
+    @pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
+    def test_worker_count_below_one_rejected(self, simulated, tmp_path, capsys, flag):
         out = tmp_path / "o.jsonl"
-        args = ["fit", "--protocol", simulated + ".protocol.txt",
-                "--data", simulated + ".voxels.csv", "--estimator", "wls", "--out", str(out)]
-        code = run_cli(*args, *([f"--workers={flag}"] if flag is not None else []))
+        code = run_cli("fit", "--protocol", simulated + ".protocol.txt",
+                       "--data", simulated + ".voxels.csv", "--estimator", "wls",
+                       "--out", str(out), f"--workers={flag}")
         assert code == 2
         assert "must be at least 1" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_workers_flag_overrides_the_variable(self, simulated, tmp_path, monkeypatch):
-        monkeypatch.setenv("DKIMLE_WORKERS", "-2")
-        out = str(tmp_path / "o.jsonl")
-        assert run_cli("fit", "--protocol", simulated + ".protocol.txt",
-                       "--data", simulated + ".voxels.csv", "--estimator", "wls",
-                       "--workers", "1", "--out", out) == 0
-        assert len(fit_records(out)) == 4
 
     def test_max_sweeps_is_applied(self, simulated, tmp_path):
         out = str(tmp_path / "o.jsonl")
@@ -245,7 +235,6 @@ class TestFitCommand:
             return real_solve(problem, theta0, grad_tol)
 
         monkeypatch.setattr(barrier, "solve", recording)
-        monkeypatch.delenv("DKIMLE_WORKERS", raising=False)
         for flags, expected in ([], barrier.GRAD_TOL), (["--grad-tol", "1e-9"], 1e-9):
             seen.clear()
             assert run_cli(
@@ -348,6 +337,26 @@ class TestCompareCommand:
         (key,) = payload.keys()
         assert payload[key]["mse"]["mk"] < 1e-10
         assert payload[key]["mse"]["dt"] < 1e-16
+
+    @pytest.mark.parametrize("name, voxels", [("dataset1", "6"), ("dataset2", "2")])
+    def test_noise_free_truth_sidecar(self, tmp_path, name, voxels):
+        """A ``--snr inf`` sidecar is strict JSON, and compare reads every
+        truth SNR back as infinite, isotropic and tensor voxels alike."""
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        prefix = str(tmp_path / "clean")
+        assert run_cli("simulate", "--scenario", name, "--voxels", voxels,
+                       "--snr", "inf", "--out", prefix) == 0
+        sidecar = json.loads(open(prefix + ".truth.json").read(), parse_constant=reject)
+        assert not [entry for entry in sidecar.values() if "snr" in entry]
+        out, report_path = str(tmp_path / "f.jsonl"), str(tmp_path / "rep.json")
+        assert run_cli("fit", "--protocol", prefix + ".protocol.txt",
+                       "--data", prefix + ".voxels.csv", "--estimator", "wls", "--out", out) == 0
+        assert run_cli("compare", "--truth", prefix + ".truth.json",
+                       "--fits", out, "--json", report_path) == 0
+        (report,) = json.loads(open(report_path).read()).values()
+        assert report["mse"]["snr"] == np.inf
 
     def test_voxel_count_mismatch(self, simulated, tmp_path, capsys):
         out = str(tmp_path / "f.jsonl")

@@ -55,8 +55,10 @@ def internal_design(protocol):
 
 
 def exponent(params, design):
-    """The (eta_D, eta_Q) pair the EM steps take, at ``params``."""
-    return ExponentModel(design).exponent(params.L, params.theta_q)
+    """The attenuation pair (exp eta_D, exp eta_Q) the EM steps take, at
+    ``params``."""
+    eta_d, eta_q = ExponentModel(design).exponent(params.L, params.theta_q)
+    return np.exp(eta_d), np.exp(eta_q)
 
 
 def decay_constraints(L, theta_q, design):
@@ -145,6 +147,43 @@ class TestWls:
         with pytest.raises(RankDeficient, match="full column rank"):
             wls_fit(VoxelData(y), design)
         wls_fit(VoxelData(np.where(y > 0, y, 0.5)), design)
+
+    @staticmethod
+    def rank_case(name):
+        """(protocol, magnitudes) of one design the rank rule is checked on."""
+        if name.startswith("dataset"):
+            protocol, rows, _ = scenario(name, seed=0, n_voxels=6 if name == "dataset1" else 1)
+            return protocol, rows[0]
+        if name == "too_few_rows":
+            g = np.array([random_unit(np.random.default_rng(3)) for _ in range(10)])
+            return AcquisitionProtocol(np.full(10, 1000.0), g), np.ones(10)
+        if name == "single_direction":
+            g = np.tile([1.0, 0, 0], (30, 1))
+            return AcquisitionProtocol(np.full(30, 1000.0), g), np.ones(30)
+        base = three_shell_protocol()  # zeros drop every row but a single direction's
+        bvals = np.concatenate([base.bvals, np.linspace(500.0, 2000.0, 30)])
+        y = np.exp(-1e-3 * bvals)
+        y[:base.m] = 0.0
+        return AcquisitionProtocol(
+            bvals, np.vstack([base.bvecs, np.tile([1.0, 0.0, 0.0], (30, 1))])), y
+
+    @pytest.mark.parametrize("name, deficient", [
+        ("dataset1", False), ("dataset2", False), ("dataset3", False),
+        ("too_few_rows", True), ("single_direction", True), ("zero_dropped_rows", True),
+    ])
+    def test_rank_rule_is_matrix_rank(self, name, deficient):
+        """wls_fit raises RankDeficient exactly when np.linalg.matrix_rank
+        of the regression matrix on the rows it uses is below 22."""
+        protocol, y = self.rank_case(name)
+        design = internal_design(protocol)
+        use = y != 0.0
+        X = np.column_stack([np.ones(int(np.sum(use))), design.z_d[use], design.z_w[use]])
+        try:
+            wls_fit(VoxelData(y), design)
+            raised = False
+        except RankDeficient:
+            raised = True
+        assert raised == (np.linalg.matrix_rank(X) < 22) == deficient
 
     def test_zero_rows_excluded(self):
         protocol, gt, vox = noiseless_voxel(4)

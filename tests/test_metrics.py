@@ -222,6 +222,18 @@ class TestEvaluate:
         assert rep.mse["mk"] == pytest.approx(0.0, abs=1e-6)
         assert rep.mse["dt"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("snr", [15.0, np.inf])
+    def test_truth_snr_is_the_voxels_own(self, snr):
+        """The truth side of the SNR error is the truth's ``snr`` for both
+        kinds, noise-free (sigma 0, SNR infinite) included."""
+        tensor = random_tensor_truth(np.random.default_rng(40))
+        tensor.sigma, tensor.snr = 1.0 / snr, snr
+        isotropic = GroundTruthVoxel(kind="isotropic", sigma=1.0 / snr, snr=snr,
+                                     d_app=0.9e-3, k_app=0.8)
+        fit = make_fit(tensor.theta_d, tensor.theta_w, sigma2=0.01)
+        for gt in (tensor, isotropic):
+            assert evaluate([fit], [gt]).mse["snr"] == (fit.snr - snr) ** 2
+
     def test_report_serialization(self, rng):
         fits, truths = self._pairs(rng, n=3)
         rep = evaluate(fits, truths)

@@ -227,11 +227,21 @@ class TestScenarios:
         assert len(scenario("dataset1", n_voxels=6)[1]) == 6
 
     def test_noise_free_truth_roundtrip(self):
-        """A truth simulated without noise keeps its SNR of infinity, which
-        json writes as Infinity, through the sidecar."""
+        """A truth simulated without noise keeps its SNR of infinity through
+        the sidecar: the entry leaves it out, which is strict JSON, and the
+        default restores it."""
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
         _, _, truths = scenario("dataset1", snr=np.inf)
-        clone = GroundTruthVoxel.from_dict(json.loads(json.dumps(truths[0].to_dict())))
+        text = json.dumps(truths[0].to_dict())
+        clone = GroundTruthVoxel.from_dict(json.loads(text, parse_constant=reject))
         assert clone == truths[0] and clone.snr == np.inf
+
+    def test_reads_infinite_snr_of_older_sidecars(self):
+        entry = json.loads('{"kind": "isotropic", "sigma": 0.0, "snr": Infinity, '
+                           '"d_app": 0.001, "k_app": 0.8}')
+        assert GroundTruthVoxel.from_dict(entry).snr == np.inf
 
     def test_truth_roundtrip_serialization(self):
         _, _, truths = scenario("dataset2", seed=4, n_voxels=2)
