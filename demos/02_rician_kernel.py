@@ -17,7 +17,7 @@ x = np.logspace(-6, 6, 13)
 print("x        A(x) = I1/I0")
 for xi, ai in zip(x, dk.bessel_ratio(x)):
     print(f"{xi:10.1e}  {ai:.12f}")
-print("series/asymptotic branches agree at the split to ~2e-14\n")
+print("A = i1e/i0e, scipy's exponentially scaled Bessel functions, whose e^-x cancels\n")
 
 # --- density sanity -------------------------------------------------------
 from scipy.integrate import quad

@@ -150,7 +150,10 @@ class EvalReport:
     mean_em_iterations: float
 
     def to_json(self) -> str:
-        return json.dumps(vars(self))
+        # an infinite MSE (a noise-free truth's SNR) is written as null,
+        # since JSON has no Infinity
+        mse = {k: v if np.isfinite(v) else None for k, v in self.mse.items()}
+        return json.dumps({**vars(self), "mse": mse})
 
     def format_table(self, title: str = "") -> str:
         head = ["metric", "MSE"]

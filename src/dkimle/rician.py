@@ -22,89 +22,26 @@ __all__ = [
     "sample_magnitude",
     "joint_loglik",
     "AugmentedState",
-    "SERIES_ASYMPTOTIC_SPLIT",
 ]
-
-# power series below, asymptotic expansion above; the two branches agree
-# to ~2e-14 at the split
-SERIES_ASYMPTOTIC_SPLIT = 15.0
-
-# the asymptotic tails sum at most 39 terms; their coefficients
-# -(mu - (2k-1)^2) for mu = 4 (I1) and mu = 0 (I0), and the divisors k
-_TAIL_K = np.arange(1.0, 40.0)
-_TAIL_COEF = -(np.array([[4.0], [0.0]]) - (2.0 * _TAIL_K - 1.0) ** 2)[:, :, None]
-# arguments per block of the asymptotic branch, which bounds its
-# (2, 40, block) temporaries
-_TAIL_CHUNK = 4096
-# series denominators k^2 (I0) and k (k+1) (I1), one (2, 1) column per k
-_SERIES_DEN = np.array([[[k * k], [k * (k + 1)]] for k in range(1, 60)], dtype=float)
-
-
-def _ratio_series(x):
-    """I1(x)/I0(x) by the ascending power series, x < ~20.
-
-    Terms of I0 are (x^2/4)^k / (k!)^2 and of I1/(x/2) are
-    (x^2/4)^k / (k! (k+1)!); both converge fast for moderate x and
-    neither overflows below the branch split.  Each term is rounded
-    after its multiply and its divide, so the terms are built in order.
-    """
-    x = np.asarray(x, dtype=float)
-    q = 0.25 * x * x
-    t = np.ones((2,) + x.shape)  # rows: the I0 and I1 terms
-    s = t.copy()
-    t0, s0 = t[0], s[0]  # views, updated in place with t and s
-    for den in _SERIES_DEN:
-        t *= q
-        t /= den
-        s += t
-        if (t0 <= 1e-18 * s0).all():
-            break
-    return 0.5 * x * s[1] / s0
-
-
-def _ratio_asymptotic(x):
-    """I1(x)/I0(x) by the large-argument expansion with optimal truncation.
-
-    Both I0 and I1 share the prefactor e^x / sqrt(2 pi x), which cancels
-    in the ratio; the remaining 1/x series are summed until their terms
-    stop decreasing (the usual optimal truncation of a divergent
-    asymptotic series), giving ~1e-13 accuracy at the branch split and
-    machine precision for large x.  All 39 terms of both tails are built
-    at once; the products and the sum run in term order along the axis,
-    so every rounding is that of a term-by-term loop.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(0, x.size, _TAIL_CHUNK):
-        inv8x = 1.0 / (8.0 * x[i:i + _TAIL_CHUNK])
-        term = np.ones((2, 40, inv8x.size))
-        term[:, 1:] = _TAIL_COEF * inv8x / _TAIL_K[:, None]
-        term = np.multiply.accumulate(term, axis=1)
-        mag = np.abs(term)
-        # the prefix of terms each smaller in magnitude than the one before
-        kept = np.logical_and.accumulate(mag[:, 1:] < mag[:, :-1], axis=1)
-        term[:, 1:][~kept] = 0.0
-        total = np.add.accumulate(term, axis=1)[:, -1]
-        out[i:i + _TAIL_CHUNK] = total[0] / total[1]
-    return out
 
 
 def bessel_ratio(x):
     """A(x) = I1(x)/I0(x), stable for any non-negative x.
 
-    Monotone increasing with A(0) = 0 and A(x) -> 1; accepts scalars or
-    arrays.  Negative and NaN arguments raise ValueError.
+    The ratio of the exponentially scaled Bessel functions i1e/i0e, in
+    which the common factor e^-x cancels, so no argument overflows.
+    Monotone increasing with A(0) = 0 and A(inf) = 1, where both scaled
+    functions are 0; accepts scalars or arrays.  Negative and NaN
+    arguments raise ValueError.
     """
+    # imported on first use, so importing dkimle loads no scipy
+    from scipy.special import i0e, i1e
+
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0):
         raise ValueError("bessel_ratio requires x >= 0 and not NaN")
-    lo = x < SERIES_ASYMPTOTIC_SPLIT
-    out = np.empty_like(x)
-    if np.any(lo):
-        out[lo] = _ratio_series(x[lo])
-    if np.any(~lo):
-        out[~lo] = _ratio_asymptotic(x[~lo])
+    out = np.divide(i1e(x), i0e(x), out=np.ones_like(x), where=x < np.inf)
     return float(out) if scalar else out
 
 

@@ -102,57 +102,6 @@ def vonmises_logpdf(phi, kappa):
     return kappa * np.cos(phi) - np.log(2.0 * np.pi) - np.log(i0e(kappa)) - kappa
 
 
-def bessel_ratio_loop_oracle(x):
-    """I1(x)/I0(x) summed term by term, as :func:`dkimle.rician.bessel_ratio`.
-
-    The loop form of the library kernel: the ascending series below 15
-    and the optimally truncated asymptotic tails above it, each term in
-    its own numpy step.  The whole-array kernel must match it bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-
-    def series(x):
-        q = 0.25 * x * x
-        t0 = np.ones_like(x)
-        t1 = np.ones_like(x)
-        s0 = t0.copy()
-        s1 = t1.copy()
-        for k in range(1, 60):
-            t0 = t0 * q / (k * k)
-            t1 = t1 * q / (k * (k + 1))
-            s0 += t0
-            s1 += t1
-            if np.all(t0 <= 1e-18 * s0):
-                break
-        return 0.5 * x * s1 / s0
-
-    def asymptotic(x):
-        inv8x = 1.0 / (8.0 * x)
-
-        def tail(mu):
-            term = np.ones_like(x)
-            total = np.ones_like(x)
-            active = np.ones_like(x, dtype=bool)
-            prev = np.abs(term)
-            for k in range(1, 40):
-                term = term * (-(mu - (2 * k - 1) ** 2) * inv8x / k)
-                mag = np.abs(term)
-                active = active & (mag < prev)
-                total = np.where(active, total + term, total)
-                prev = mag
-                if not np.any(active):
-                    break
-            return total
-
-        return tail(4.0) / tail(0.0)
-
-    lo = x < 15.0
-    out = np.empty_like(x)
-    out[lo] = series(x[lo])
-    out[~lo] = asymptotic(x[~lo])
-    return out
-
-
 def kron_curvature(model, w, with_l):
     """:meth:`ExponentModel.curvature` with the theta_Q blocks from np.kron."""
     H = np.zeros((24, 24))

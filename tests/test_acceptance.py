@@ -524,8 +524,8 @@ class TestCriterion10BesselKernel:
             worst = max(worst, abs(yi - ref) / ref if ref else abs(yi))
         monotone = bool(np.all(np.diff(mine) > 0))
         bounded = bool(np.all(mine >= 0) and np.all(mine < 1.0))
-        ok = worst <= 1e-10 and monotone and bounded
+        ok = worst <= 2e-15 and monotone and bounded
         report(f"bessel kernel (worst rel err {worst:.1e}, monotone, bounded)", ok)
-        assert worst <= 1e-10
+        assert worst <= 2e-15
         assert monotone
         assert bounded

@@ -36,6 +36,7 @@ DELETED = [
     "_ROI_SPREADS",
     "_full_column_rank",
     "_WORKERS_ENV",
+    "SERIES_ASYMPTOTIC_SPLIT",
 ]
 
 # deleted keyword arguments and fields, as (module, callable, keyword)

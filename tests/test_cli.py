@@ -341,7 +341,8 @@ class TestCompareCommand:
     @pytest.mark.parametrize("name, voxels", [("dataset1", "6"), ("dataset2", "2")])
     def test_noise_free_truth_sidecar(self, tmp_path, name, voxels):
         """A ``--snr inf`` sidecar is strict JSON, and compare reads every
-        truth SNR back as infinite, isotropic and tensor voxels alike."""
+        truth SNR back as infinite, isotropic and tensor voxels alike; the
+        report writes the infinite SNR error as null."""
         def reject(token):
             raise ValueError(f"{token} is not JSON")
 
@@ -355,8 +356,8 @@ class TestCompareCommand:
                        "--data", prefix + ".voxels.csv", "--estimator", "wls", "--out", out) == 0
         assert run_cli("compare", "--truth", prefix + ".truth.json",
                        "--fits", out, "--json", report_path) == 0
-        (report,) = json.loads(open(report_path).read()).values()
-        assert report["mse"]["snr"] == np.inf
+        (report,) = json.loads(open(report_path).read(), parse_constant=reject).values()
+        assert report["mse"]["snr"] is None
 
     def test_voxel_count_mismatch(self, simulated, tmp_path, capsys):
         out = str(tmp_path / "f.jsonl")

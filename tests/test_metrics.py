@@ -248,6 +248,19 @@ class TestEvaluate:
         assert set(payload) == {"n_voxels", "mse", "violation_pct", "runtime",
                                 "mean_em_iterations"}
 
+    def test_infinite_mse_is_null_in_json(self, rng):
+        """JSON has no Infinity: an infinite MSE is written as null, and
+        the text table prints it as inf."""
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        fits, truths = self._pairs(rng, n=2)
+        rep = evaluate(fits, truths)
+        rep.mse["mk"] = np.inf
+        payload = json.loads(rep.to_json(), parse_constant=reject)
+        assert payload["mse"]["mk"] is None and payload["mse"]["md"] == rep.mse["md"]
+        assert "inf" in rep.format_table().split("\n")[3]
+
 
 class TestViolationRates:
     def test_unconstrained_wls_negative_kurtosis_band(self):

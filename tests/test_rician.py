@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ive
 
-from dkimle import rician
 from dkimle.protocol import AcquisitionProtocol, build_design
 from dkimle.rician import (
     AugmentedState,
@@ -15,14 +14,14 @@ from dkimle.rician import (
 )
 from dkimle.tensors import ModelParams, predict_signal
 
-from conftest import bessel_ratio_loop_oracle, random_unit, vonmises_logpdf
+from conftest import random_unit, vonmises_logpdf
 
 
 def series_ratio_oracle(x):
     """I1/I0 from the ascending series, summed to machine precision.
 
-    Independent reference for small arguments; the implementation under
-    test uses its own branch structure.
+    Independent reference for small arguments; the kernel under test
+    divides scipy's scaled Bessel functions.
     """
     q = 0.25 * x * x
     t0 = t1 = 1.0
@@ -38,19 +37,16 @@ def series_ratio_oracle(x):
 
 
 def kernel_grid():
-    """5 x 10^5 arguments on both branches plus the edge values.
+    """5 x 10^5 arguments from 0 to 1e300 plus the edge values.
 
-    Uniform on [0, 15) for the series; exponential above 15 for the
-    asymptotic tails, where a reordered rounding changes about one value
-    in 10^5, most of them below 20; log-spaced up to 1e300, where the
-    terms underflow; 15 +- 3 ulps; and 0, the smallest subnormal and inf.
+    Uniform on [0, 15), exponential above 15, log-spaced from 15 up to
+    1e300, and 0, the smallest subnormal and inf.
     """
     rng = np.random.default_rng(7)
     return np.concatenate([
         rng.uniform(0.0, 15.0, 100_000),
         15.0 + rng.exponential(5.0, 400_000),
         np.logspace(np.log10(15.0), 300.0, 2_000),
-        15.0 + np.spacing(15.0) * np.arange(-3, 4),
         [0.0, 5e-324, np.inf],
     ])
 
@@ -84,9 +80,10 @@ class TestBesselRatio:
             assert bessel_ratio(x) == pytest.approx(series_ratio_oracle(x), rel=1e-13)
 
     def test_branch_boundary_continuity(self):
-        lo = bessel_ratio(np.nextafter(15.0, 0.0))
-        hi = bessel_ratio(15.0)
-        assert abs(hi - lo) < 1e-12
+        # scipy's i0e and i1e switch Chebyshev expansions at x = 8
+        lo = bessel_ratio(np.nextafter(8.0, 0.0))
+        hi = bessel_ratio(8.0)
+        assert abs(hi - lo) < 1e-14
 
     def test_monotone_and_bounded(self):
         x = np.concatenate([np.linspace(0, 30, 2000), np.logspace(1.5, 8, 500)])
@@ -102,21 +99,18 @@ class TestBesselRatio:
             bessel_ratio(-0.5)
 
     def test_nan_rejected(self):
-        # NaN used to take the asymptotic branch with no active term and
-        # come back as 1.0, a pinned phase
+        # i1e/i0e would pass NaN on into the phase expectations
         with pytest.raises(ValueError):
             bessel_ratio(np.nan)
         with pytest.raises(ValueError):
             bessel_ratio(np.array([1.0, 20.0, np.nan]))
 
-    def test_matches_loop_oracle_bit_for_bit(self):
+    def test_same_bits_in_any_order_or_batch(self):
+        # each value depends on its own argument alone, whatever order or
+        # batch it lands in; numpy may take other loops for short arrays,
+        # so short batches are checked too
         x = kernel_grid()
-        assert np.sum(x >= 15.0) > rician._TAIL_CHUNK
-        ref = bessel_ratio_loop_oracle(x)
-        assert same_bits(bessel_ratio(x), ref)
-        # each value depends on its own argument alone, whatever block or
-        # batch it lands in; numpy may reorder a sum over a short axis, so
-        # short batches are checked too
+        ref = bessel_ratio(x)
         perm = np.random.default_rng(8).permutation(x.size)
         assert same_bits(bessel_ratio(x[perm]), ref[perm])
         for size in (1, 2, 180):
@@ -125,7 +119,7 @@ class TestBesselRatio:
 
     @pytest.mark.parametrize("x", [0.0, 3.5, 15.0, 40.0, 1e300, float("inf")])
     def test_scalar_and_zero_d_inputs(self, x):
-        ref = bessel_ratio_loop_oracle(np.array([x]))
+        ref = bessel_ratio(np.array([x]))
         out = bessel_ratio(x)
         assert type(out) is float and same_bits(out, ref[0])
         out0 = bessel_ratio(np.array(x))
@@ -136,10 +130,12 @@ class TestBesselRatio:
         assert out.shape == (0,) and out.dtype == float
 
     def test_no_floating_point_errors(self):
-        # the whole-array tails build terms past the truncation point too
+        # i1e(inf) / i0e(inf) is 0 / 0, so A(inf) is set, not divided
+        x = kernel_grid()
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            out = bessel_ratio(kernel_grid())
+            out = bessel_ratio(x)
         assert np.all((out >= 0) & (out <= 1))
+        assert np.array_equal(out[x == np.inf], [1.0])
 
 
 class TestRicianLogpdf:
