@@ -219,7 +219,7 @@ def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
         sigma2 = float(np.sum(resid**2) / max(y.size - 1, 1))
         return WlsFit(log_s0, np.zeros(6), np.zeros(15), max(sigma2, 1e-30), True)
 
-    X = np.column_stack([np.ones(int(np.sum(use))), design.z_d[use], design.z_w[use]])
+    X = design.regression if use.all() else design.regression[use]
     if y.size < _N_PARAMS:
         raise RankDeficient(f"{y.size} usable rows < {_N_PARAMS} parameters")
     # the rank counts the singular values above S_max max(m, n) eps, the

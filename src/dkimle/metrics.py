@@ -10,10 +10,10 @@ from functools import lru_cache
 import numpy as np
 
 from .estimators import ConstraintFlags
-from .protocol import quartic_rows
+from .protocol import PAIR_COUNTS, monomial_vectors, quartic_rows
 from .simulate import GroundTruthVoxel
 from .sphere import gauss_legendre_sphere
-from .tensors import d_matrix, mean_diffusivity
+from .tensors import d_matrix, gram_from_kurtosis, mean_diffusivity
 
 __all__ = ["ScalarMetrics", "scalar_metrics", "EvalReport", "evaluate"]
 
@@ -26,13 +26,13 @@ N_RING = 256
 
 @lru_cache(maxsize=1)
 def _quadrature():
-    """Gauss-Legendre nodes, weights and the nodes' quartic rows at
-    N_POLAR x N_AZIMUTH (read-only)."""
+    """The Gauss-Legendre nodes' quadratic monomial vectors, their weights
+    and their quartic rows at N_POLAR x N_AZIMUTH (read-only)."""
     dirs, wts = gauss_legendre_sphere(N_POLAR, N_AZIMUTH)
-    rows = quartic_rows(dirs)
-    for array in (dirs, wts, rows):
+    vecs, rows = monomial_vectors(dirs), quartic_rows(dirs)
+    for array in (vecs, wts, rows):
         array.setflags(write=False)
-    return dirs, wts, rows
+    return vecs, wts, rows
 
 
 # D_app and W_app along the great circle g(t) = cos t e2 + sin t e3 are
@@ -92,34 +92,36 @@ def scalar_metrics(theta_d, theta_w, s0, sigma2) -> ScalarMetrics:
     kurtosis over the N_POLAR x N_AZIMUTH Gauss-Legendre sphere; K_perp
     averages it over N_RING equally spaced points of the great circle
     orthogonal to the principal eigenvector; SNR = S0/sigma.
-    Voxels with MD <= 0 are flagged invalid with NaN scalars.
+    Voxels with non-finite tensors or MD <= 0 are flagged invalid with NaN scalars.
     """
-    D = d_matrix(theta_d)
-    md = mean_diffusivity(theta_d)
+    theta_w = np.asarray(theta_w, dtype=float)
     snr = float(s0 / np.sqrt(sigma2))
-    if md <= 0:
+    finite = np.isfinite(theta_d).all() and np.isfinite(theta_w).all()
+    md = mean_diffusivity(theta_d) if finite else np.nan
+    if not md > 0:
         return ScalarMetrics(md, np.nan, np.nan, np.nan, snr, valid=False)
 
+    D = d_matrix(theta_d)
     dev = D - md * np.eye(3)
     norm_d = np.linalg.norm(D)
     fa = float(np.sqrt(1.5) * np.linalg.norm(dev) / norm_d) if norm_d > 0 else 0.0
 
-    theta_w = np.asarray(theta_w, dtype=float)
-    dirs, wts, rows = _quadrature()
-    d_app = np.einsum("ni,ij,nj->n", dirs, D, dirs)
-    if np.any(d_app <= 0):
+    vecs, wts, rows = _quadrature()
+    d_coef = theta_d * PAIR_COUNTS
+    d_app = vecs @ d_coef
+    if (d_app <= 0).any():
         return ScalarMetrics(md, fa, np.nan, np.nan, snr, valid=False)
     k_app = (md / d_app) ** 2 * (rows @ theta_w)
-    mk = float(np.sum(wts * k_app))
+    mk = float((wts * k_app).sum())
 
     _, evecs = np.linalg.eigh(D)
-    samples = _RING_CS @ _ring_basis(evecs[:, -1])
-    d_ring, w_ring = np.stack([np.einsum("ni,ij,nj->n", samples, D, samples),
-                               quartic_rows(samples) @ theta_w]) @ _ring_table()
-    if np.any(d_ring <= 0):
+    ring_vecs = monomial_vectors(_RING_CS @ _ring_basis(evecs[:, -1]))
+    w_samples = ((ring_vecs @ gram_from_kurtosis(theta_w)) * ring_vecs).sum(1)  # v^T G v = W_app
+    d_ring, w_ring = np.stack([ring_vecs @ d_coef, w_samples]) @ _ring_table()
+    if (d_ring <= 0).any():
         return ScalarMetrics(md, fa, mk, np.nan, snr, valid=False)
     k_ring = (md / d_ring) ** 2 * w_ring
-    k_perp = float(np.mean(k_ring))
+    k_perp = float(k_ring.sum() / N_RING)
 
     return ScalarMetrics(md, fa, mk, k_perp, snr)
 

@@ -31,6 +31,8 @@ __all__ = [
 _NORM_TOL_STRICT = 1e-9
 # loaders renormalize gradients whose norm is off by at most this much
 _NORM_TOL_LOAD = 1e-6
+# monomial_vectors(g) @ (theta_D * PAIR_COUNTS) = g^T D g, off-diagonals counted twice
+PAIR_COUNTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,13 @@ class DesignMatrices:
         return self.b.size
 
     @cached_property
+    def regression(self) -> np.ndarray:
+        """The log-linear regression matrix [1 | Z_D | Z_W], read-only."""
+        X = np.column_stack([np.ones(self.m), self.z_d, self.z_w])
+        X.setflags(write=False)
+        return X
+
+    @cached_property
     def decay_rows(self) -> DecayRows:
         """The b > 0 rows and their decay-bound constants, built once."""
         mask = self.b > 0
@@ -179,8 +188,7 @@ def build_design(protocol: AcquisitionProtocol) -> DesignMatrices:
     b = protocol.bvals
     g = protocol.bvecs
     v = monomial_vectors(g)
-    scale = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
-    z_d = -b[:, None] * (v * scale)
+    z_d = -b[:, None] * (v * PAIR_COUNTS)
     z_w = (b[:, None] ** 2 / 6.0) * quartic_rows(g)
     return DesignMatrices(z_d=z_d, z_w=z_w, v=v, b=b.copy())
 

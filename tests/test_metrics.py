@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from dkimle.estimators import ConstraintFlags, FitResult
+from dkimle.estimators import ConstraintFlags, FitResult, fit_voxel
 from dkimle import metrics
 from dkimle.metrics import evaluate, scalar_metrics
-from dkimle.protocol import quartic_rows
+from dkimle.protocol import monomial_vectors, quartic_rows
 from dkimle.sphere import gauss_legendre_sphere
-from dkimle.simulate import GroundTruthVoxel, random_tensor_truth
+from dkimle.simulate import GroundTruthVoxel, random_tensor_truth, scenario
 from dkimle.tensors import d_matrix, kurtosis_from_gram, mean_diffusivity
 
 from conftest import ring_directions, tensor4_to_kurtosis, w15_to_full
@@ -96,6 +96,28 @@ class TestScalarMetrics:
         k_app = (md / d_app) ** 2 * (quartic_rows(dirs) @ theta_w)
         return float(np.sum(wts * k_app))
 
+    @classmethod
+    def einsum_oracle(cls, theta_d, theta_w):
+        """(MD, FA, MK, K_perp, valid) with D_app from einsum and W_app
+        from quartic rows, on the Gauss-Legendre nodes and on N_RING
+        ring_directions, under the validity rules of scalar_metrics."""
+        D = d_matrix(theta_d)
+        md = mean_diffusivity(theta_d)
+        if md <= 0:
+            return md, np.nan, np.nan, np.nan, False
+        fa = float(np.sqrt(1.5) * np.linalg.norm(D - md * np.eye(3)) / np.linalg.norm(D))
+        dirs, _ = gauss_legendre_sphere(metrics.N_POLAR, metrics.N_AZIMUTH)
+        d_app = np.einsum("ni,ij,nj->n", dirs, D, dirs)
+        if np.any(d_app <= 0):
+            return md, fa, np.nan, np.nan, False
+        mk = cls.quadrature_mk(theta_d, theta_w, metrics.N_POLAR, metrics.N_AZIMUTH)
+        ring = ring_directions(np.linalg.eigh(D)[1][:, -1], metrics.N_RING)
+        d_ring = np.einsum("ni,ij,nj->n", ring, D, ring)
+        if np.any(d_ring <= 0):
+            return md, fa, mk, np.nan, False
+        k_perp = float(np.mean((md / d_ring) ** 2 * (quartic_rows(ring) @ theta_w)))
+        return md, fa, mk, k_perp, True
+
     def test_mk_quadrature_converged(self, rng):
         """MK on a quadrature of twice the size in each angle differs from
         the default MK far below tolerance."""
@@ -105,30 +127,26 @@ class TestScalarMetrics:
             assert abs(a.mk - self.quadrature_mk(theta_d, theta_w, 64, 128)) < 1e-4
 
     def test_mk_equals_uncached_quadrature(self, rng):
-        """MK from the cached, read-only quadrature table equals, bit for
-        bit, the sum over freshly built quartic rows of the nodes."""
+        """The cached, read-only quadrature tables equal, bit for bit, the
+        monomial vectors, weights and quartic rows of freshly built nodes,
+        and MK from them equals the einsum quadrature to 1e-13 relative."""
         dirs, wts = gauss_legendre_sphere(metrics.N_POLAR, metrics.N_AZIMUTH)
-        for cached, fresh in zip(metrics._quadrature(), (dirs, wts, quartic_rows(dirs))):
-            np.testing.assert_array_equal(cached, fresh)
+        fresh = (monomial_vectors(dirs), wts, quartic_rows(dirs))
+        for cached, array in zip(metrics._quadrature(), fresh):
+            np.testing.assert_array_equal(cached, array)
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1.0
         for _ in range(5):
             theta_d, theta_w = realistic_tensors(rng)
             sm = scalar_metrics(theta_d, theta_w, 1.0, 1.0)
-            assert sm.mk == self.quadrature_mk(theta_d, theta_w, metrics.N_POLAR,
-                                               metrics.N_AZIMUTH)
+            assert sm.mk == pytest.approx(
+                self.quadrature_mk(theta_d, theta_w, metrics.N_POLAR, metrics.N_AZIMUTH),
+                rel=1e-13, abs=0)
 
     def test_k_perp_equals_ring_formula(self, rng):
         """K_perp from the five-sample ring tables equals the mean of the
         directional kurtosis over N_RING ring_directions to 1e-12 relative,
         for either seed of the ring basis."""
-        def oracle(theta_d, theta_w, n_ring):
-            D = d_matrix(theta_d)
-            ring = ring_directions(np.linalg.eigh(D)[1][:, -1], n_ring)
-            d_ring = np.einsum("ni,ij,nj->n", ring, D, ring)
-            md = mean_diffusivity(theta_d)
-            return float(np.mean((md / d_ring) ** 2 * (quartic_rows(ring) @ theta_w)))
-
         cases = [realistic_tensors(rng) for _ in range(6)]
         # principal axis near e_x, where the ring basis is seeded with e_y
         for _ in range(3):
@@ -141,8 +159,38 @@ class TestScalarMetrics:
                           theta_w))
         for theta_d, theta_w in cases:
             sm = scalar_metrics(theta_d, theta_w, 1.0, 1.0)
-            assert sm.k_perp == pytest.approx(oracle(theta_d, theta_w, metrics.N_RING),
+            assert sm.k_perp == pytest.approx(self.einsum_oracle(theta_d, theta_w)[3],
                                               rel=1e-12, abs=0)
+
+    def test_wls_panel_matches_einsum_oracle(self):
+        """On WLS fits of the 180-voxel dataset3 panel, some with
+        indefinite D, every voxel gets the oracle's validity, bit-equal MD
+        and FA, and MK and K_perp within 1e-12 absolute + 1e-12 relative.
+        Applying D_app's off-diagonal factor 2 twice flips 35 validities."""
+        protocol, rows, _ = scenario("dataset3", seed=0)
+        n_invalid = 0
+        for y in rows:
+            fit = fit_voxel(y, protocol, "wls")
+            sm = scalar_metrics(fit.theta_d, fit.theta_w, fit.s0, fit.sigma2)
+            md, fa, mk, k_perp, valid = self.einsum_oracle(fit.theta_d, fit.theta_w)
+            assert (sm.valid, sm.md) == (valid, md)
+            assert sm.fa == fa or np.isnan(sm.fa) and np.isnan(fa)
+            for got, want in ((sm.mk, mk), (sm.k_perp, k_perp)):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12, nan_ok=True)
+            n_invalid += not valid
+        assert 0 < n_invalid < len(rows)
+
+    @pytest.mark.parametrize("bad", ["theta_d", "theta_w"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_flagged(self, bad, value):
+        """A NaN or infinite tensor element gives an invalid record with
+        NaN scalars, not a LinAlgError from eigh or a valid NaN MK."""
+        tensors = {"theta_d": np.array([1.0, 0.8, 0.6, 0.1, 0, 0]), "theta_w": np.full(15, 0.1)}
+        tensors[bad][4] = value
+        sm = scalar_metrics(tensors["theta_d"], tensors["theta_w"], 1.0, 0.01)
+        assert not sm.valid
+        assert np.all(np.isnan([sm.md, sm.fa, sm.mk, sm.k_perp]))
+        assert sm.snr == pytest.approx(10.0)
 
     def test_fa_bounds(self, rng):
         for _ in range(500):

@@ -55,6 +55,17 @@ class TestBuildDesign:
         assert np.all(d.z_w[0] == 0)
         assert np.any(d.z_d[1] != 0)
 
+    def test_regression_matrix_is_cached_and_read_only(self):
+        """``regression`` equals [1 | Z_D | Z_W] bit for bit, is built once
+        per design and cannot be written."""
+        protocol, _, _ = scenario("dataset3", seed=0, n_voxels=1)
+        d = build_design(protocol)
+        np.testing.assert_array_equal(
+            d.regression, np.column_stack([np.ones(d.m), d.z_d, d.z_w]))
+        assert d.regression is d.regression
+        with pytest.raises(ValueError, match="read-only"):
+            d.regression[0, 0] = 2.0
+
     def test_v_first_three_sum_to_one(self, rng):
         g = np.array([random_unit(rng) for _ in range(20)])
         d = build_design(make_protocol(np.ones(20), g))
