@@ -165,10 +165,10 @@ def cmd_fit(args) -> int:
             raise CliError(f"--grad-tol must be positive, got {args.grad_tol}")
         options.grad_tol = args.grad_tol
 
-    workers = args.workers
-    if workers < 1:
-        raise CliError(f"--workers must be at least 1, got {workers}")
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
     n = rows.shape[0]
+    workers = min(args.workers, n)  # a pool starts all its workers at the first task
     payloads = [(i, rows[i], protocol, args.estimator, options) for i in range(n)]
     lines = []
     n_failed = n_bad = 0

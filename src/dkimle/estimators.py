@@ -413,7 +413,7 @@ def update_tensors(params: ModelParams, state: AugmentedState, y, model: Exponen
 # ---------------------------------------------------------------------------
 # initialization
 
-def init_params(wls: WlsFit, design: DesignMatrices) -> ModelParams:
+def init_params(wls: WlsFit, model: ExponentModel) -> ModelParams:
     """Strictly feasible starting point from an unconstrained WLS fit.
 
     Eigenvalues of D below 1e-6 of the largest are raised to that floor,
@@ -442,9 +442,8 @@ def init_params(wls: WlsFit, design: DesignMatrices) -> ModelParams:
     theta_q = md * Q.T.reshape(18)
 
     # the decay constraints g_j = q_j + (3/b_j^2) Z_Dj theta_D, b_j > 0
-    rows = design.decay_rows
-    q_part, _ = _qform(theta_q, rows.v)
-    g = q_part + rows.three_over_b2 * (rows.z_d @ theta_d)
+    q_part, _ = _qform(theta_q, model.v_c)
+    g = q_part + model.three_over_b2 * (model.design.z_d[model.decay] @ theta_d)
     bound = q_part - g  # the positive 3 D_app / b term
     if np.any(q_part > (1.0 - INIT_MARGIN) * bound):
         with np.errstate(divide="ignore"):
@@ -470,7 +469,8 @@ def violation_flags(theta_d, theta_w, design: DesignMatrices) -> ConstraintFlags
 
     Checked exactly as reported in evaluations: the minimum eigenvalue of
     D, the sign of the directional kurtosis form over a quasi-uniform
-    direction set, and the per-acquisition monotone-decay bound.
+    direction set, and the monotone-decay bound as the sign of the log
+    signal's b-slope at each acquisition (see :class:`ExponentModel`).
     """
     theta_d = np.asarray(theta_d, dtype=float)
     theta_w = np.asarray(theta_w, dtype=float)
@@ -478,13 +478,10 @@ def violation_flags(theta_d, theta_w, design: DesignMatrices) -> ConstraintFlags
     flags.d_not_pd = bool(np.linalg.eigvalsh(d_matrix(theta_d))[0] <= 0.0)
     w_app = _check_rows() @ theta_w
     flags.kurtosis_negative = bool(np.min(w_app) < -FLAG_TOL)
-    rows = design.decay_rows
-    if rows.v.size:
-        md = mean_diffusivity(theta_d)
-        # MD^2 W_app(g_j) <= 3 D_app / b_j  per weighted acquisition
-        lhs = md * md * (rows.w_rows @ theta_w)
-        rhs = -rows.three_over_b2 * (rows.z_d @ theta_d)
-        flags.decay_bound = bool(np.any(lhs - rhs > FLAG_TOL))
+    md = mean_diffusivity(theta_d)
+    # b d log S / d b = eta_D + 2 eta_W <= 0; b = 0 rows give exactly 0
+    slope = design.z_d @ theta_d + 2.0 * (design.z_w @ (md * md * theta_w))
+    flags.decay_bound = bool(np.any(slope > FLAG_TOL))
     return flags
 
 
@@ -607,9 +604,9 @@ def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
     Rescales b by 1e-3 internally (so the quartic design is O(1)) and runs
     :func:`wls_fit`.  That fit is the result for ``wls``, and for every
     estimator on a b0-only protocol, which identifies S0 alone (flagged
-    not converged).  Otherwise :func:`init_params` turns it into a
-    feasible start and the estimator's step function, :func:`cwls_fit` or
-    :func:`em_mle_fit`, fits on one :class:`ExponentModel` of the design.
+    not converged).  Otherwise one :class:`ExponentModel` of the design
+    serves :func:`init_params`, which turns the fit into a feasible start,
+    and the estimator's step function, :func:`cwls_fit` or :func:`em_mle_fit`.
     The violation flags are checked in the internal units, and the
     diffusion block is converted back to mm^2/s.
     """
@@ -625,8 +622,9 @@ def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
         sigma2, trace, sweeps, converged = wls.sigma2, [], 0, not wls.underdetermined
     else:
         step = cwls_fit if estimator == "cwls" else em_mle_fit
+        model = ExponentModel(design)
         params, sigma2, trace, sweeps, converged = step(
-            data, init_params(wls, design), ExponentModel(design), options or FitOptions())
+            data, init_params(wls, model), model, options or FitOptions())
         theta_d, theta_w, s0 = params.theta_d, params.theta_w, params.s0
 
     return FitResult(estimator, theta_d * B_INTERNAL_SCALE, theta_w, s0, sigma2, params=params,

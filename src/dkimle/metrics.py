@@ -81,7 +81,8 @@ class ScalarMetrics:
     valid: bool = True
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        # an invalid map's NaN is written as null, since JSON has no NaN
+        return {k: v if np.isfinite(v) else None for k, v in vars(self).items()}
 
 
 def scalar_metrics(theta_d, theta_w, s0, sigma2) -> ScalarMetrics:

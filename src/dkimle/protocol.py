@@ -13,7 +13,6 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,18 +89,6 @@ class AcquisitionProtocol:
         return AcquisitionProtocol(self.bvals * factor, self.bvecs.copy())
 
 
-class DecayRows(NamedTuple):
-    """Read-only constants of the b > 0 rows of a design, where the
-    monotone-decay bound K_app <= 3 / (b D_app) applies."""
-
-    mask: np.ndarray           # which rows have b > 0
-    v: np.ndarray              # their quadratic monomial vectors
-    three_over_b2: np.ndarray  # 3 / b^2
-    z_d: np.ndarray
-    z_d_scaled: np.ndarray     # (3 / b^2) Z_D
-    w_rows: np.ndarray         # Z_W / (b^2 / 6), the unscaled quartic rows
-
-
 @dataclass(frozen=True)
 class DesignMatrices:
     """Design matrices derived from a protocol.
@@ -132,18 +119,6 @@ class DesignMatrices:
         X = np.column_stack([np.ones(self.m), self.z_d, self.z_w])
         X.setflags(write=False)
         return X
-
-    @cached_property
-    def decay_rows(self) -> DecayRows:
-        """The b > 0 rows and their decay-bound constants, built once."""
-        mask = self.b > 0
-        three_over_b2 = 3.0 / self.b[mask] ** 2
-        rows = DecayRows(mask, self.v[mask], three_over_b2, self.z_d[mask],
-                         three_over_b2[:, None] * self.z_d[mask],
-                         self.z_w[mask] / (self.b[mask, None] ** 2 / 6.0))
-        for array in rows:
-            array.setflags(write=False)
-        return rows
 
 
 def monomial_vectors(g: np.ndarray) -> np.ndarray:

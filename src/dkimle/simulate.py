@@ -23,7 +23,7 @@ from .estimators import B_INTERNAL_SCALE, VoxelData, _internal_design
 from .protocol import AcquisitionProtocol, json_field, quartic_rows
 from .rician import sample_magnitude
 from .sphere import fibonacci_sphere
-from .tensors import d_matrix, kurtosis_from_gram, mean_diffusivity
+from .tensors import kurtosis_from_gram, mean_diffusivity
 
 __all__ = [
     "BiexpParams",
@@ -181,53 +181,39 @@ class GroundTruthVoxel:
         return cls(**{**d, **numbers})
 
 
-def _noise_free(gt: GroundTruthVoxel, protocol: AcquisitionProtocol, s0: float):
+def _log_attenuation(gt: GroundTruthVoxel, protocol: AcquisitionProtocol):
+    """The noise-free log S - log S0 as its terms linear and quadratic in b,
+    (eta_D, eta_W)."""
     b = protocol.bvals
     if gt.kind == "isotropic":
         # b s/mm^2 times D mm^2/s is dimensionless; no rescale needed
-        expo = -b * gt.d_app + b**2 * gt.d_app**2 * gt.k_app / 6.0
-        return s0 * np.exp(expo)
+        return -b * gt.d_app, b**2 * gt.d_app**2 * gt.k_app / 6.0
     # linear representation: exponent = Z_D theta_D + Z_W (MD^2 theta_W),
     # exact for any theta_w without factoring the Gram matrix
     design = _internal_design(protocol.bvals.tobytes(), protocol.bvecs.tobytes())
     theta_d_int = gt.theta_d / B_INTERNAL_SCALE
     md = mean_diffusivity(theta_d_int)
-    expo = design.z_d @ theta_d_int + design.z_w @ (md * md * gt.theta_w)
-    return s0 * np.exp(expo)
-
-
-def _violates_decay(gt: GroundTruthVoxel, protocol: AcquisitionProtocol) -> bool:
-    b = protocol.bvals
-    if gt.kind == "isotropic":
-        return bool(np.any(gt.k_app * b * gt.d_app > 3.0))
-    mask = b > 0
-    if not np.any(mask):
-        return False
-    g = protocol.bvecs[mask]
-    D = d_matrix(gt.theta_d)
-    d_app = np.einsum("ni,ij,nj->n", g, D, g)
-    w_app = quartic_rows(g) @ gt.theta_w
-    md = mean_diffusivity(gt.theta_d)
-    k_app = (md / d_app) ** 2 * w_app
-    return bool(np.any(k_app * b[mask] * d_app > 3.0))
+    return design.z_d @ theta_d_int, design.z_w @ (md * md * gt.theta_w)
 
 
 def simulate_voxel(gt: GroundTruthVoxel, protocol: AcquisitionProtocol, s0: float,
                    sigma: float, rng: np.random.Generator) -> VoxelData:
     """Rician-corrupted magnitudes for one voxel.
 
-    A ground truth violating the monotone-decay bound at some acquisition
-    is still simulated but triggers a warning (the signal is then
+    A ground truth violating the monotone-decay bound at some acquisition,
+    where the b-slope of the log signal, eta_D + 2 eta_W, is positive, is
+    still simulated but triggers a warning (the signal is then
     non-monotone in b there).
     """
-    if _violates_decay(gt, protocol):
+    eta_d, eta_w = _log_attenuation(gt, protocol)
+    if np.any(eta_d + 2.0 * eta_w > 0):
         warnings.warn(
             "ground truth violates the decay bound at some acquisition; "
             "signal is non-monotone in b",
             RuntimeWarning,
             stacklevel=2,
         )
-    s = _noise_free(gt, protocol, s0)
+    s = s0 * np.exp(eta_d + eta_w)
     if sigma == 0.0:
         return VoxelData(s.copy())
     return VoxelData(sample_magnitude(s, sigma, rng))

@@ -364,16 +364,23 @@ class ExponentModel:
     form and one theta_D(L) per point serve both the exponent and the
     constraints, and one d theta_D / d L and one u (x) v product serve
     both Jacobians.
+
+    eta_D is linear and eta_Q quadratic in b, so eta_D + 2 eta_Q is the
+    b-slope of the log signal, b d log S / d b, and g_j is that slope times
+    3/b_j^2: g_j <= 0 is K_app <= 3 / (b_j D_app).  The violation flags and
+    the simulator test the same slope with eta_W = Z_W (MD^2 theta_W).
     """
 
     def __init__(self, design: DesignMatrices):
         self.design = design
         self.c = design.b**2 / 6.0
-        rows = design.decay_rows
-        # v and (3/b^2) Z_D of the b > 0 rows, which carry the constraints
-        self.v_c, self.zc = rows.v, rows.z_d_scaled
-        # those rows of a full-design array; a view when they are all rows
-        self._decay = slice(None) if rows.mask.all() else rows.mask
+        mask = design.b > 0
+        # the b > 0 rows, which carry the constraints, as a selector of a
+        # full-design array (a view when they are all rows); their v, 3/b^2
+        # and (3/b^2) Z_D
+        self.decay = slice(None) if mask.all() else mask
+        self.three_over_b2 = 3.0 / design.b[mask] ** 2
+        self.v_c, self.zc = design.v[mask], self.three_over_b2[:, None] * design.z_d[mask]
 
     @property
     def n_constraints(self) -> int:
@@ -384,7 +391,7 @@ class ExponentModel:
         constraints and u_j = (<v_j, q-block_i>)_i of shape (m, 3)."""
         theta_d = theta_d_from_l(theta[:6])
         qf, u = _qform(theta[6:], self.design.v)
-        return self.design.z_d @ theta_d, self.c * qf, qf[self._decay] + self.zc @ theta_d, u
+        return self.design.z_d @ theta_d, self.c * qf, qf[self.decay] + self.zc @ theta_d, u
 
     def exponent(self, L, theta_q):
         """(eta_D, eta_Q) per row."""
@@ -407,7 +414,7 @@ class ExponentModel:
         U[:, 6:] = 2.0 * self.c[:, None] * uv
         A = np.empty((self.n_constraints, 24))
         A[:, :6] = self.zc @ J
-        A[:, 6:] = 2.0 * uv[self._decay]
+        A[:, 6:] = 2.0 * uv[self.decay]
         return U, A
 
     def curvature(self, w, with_l):

@@ -172,6 +172,121 @@ def reference_tensor_problem(model, loss):
                           constraints, constraint_gradients, constraints)
 
 
+def sym_basis(n):
+    """Basis of the symmetric n x n matrices: the diagonal units, then
+    E_ij + E_ji for i < j in row order (for n = 3 the theta_D order)."""
+    pairs = [(i, i) for i in range(n)] + list(zip(*np.triu_indices(n, 1)))
+    E = np.zeros((len(pairs), n, n))
+    for k, (i, j) in enumerate(pairs):
+        E[k, i, j] = E[k, j, i] = 1.0
+    return E
+
+
+class LiftedCwls:
+    """CWLS as a convex problem in x = (theta_D, G~), G~ = sum_i q_i q_i^T of
+    the theta_Q blocks q_i (6 + 21 variables; G~ in a rotation of the
+    :func:`sym_basis` coordinates).  The exponent eta_j = Z_Dj theta_D + (b_j^2/6) v_j^T G~ v_j
+    and the decay constraints g_j = v_j^T G~ v_j + (3/b_j^2) Z_Dj theta_D
+    (b_j > 0) are linear in x, and D >= 0, G~ >= 0 are the closure of what
+    the Cholesky and Gram factors reach (a non-negative ternary quartic is a
+    sum of three squares, Hilbert 1888).  The loss 1/2 sum_j w_j (log y_j -
+    log S0 - eta_j)^2 then has one minimizer, which :meth:`solve` finds with
+    the barrier t f - log det D - log det G~ - sum_j log(-g_j) and damped
+    Newton steps, to a duality gap of ``gap`` f."""
+
+    def __init__(self, design, y, s0):
+        rows = y > 0
+        self.w, self.r0 = np.zeros(design.m), np.zeros(design.m)
+        self.w[rows] = y[rows] ** 2 / (s0 * s0)
+        self.r0[rows] = np.log(y[rows]) - float(np.log(s0))
+        # G~ in an orthonormal basis whose last six directions leave every
+        # v^T G~ v unchanged; only -log det G~ sees them
+        vgv = np.einsum("mi,kij,mj->mk", design.v, sym_basis(6), design.v)
+        self.rotation = np.linalg.svd(vgv)[2]
+        vgv = vgv @ self.rotation.T
+        vgv[:, 15:] = 0.0
+        self.basis_d = sym_basis(3)
+        self.basis_g = np.tensordot(self.rotation, sym_basis(6), 1)
+        self.A = np.hstack([design.z_d, (design.b ** 2 / 6.0)[:, None] * vgv])
+        pos = design.b > 0
+        self.B = np.hstack([(3.0 / design.b[pos] ** 2)[:, None] * design.z_d[pos], vgv[pos]])
+        self.hess_f = (self.A.T * self.w) @ self.A
+
+    def point(self, theta_d, G):
+        """x of theta_D and a symmetric 6 x 6 G~."""
+        return np.concatenate([theta_d, self.rotation @ np.concatenate(
+            [np.diag(G), G[np.triu_indices(6, 1)]])])
+
+    def factored_point(self, theta_d, theta_q):
+        """x of the factored parameters: G~ = Q Q^T, Q the 6 x 3 theta_Q blocks."""
+        Q = np.asarray(theta_q, dtype=float).reshape(3, 6).T
+        return self.point(theta_d, Q @ Q.T)
+
+    def loss(self, x):
+        r = self.r0 - self.A @ x
+        return 0.5 * float(self.w @ (r * r))
+
+    def barrier(self, x, derivatives=False):
+        """The barrier's value, or None outside the domain; with its gradient
+        and Hessian if ``derivatives``."""
+        g = self.B @ x
+        if not np.all(g < 0):
+            return None
+        blocks = [(slice(0, 6), self.basis_d), (slice(6, 27), self.basis_g)]
+        value = -np.sum(np.log(-g))
+        for block, basis in blocks:
+            try:
+                chol = np.linalg.cholesky(np.tensordot(x[block], basis, 1))
+            except np.linalg.LinAlgError:
+                return None
+            value -= 2.0 * np.sum(np.log(np.diag(chol)))
+        if not derivatives:
+            return value
+        grad, hess = self.B.T @ (-1.0 / g), (self.B.T / g**2) @ self.B
+        for block, basis in blocks:
+            ME = np.linalg.inv(np.tensordot(x[block], basis, 1)) @ basis  # (K, n, n)
+            grad[block] -= np.trace(ME, axis1=1, axis2=2)
+            hess[block, block] += np.einsum("kij,lji->kl", ME, ME)
+        return value, grad, hess
+
+    def solve(self, gap=1e-12):
+        """The minimizer x and its loss, from D = I and G~ = eps I: then
+        g_j = eps |v_j|^2 - 3 / b_j with |v_j| <= 1, so eps = 3 / (2 b_max)
+        is strictly feasible."""
+        theta_d = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        x = self.point(theta_d, 0.5 * np.min(-self.B[:, :6] @ theta_d) * np.eye(6))
+        nu, t = 9 + self.B.shape[0], 1.0
+        while True:
+            # centering by damped Newton; from t ~ 1e13 on, rounding in t f keeps
+            # the decrement above its tolerance, so the steps are capped
+            for _ in range(20):
+                value, grad_b, hess_b = self.barrier(x, derivatives=True)
+                grad_f = -self.A.T @ (self.w * (self.r0 - self.A @ x))
+                grad = t * grad_f + grad_b
+                H = t * self.hess_f + hess_b
+                scale = 1.0 / np.sqrt(np.diag(H))  # Jacobi scaling: t spans 14 decades
+                step = -scale * np.linalg.solve(H * np.outer(scale, scale), scale * grad)
+                decrement = -float(grad @ step)
+                if decrement <= 1e-8:
+                    break
+                # the change in t f along the step, exact for a quadratic
+                slope, curvature = t * grad_f @ step, t * step @ self.hess_f @ step
+                alpha = 1.0
+                while alpha > 1e-10:
+                    trial = self.barrier(x + alpha * step)
+                    change = alpha * slope + 0.5 * alpha**2 * curvature
+                    if trial is not None and change + trial - value <= -0.25 * alpha * decrement:
+                        break
+                    alpha *= 0.5
+                else:
+                    break
+                x = x + alpha * step
+            f = self.loss(x)
+            if nu / t <= gap * f:
+                return x, f
+            t *= 10.0
+
+
 def cho_regularize(H, shift):
     """:func:`dkimle.barrier.regularize` through scipy's ``cho_factor``."""
     out = np.asarray(H, dtype=float) + float(shift) * np.eye(H.shape[0])

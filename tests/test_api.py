@@ -37,6 +37,8 @@ DELETED = [
     "_full_column_rank",
     "_WORKERS_ENV",
     "SERIES_ASYMPTOTIC_SPLIT",
+    "DecayRows",
+    "_violates_decay",
 ]
 
 # deleted keyword arguments and fields, as (module, callable, keyword)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dkimle
+from dkimle import cli
 from dkimle.cli import (
     dump_voxel_table,
     load_voxel_table,
@@ -283,6 +284,52 @@ class TestFitCommand:
         assert len(recs1) == len(recs2) == 64
         assert [r["voxel"] for r in recs2] == list(range(64))
         assert json.dumps(recs1) == json.dumps(recs2)  # NaN-safe, and field order too
+
+    def test_records_are_strict_json(self, tmp_path):
+        """Invalid scalar maps write their NaN metrics as null: every record
+        of a WLS run with invalid maps parses with NaN/Infinity rejected."""
+        prefix = str(tmp_path / "d3")
+        run_cli("simulate", "--scenario", "dataset3", "--seed", "0",
+                "--voxels", "60", "--out", prefix)
+        out = str(tmp_path / "wls.jsonl")
+        assert run_cli("fit", "--protocol", prefix + ".protocol.txt", "--data",
+                       prefix + ".voxels.csv", "--estimator", "wls", "--out", out) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        recs = [json.loads(line, parse_constant=reject) for line in open(out)]
+        invalid = [r["metrics"] for r in recs if not r["metrics"]["valid"]]
+        assert len(recs) == 60 and len(invalid) == 6
+        assert all(m["mk"] is None and m["k_perp"] is None for m in invalid)
+
+    def test_pool_starts_no_more_workers_than_voxels(self, simulated, tmp_path,
+                                                     monkeypatch):
+        """A pool starts all its workers at the first task, so --workers 8
+        on 4 voxels asks for 4, in chunks of one voxel."""
+        calls = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                calls.append(("workers", max_workers))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads, chunksize):
+                calls.append(("chunksize", chunksize))
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        out = str(tmp_path / "w8.jsonl")
+        assert run_cli("fit", "--protocol", simulated + ".protocol.txt", "--data",
+                       simulated + ".voxels.csv", "--estimator", "wls", "--out", out,
+                       "--workers", "8") == 0
+        assert calls == [("workers", 4), ("chunksize", 1)]
+        assert len(fit_records(out)) == 4
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failed_voxels_become_error_records(self, simulated, tmp_path, capsys, workers):

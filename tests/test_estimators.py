@@ -29,6 +29,7 @@ from dkimle.simulate import random_tensor_truth, scenario, simulate_voxel
 from dkimle.sphere import fibonacci_sphere
 from dkimle.tensors import (
     ModelParams,
+    apparent_coefficients,
     gram_from_q,
     kurtosis_from_gram,
     mean_diffusivity,
@@ -37,6 +38,7 @@ from dkimle.tensors import (
 )
 
 from conftest import (
+    LiftedCwls,
     cho_fisher_step,
     cho_regularize,
     dense_p_matrix,
@@ -226,7 +228,7 @@ class TestInitParams:
         design = internal_design(protocol)
         wls = wls_fit(vox, design)
         wls.theta_w_scaled = np.zeros(15)
-        params = init_params(wls, design)
+        params = init_params(wls, ExponentModel(design))
         np.testing.assert_allclose(params.theta_q, 0.0, atol=0)
         g = decay_constraints(params.L, params.theta_q, design)
         assert np.all(g < 0)
@@ -238,7 +240,7 @@ class TestInitParams:
         protocol, gt, vox = noiseless_voxel(6)
         design = internal_design(protocol)
         wls = wls_fit(vox, design)
-        params = init_params(wls, design)
+        params = init_params(wls, ExponentModel(design))
         md = mean_diffusivity(params.theta_d)
         G_init = gram_from_q(params.theta_q, md)
         G_true = dkimle.gram_from_kurtosis(gt.theta_w)
@@ -256,7 +258,7 @@ class TestInitParams:
         design = internal_design(protocol)
         wls = wls_fit(vox, design)
         wls.theta_d = np.array([1.0, 1.0, -0.5, 0.0, 0.0, 0.0])
-        params = init_params(wls, design)
+        params = init_params(wls, ExponentModel(design))
         vals = np.linalg.eigvalsh(
             np.array([
                 [params.theta_d[0], params.theta_d[3], params.theta_d[4]],
@@ -274,7 +276,7 @@ class TestInitParams:
             gt = random_tensor_truth(np.random.default_rng(seed), protocol)
             vox = simulate_voxel(gt, protocol, 1.0, 1.0 / 5.0, np.random.default_rng(seed))
             wls = wls_fit(vox, design)
-            params = init_params(wls, design)
+            params = init_params(wls, ExponentModel(design))
             g = decay_constraints(params.L, params.theta_q, design)
             assert np.all(g < 0)
 
@@ -332,7 +334,7 @@ class TestMSteps:
         design = internal_design(protocol)
         params = ModelParams(
             dkimle.cholesky_of_d(gt.theta_d / B_INTERNAL_SCALE),
-            init_params(wls_fit(vox, design), design).theta_q,
+            init_params(wls_fit(vox, design), ExponentModel(design)).theta_q,
             2.0,  # wrong amplitude on purpose
             1e-12,
         )
@@ -381,7 +383,7 @@ class TestMSteps:
         protocol, gt, vox = noiseless_voxel(15)
         design = internal_design(protocol)
         wls = wls_fit(vox, design)
-        params = init_params(wls, design)
+        params = init_params(wls, ExponentModel(design))
         state = AugmentedState(np.full(design.m, np.nextafter(1.0, 0.0)))
         out = em_mstep_sigma2(state, params, vox.y, exponent(params, design))
         assert out < 1e-12  # clamp floor or genuine tiny residual
@@ -462,7 +464,7 @@ class TestTensorUpdates:
         protocol, gt, vox = noiseless_voxel(30)
         design = internal_design(protocol)
         wls = wls_fit(vox, design)
-        params = init_params(wls, design)
+        params = init_params(wls, ExponentModel(design))
         params.sigma2 = 1e-14
         state = em_estep(params, vox.y, exponent(params, design))
         L_new, q_new, _ = update_tensors(params, state, vox.y, ExponentModel(design))
@@ -584,6 +586,20 @@ class TestCwlsFit:
         assert fit.em_iterations == 2 and fit.loglik_trace.size == 2
         assert fit.converged == diag.converged
 
+    def test_panel_reaches_the_global_minimum(self):
+        """On the 18 cwls panel voxels (dataset2, SNR 5, seed 0) the CWLS
+        loss is within 1e-8 relative of the convex oracle's, with CWLS's log
+        S0 and weights: the fits are global minima, not only stationary
+        points of the factored parametrization (worst gap 6.7e-10)."""
+        protocol, rows, _ = scenario("dataset2", snr=5.0, seed=0, n_voxels=18)
+        design = internal_design(protocol)
+        for y in rows:
+            fit = fit_voxel(y, protocol, "cwls")
+            oracle = LiftedCwls(design, y, fit.params.s0)
+            _, f_min = oracle.solve()
+            f = oracle.loss(oracle.factored_point(fit.params.theta_d, fit.params.theta_q))
+            assert abs(f - f_min) <= 1e-8 * f_min
+
 
 class TestEstimatorConsistency:
     def test_all_estimators_meet_at_truth(self):
@@ -662,6 +678,33 @@ class TestViolationFlags:
         design = internal_design(protocol)
         flags = violation_flags(gt.theta_d / B_INTERNAL_SCALE, gt.theta_w, design)
         assert flags == ConstraintFlags()
+
+    def test_decay_flag_matches_its_definition(self):
+        """On the 180 WLS fits of dataset3, the decay flag is set exactly
+        when K_app b D_app > 3 at some b > 0 acquisition, with (D_app, K_app)
+        from apparent_coefficients in s/mm^2 units.  A fit with a row within
+        1e-9 relative of the bound and none beyond it is skipped; K_app is
+        undefined where D_app <= 0, so the 8 fits with such a row are not
+        compared."""
+        protocol, rows, _ = scenario("dataset3", seed=0)
+        weighted = [(b, g) for b, g in zip(protocol.bvals, protocol.bvecs) if b > 0]
+        compared, flagged, undefined = 0, 0, 0
+        for row in rows:
+            fit = fit_voxel(row, protocol, "wls")
+            try:
+                coefs = [apparent_coefficients(fit.theta_d, fit.theta_w, g) for _, g in weighted]
+            except ValueError:
+                undefined += 1
+                continue
+            ratio = np.array([k * b * d / 3.0 for (b, _), (d, k) in zip(weighted, coefs)])
+            beyond = bool(np.any(ratio > 1.0 + 1e-9))
+            if not beyond and np.any(np.abs(ratio - 1.0) <= 1e-9):
+                continue
+            assert fit.violations.decay_bound == beyond
+            compared += 1
+            flagged += beyond
+        assert (compared, undefined) == (172, 8)
+        assert 60 < flagged < 120  # about half
 
     def test_cached_directions_match_uncached_formula(self, rng):
         """The kurtosis-sign check uses a read-only table equal to the
@@ -870,7 +913,7 @@ class TestSolveFailures:
         carries, flagged not converged, without a second solve."""
         protocol, gt, vox = noiseless_voxel(31)
         design = internal_design(protocol)
-        params = init_params(wls_fit(vox, design), design)
+        params = init_params(wls_fit(vox, design), ExponentModel(design))
         state = em_estep(params, vox.y, exponent(params, design))
         carried = np.linspace(0.1, 2.4, 24)
         calls = []
