@@ -192,24 +192,31 @@ def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
     """Log-linear weighted least squares fit of the kurtosis model.
 
     Regresses log Y on [1 | Z_D | Z_W]; the kurtosis coefficients absorb
-    the MD^2 scale.  The weights are w_j = Y_j^2 / S0^2 with S0 from a
-    first unweighted pass.  Zero magnitudes are excluded from the
-    regression; the noise level is estimated from the signal-space
+    the MD^2 scale.  The weights are w_j = Y_j^2.  The usual Y_j^2 / S0^2
+    differs from them by a common factor, which cancels from the weighted
+    solution, so no unweighted first pass is needed; they are taken as
+    (Y_j / max Y)^2 to keep them in range.  The weighted problem is solved
+    by one Householder QR and a back-substitution.  Rows of zero weight
+    (zero magnitudes, and magnitudes whose weight underflows to zero) are
+    excluded; the noise level is estimated from the signal-space
     residuals.
 
     Raises
     ------
     RankDeficient
-        If fewer than 22 usable rows remain or the design does not have
-        full column rank, except in the all-b=0 case which returns the
-        flagged degenerate solution (log S0 = mean log Y, zero tensors).
+        If fewer than 22 usable rows remain or the design on them does not
+        have full column rank (``np.linalg.matrix_rank``), except in the
+        all-b=0 case which returns the flagged degenerate solution
+        (log S0 = mean log Y, zero tensors).
     """
     if data.m != design.m:
         raise ValueError(f"data has {data.m} rows but design has {design.m}")
-    use = ~data.zero_mask
-    if not np.any(use):
+    y_max = data.y.max()
+    if y_max == 0:
         raise RankDeficient("every magnitude is zero")
-    y = data.y[use]
+    root_w = data.y / y_max  # square roots of the weights
+    use = root_w * root_w > 0
+    y, root_w = data.y[use], root_w[use]
     logy = np.log(y)
 
     if np.all(design.b[use] == 0):
@@ -219,18 +226,20 @@ def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
         sigma2 = float(np.sum(resid**2) / max(y.size - 1, 1))
         return WlsFit(log_s0, np.zeros(6), np.zeros(15), max(sigma2, 1e-30), True)
 
-    X = design.regression if use.all() else design.regression[use]
     if y.size < _N_PARAMS:
         raise RankDeficient(f"{y.size} usable rows < {_N_PARAMS} parameters")
-    # the rank counts the singular values above S_max max(m, n) eps, the
-    # rule of np.linalg.matrix_rank
-    beta0, _, rank, _ = np.linalg.lstsq(X, logy, rcond=None)
+    if use.all():
+        X, rank = design.regression, design.regression_rank
+    else:
+        X = design.regression[use]
+        rank = np.linalg.matrix_rank(X)
     if rank < _N_PARAMS:
         raise RankDeficient("design matrix does not have full column rank")
-    s0_first = np.exp(beta0[0])
-    w = y * y / (s0_first * s0_first)
-    sw = np.sqrt(w)
-    beta, *_ = np.linalg.lstsq(X * sw[:, None], logy * sw, rcond=None)
+    # R of the weighted [X | log y] holds R of the weighted X and Q^T of the
+    # weighted log y; on a triangular matrix, solve's LU pivots nowhere and
+    # reduces to the back-substitution
+    r = np.linalg.qr(np.column_stack([X * root_w[:, None], logy * root_w]), mode="r")
+    beta = np.linalg.solve(r[:-1, :-1], r[:-1, -1])
 
     fitted = np.exp(X @ beta)
     dof = max(y.size - _N_PARAMS, 1)

@@ -120,6 +120,11 @@ class DesignMatrices:
         X.setflags(write=False)
         return X
 
+    @cached_property
+    def regression_rank(self) -> int:
+        """``np.linalg.matrix_rank`` of :attr:`regression`, computed once."""
+        return int(np.linalg.matrix_rank(self.regression))
+
 
 def monomial_vectors(g: np.ndarray) -> np.ndarray:
     """Quadratic monomial vectors v for unit directions ``g`` of shape (m, 3)."""

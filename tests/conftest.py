@@ -332,6 +332,23 @@ def fd_hessian(f, x, h=1e-5):
     return H
 
 
+def two_pass_wls(data, design):
+    """The log-linear WLS fit by two SVD least-squares solves: an unweighted
+    pass for S0, then the fit with weights Y^2 / S0^2.  Returns
+    (log S0, theta_D, MD^2-scaled theta_W, sigma^2) of a full-rank
+    design; zero magnitudes are excluded."""
+    use = ~data.zero_mask
+    y = data.y[use]
+    logy = np.log(y)
+    X = np.column_stack([np.ones(y.size), design.z_d[use], design.z_w[use]])
+    beta0 = np.linalg.lstsq(X, logy, rcond=None)[0]
+    s0 = np.exp(beta0[0])
+    sw = np.sqrt(y * y / (s0 * s0))
+    beta = np.linalg.lstsq(X * sw[:, None], logy * sw, rcond=None)[0]
+    sigma2 = np.sum((y - np.exp(X @ beta)) ** 2) / (y.size - 22)
+    return beta[0], beta[1:7], beta[7:], sigma2
+
+
 def random_unit(rng):
     g = rng.normal(size=3)
     return g / np.linalg.norm(g)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -48,6 +50,7 @@ from conftest import (
     kron_curvature,
     random_unit,
     reference_tensor_problem,
+    two_pass_wls,
     vvec,
 )
 
@@ -186,6 +189,79 @@ class TestWls:
         except RankDeficient:
             raised = True
         assert raised == (np.linalg.matrix_rank(X) < 22) == deficient
+
+    @staticmethod
+    def oracle_case(name):
+        """(protocol, magnitude rows) of a seed-0 panel, or the dataset2
+        voxel with one zero magnitude."""
+        if name == "zero_row":
+            protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=1)
+            rows[0, 40] = 0.0
+            return protocol, rows
+        protocol, rows, _ = scenario(name, seed=0)
+        return protocol, rows
+
+    @pytest.mark.parametrize("name", ["dataset1", "dataset2", "dataset3", "zero_row"])
+    def test_matches_two_pass_lstsq(self, name):
+        """The single QR solve with weights Y^2 gives the two-pass SVD fit
+        with weights Y^2 / S0^2, whose common 1/S0^2 cancels.  S0 and
+        sigma^2 agree to 1e-12 relative, and each tensor block to 1e-12 of
+        its largest element."""
+        protocol, rows = self.oracle_case(name)
+        design = internal_design(protocol)
+        for y in rows:
+            data = VoxelData(y)
+            fit = wls_fit(data, design)
+            log_s0, theta_d, theta_w_scaled, sigma2 = two_pass_wls(data, design)
+            assert fit.s0 == pytest.approx(np.exp(log_s0), rel=1e-12)
+            assert fit.sigma2 == pytest.approx(sigma2, rel=1e-12)
+            for got, want in ((fit.theta_d, theta_d), (fit.theta_w_scaled, theta_w_scaled)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_rows", [5, 20, 53])
+    def test_subnormal_rows_are_dropped_like_zero_rows(self, capfd, n_rows):
+        """Magnitudes whose weight Y^2 underflows to 0 carry no weight: the
+        fit equals the one with those magnitudes zero, or raises
+        RankDeficient like it, and prints and warns nothing.  The two-pass
+        SVD solve raised LinAlgError on all three, after LAPACK printed
+        'DLASCL parameter number 4 had an illegal value'."""
+        protocol, rows, _ = scenario("dataset3", seed=0, n_voxels=1)
+        design = internal_design(protocol)
+        subnormal, zero = rows[0].copy(), rows[0].copy()
+        subnormal[:n_rows], zero[:n_rows] = 5e-324, 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = []
+            for y in (subnormal, zero):
+                try:
+                    fit = wls_fit(VoxelData(y), design)
+                    outcomes.append(np.concatenate([[fit.log_s0, fit.sigma2],
+                                                    fit.theta_d, fit.theta_w_scaled]))
+                except RankDeficient as exc:
+                    outcomes.append(str(exc))
+        if n_rows == 5:
+            np.testing.assert_array_equal(outcomes[0], outcomes[1])
+        else:
+            assert outcomes[0] == outcomes[1]
+            assert ("usable rows" in outcomes[0]) == (n_rows == 53)
+        assert capfd.readouterr() == ("", "")
+
+    def test_full_row_fits_use_no_svd(self, monkeypatch):
+        """Once the design's rank is cached, fits that use every row call
+        no SVD: no lstsq, svd or matrix_rank."""
+        protocol, rows, _ = scenario("dataset3", seed=0, n_voxels=3)
+        design = internal_design(protocol)
+        assert design.regression_rank == 22
+        fit_voxel(rows[0], protocol, "wls")  # caches the driver's design and its rank
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD called")
+
+        for name in ("lstsq", "svd", "matrix_rank"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for y in rows:
+            wls_fit(VoxelData(y), design)
+            fit_voxel(y, protocol, "wls")
 
     def test_zero_rows_excluded(self):
         protocol, gt, vox = noiseless_voxel(4)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -65,6 +66,21 @@ class TestBuildDesign:
         assert d.regression is d.regression
         with pytest.raises(ValueError, match="read-only"):
             d.regression[0, 0] = 2.0
+
+    @pytest.mark.parametrize("name", ["dataset1", "dataset3"])
+    def test_regression_rank_is_cached_matrix_rank(self, monkeypatch, name):
+        """``regression_rank`` is the int ``np.linalg.matrix_rank`` of
+        ``regression``, computed once per design and not assignable."""
+        protocol, _, _ = scenario(name, seed=0, n_voxels=6 if name == "dataset1" else 1)
+        d = build_design(protocol)
+        calls = []
+        real = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda X: calls.append(1) or real(X))
+        rank = d.regression_rank
+        assert type(rank) is int and rank == real(d.regression) == 22
+        assert d.regression_rank == rank and len(calls) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.regression_rank = 21
 
     def test_v_first_three_sum_to_one(self, rng):
         g = np.array([random_unit(rng) for _ in range(20)])
