@@ -236,10 +236,11 @@ def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
     if rank < _N_PARAMS:
         raise RankDeficient("design matrix does not have full column rank")
     # R of the weighted [X | log y] holds R of the weighted X and Q^T of the
-    # weighted log y; on a triangular matrix, solve's LU pivots nowhere and
+    # weighted log y in its first 22 rows (R has only 22 rows when 22 rows
+    # are used); on a triangular matrix, solve's LU pivots nowhere and
     # reduces to the back-substitution
     r = np.linalg.qr(np.column_stack([X * root_w[:, None], logy * root_w]), mode="r")
-    beta = np.linalg.solve(r[:-1, :-1], r[:-1, -1])
+    beta = np.linalg.solve(r[:_N_PARAMS, :_N_PARAMS], r[:_N_PARAMS, _N_PARAMS])
 
     fitted = np.exp(X @ beta)
     dof = max(y.size - _N_PARAMS, 1)

@@ -336,7 +336,8 @@ def two_pass_wls(data, design):
     """The log-linear WLS fit by two SVD least-squares solves: an unweighted
     pass for S0, then the fit with weights Y^2 / S0^2.  Returns
     (log S0, theta_D, MD^2-scaled theta_W, sigma^2) of a full-rank
-    design; zero magnitudes are excluded."""
+    design; zero magnitudes are excluded, and sigma^2 has at least one
+    degree of freedom, as in wls_fit."""
     use = ~data.zero_mask
     y = data.y[use]
     logy = np.log(y)
@@ -345,7 +346,7 @@ def two_pass_wls(data, design):
     s0 = np.exp(beta0[0])
     sw = np.sqrt(y * y / (s0 * s0))
     beta = np.linalg.lstsq(X * sw[:, None], logy * sw, rcond=None)[0]
-    sigma2 = np.sum((y - np.exp(X @ beta)) ** 2) / (y.size - 22)
+    sigma2 = np.sum((y - np.exp(X @ beta)) ** 2) / max(y.size - 22, 1)
     return beta[0], beta[1:7], beta[7:], sigma2
 
 

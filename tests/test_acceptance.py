@@ -15,7 +15,7 @@ published figure that the inputs do not reproduce:
   joint test recomputes every per-region bound with an oracle of its
   own and pins 2717.7 with PU/GP binding.
 * Criterion 7.  MK-MSE of the likelihood fit beats WLS by a wide margin
-  at SNR 15, but its median DT-MSE does not beat CWLS there (1.485e-08
+  at SNR 15, but its median DT-MSE does not beat CWLS there (1.491e-08
   against 1.355e-08); the maximum of the Rician likelihood itself gives
   1.489e-08 on the same voxels, so no DT ordering at SNR 15 follows
   from the estimator.  The test asserts what a likelihood estimator does
@@ -376,7 +376,7 @@ class TestCriterion07EstimatorOrdering:
         is at least as high at the MLE tensors as at the CWLS tensors
         (by at least 5.1 nats today).
 
-        The median DT-MSE is printed but not ordered: mle gives 1.485e-08
+        The median DT-MSE is printed but not ordered: mle gives 1.491e-08
         against 1.355e-08 for cwls, and the exact maximum of the Rician
         likelihood on these voxels gives 1.489e-08 (better on only 3 of
         the 10 seeds), so the likelihood estimator does not promise a

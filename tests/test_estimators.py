@@ -218,6 +218,25 @@ class TestWls:
             for got, want in ((fit.theta_d, theta_d), (fit.theta_w_scaled, theta_w_scaled)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_exactly_22_usable_rows(self):
+        """A voxel left with as many usable rows as parameters (32 of the 54
+        dataset3 magnitudes zeroed, the 22 kept of full rank) gets the exact
+        fit of the two-pass SVD solve."""
+        protocol, rows, _ = scenario("dataset3", seed=0, n_voxels=1)
+        design = internal_design(protocol)
+        keep = np.arange(0, 54, 54 / 22).astype(int)
+        y = np.zeros(protocol.m)
+        y[keep] = rows[0, keep]
+        assert keep.size == 22 and np.linalg.matrix_rank(design.regression[keep]) == 22
+        data = VoxelData(y)
+        fit = wls_fit(data, design)
+        log_s0, theta_d, theta_w_scaled, _ = two_pass_wls(data, design)
+        assert fit.s0 == pytest.approx(np.exp(log_s0), rel=1e-12)
+        for got, want in ((fit.theta_d, theta_d), (fit.theta_w_scaled, theta_w_scaled)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        np.testing.assert_allclose(fit.s0 * np.exp(design.regression[keep, 1:] @ np.concatenate(
+            [fit.theta_d, fit.theta_w_scaled])), y[keep], rtol=1e-10)
+
     @pytest.mark.parametrize("n_rows", [5, 20, 53])
     def test_subnormal_rows_are_dropped_like_zero_rows(self, capfd, n_rows):
         """Magnitudes whose weight Y^2 underflows to 0 carry no weight: the
