@@ -4,13 +4,20 @@ File formats
 ------------
 protocol      text rows ``b gx gy gz`` (s/mm^2) or the JSON form
               ``{"bvals": [...], "bvecs": [[...], ...]}``.
-voxel table   header line ``m=<count>``, then one line per voxel with m
-              comma-separated magnitudes; ``#`` comments allowed.
+voxel table   header line ``m=<count>`` (a positive integer), then one
+              line per voxel with m comma-separated magnitudes; ``#``
+              comments allowed.
 truth sidecar JSON object keyed by voxel index.
 fit output    JSON lines, one voxel per line in voxel order, each with
               ``"status": "ok"``, or ``"status": "error"`` and the
               ``error`` of a voxel whose fit raised.
 compare       JSON report plus an aligned text table on stdout.
+
+``fit`` sends the worker processes blocks of about an eighth of their
+share of the rows (at most :data:`MAX_BLOCK_ROWS`).  A worker fits its
+block with one :func:`fit_voxel` call, which solves the WLS fits of the
+block's clean rows in one stacked QR, and formats the block's records
+itself; the parent parses, dispatches, counts and writes.
 
 Identical (command, seed) pairs produce byte-identical voxel tables, and
 fit output that is identical for every worker count apart from the
@@ -60,7 +67,11 @@ def load_voxel_table(text: str) -> np.ndarray:
         if m is None:
             if not line.startswith("m="):
                 raise CliError(f"line {lineno}: voxel table must start with 'm=<count>'")
-            m = int(line[2:])
+            count = line[2:].strip()
+            if not count.isdecimal() or int(count) < 1:
+                raise CliError(f"line {lineno}: voxel count must be a positive integer, "
+                               f"got {count!r}")
+            m = int(count)
             continue
         vals = [float(p) for p in line.split(",")]
         if len(vals) != m:
@@ -102,26 +113,45 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-@dataclass
-class VoxelError:
-    """A voxel whose fit raised; it is written as an error record."""
+# rows per block sent to a worker at most, so the stacked (rows, m, 23)
+# WLS array stays a few MB
+MAX_BLOCK_ROWS = 256
 
-    estimator: str
-    error: str
+
+@dataclass
+class FittedBlock:
+    """The JSON lines of a block of voxels fitted in one worker call, with
+    the counts of failed and non-converged voxels among them."""
+
+    lines: list
+    n_failed: int
+    n_bad: int
 
 
 def _fit_one(payload):
-    index, y, protocol, estimator, options = payload
-    try:
-        result = fit_voxel(y, protocol, estimator, options)
-    except ValueError as exc:  # bad magnitudes, RankDeficient, DegenerateVoxel, Infeasible
-        result = VoxelError(estimator, f"{type(exc).__name__}: {exc}")
-    return index, result
+    """Fit a block of rows, starting at voxel ``start``, and format its
+    records; the worker entry.  Returns (start, FittedBlock)."""
+    start, rows, protocol, estimator, options = payload
+    lines, n_failed, n_bad = [], 0, 0
+    for index, result in enumerate(fit_voxel(rows, protocol, estimator, options), start):
+        if isinstance(result, ValueError):
+            n_failed += 1
+        elif not result.converged:
+            n_bad += 1
+        lines.append(json.dumps(_record(index, estimator, result)))
+    return start, FittedBlock(lines, n_failed, n_bad)
 
 
-def _result_record(index: int, r: FitResult | VoxelError) -> dict:
-    if isinstance(r, VoxelError):
-        return {"voxel": index, "estimator": r.estimator, "status": "error", "error": r.error}
+def _result_record(start: int, block: FittedBlock) -> list:
+    """The lines of the block fitted from voxel ``start``; the parent takes
+    each block's lines through this one call."""
+    return block.lines
+
+
+def _record(index: int, estimator: str, r: FitResult | ValueError) -> dict:
+    if isinstance(r, ValueError):  # bad magnitudes, RankDeficient, DegenerateVoxel, Infeasible
+        return {"voxel": index, "estimator": estimator, "status": "error",
+                "error": f"{type(r).__name__}: {r}"}
     sm = scalar_metrics(r.theta_d, r.theta_w, r.s0, r.sigma2)
     record = {
         "voxel": index,
@@ -169,20 +199,18 @@ def cmd_fit(args) -> int:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     n = rows.shape[0]
     workers = min(args.workers, n)  # a pool starts all its workers at the first task
-    payloads = [(i, rows[i], protocol, args.estimator, options) for i in range(n)]
+    # about eight blocks per worker keep the load balanced
+    size = min(-(-n // (8 * workers)), MAX_BLOCK_ROWS)
+    payloads = [(start, rows[start:start + size], protocol, args.estimator, options)
+                for start in range(0, n, size)]
     lines = []
     n_failed = n_bad = 0
-    # records are formatted here as results arrive, while the pool fits on;
-    # about eight chunks per worker keep the load balanced
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        fitted = (map(_fit_one, payloads) if pool is None
-                  else pool.map(_fit_one, payloads, chunksize=-(-n // (8 * workers))))
-        for index, result in fitted:
-            if isinstance(result, VoxelError):
-                n_failed += 1
-            elif not result.converged:
-                n_bad += 1
-            lines.append(json.dumps(_result_record(index, result)))
+        fitted = map(_fit_one, payloads) if pool is None else pool.map(_fit_one, payloads)
+        for start, block in fitted:
+            lines += _result_record(start, block)
+            n_failed += block.n_failed
+            n_bad += block.n_bad
     _write(args.out, "\n".join(lines) + "\n")
     print(f"fitted {n} voxels with {args.estimator}; "
           f"{n_bad} flagged non-converged; {n_failed} failed; wrote {args.out}")

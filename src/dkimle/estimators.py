@@ -188,7 +188,22 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # weighted least squares
 
-def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
+def _weighted_solve(X, root_w, y) -> np.ndarray:
+    """Coefficients of the log-linear regressions of y on X with weights
+    root_w^2, for one voxel (rows,) or a stack of them (k, rows).
+
+    R of the weighted [X | log y] holds R of the weighted X and Q^T of the
+    weighted log y in its first 22 rows (R has only 22 rows when 22 rows
+    are used); on a triangular matrix, solve's LU pivots nowhere and
+    reduces to the back-substitution.  A stack runs LAPACK once per voxel,
+    so each voxel's coefficients are those of its own solve, bit for bit.
+    """
+    a = np.concatenate([X * root_w[..., None], (np.log(y) * root_w)[..., None]], axis=-1)
+    r = np.linalg.qr(a, mode="r")
+    return np.linalg.solve(r[..., :_N_PARAMS, :_N_PARAMS], r[..., :_N_PARAMS, _N_PARAMS:])[..., 0]
+
+
+def wls_fit(data: VoxelData, design: DesignMatrices, beta: np.ndarray = None) -> WlsFit:
     """Log-linear weighted least squares fit of the kurtosis model.
 
     Regresses log Y on [1 | Z_D | Z_W]; the kurtosis coefficients absorb
@@ -199,7 +214,9 @@ def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
     by one Householder QR and a back-substitution.  Rows of zero weight
     (zero magnitudes, and magnitudes whose weight underflows to zero) are
     excluded; the noise level is estimated from the signal-space
-    residuals.
+    residuals.  ``beta`` is the regression's solution when a block solve
+    (:func:`fit_voxel`) has already computed it for a voxel whose every row
+    is used.
 
     Raises
     ------
@@ -217,11 +234,10 @@ def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
     root_w = data.y / y_max  # square roots of the weights
     use = root_w * root_w > 0
     y, root_w = data.y[use], root_w[use]
-    logy = np.log(y)
 
     if np.all(design.b[use] == 0):
         # only the amplitude is identifiable; flag and return it
-        log_s0 = float(np.mean(logy))
+        log_s0 = float(np.mean(np.log(y)))
         resid = y - np.exp(log_s0)
         sigma2 = float(np.sum(resid**2) / max(y.size - 1, 1))
         return WlsFit(log_s0, np.zeros(6), np.zeros(15), max(sigma2, 1e-30), True)
@@ -235,12 +251,8 @@ def wls_fit(data: VoxelData, design: DesignMatrices) -> WlsFit:
         rank = np.linalg.matrix_rank(X)
     if rank < _N_PARAMS:
         raise RankDeficient("design matrix does not have full column rank")
-    # R of the weighted [X | log y] holds R of the weighted X and Q^T of the
-    # weighted log y in its first 22 rows (R has only 22 rows when 22 rows
-    # are used); on a triangular matrix, solve's LU pivots nowhere and
-    # reduces to the back-substitution
-    r = np.linalg.qr(np.column_stack([X * root_w[:, None], logy * root_w]), mode="r")
-    beta = np.linalg.solve(r[:_N_PARAMS, :_N_PARAMS], r[:_N_PARAMS, _N_PARAMS])
+    if beta is None:
+        beta = _weighted_solve(X, root_w, y)
 
     fitted = np.exp(X @ beta)
     dof = max(y.size - _N_PARAMS, 1)
@@ -606,27 +618,34 @@ def _internal_design(bvals: bytes, bvecs: bytes) -> DesignMatrices:
     return design
 
 
-def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
-              options: FitOptions = None) -> FitResult:
-    """Fit one voxel from a protocol in s/mm^2 units; the one driver of
-    the ``wls``, ``cwls`` and ``mle`` estimators.
+def _block_solve(block: np.ndarray, design: DesignMatrices) -> list:
+    """The WLS coefficients of the rows of a block that use every
+    acquisition, by one stacked :func:`_weighted_solve`.
 
-    Rescales b by 1e-3 internally (so the quartic design is O(1)) and runs
-    :func:`wls_fit`.  That fit is the result for ``wls``, and for every
-    estimator on a b0-only protocol, which identifies S0 alone (flagged
-    not converged).  Otherwise one :class:`ExponentModel` of the design
-    serves :func:`init_params`, which turns the fit into a feasible start,
-    and the estimator's step function, :func:`cwls_fit` or :func:`em_mle_fit`.
-    The violation flags are checked in the internal units, and the
-    diffusion block is converted back to mm^2/s.
+    Returns one entry per row: its coefficients, or None.  Rows with a
+    zero, subnormal or invalid magnitude, and every row of a design that
+    :func:`wls_fit` treats apart (b0-only or rank-deficient), get None and
+    are solved by the per-voxel fit.
     """
-    start = time.perf_counter()
-    if estimator not in ("wls", "cwls", "mle"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-    data = y if isinstance(y, VoxelData) else VoxelData(np.asarray(y, dtype=float))
-    design = _internal_design(protocol.bvals.tobytes(), protocol.bvecs.tobytes())
+    betas = [None] * len(block)
+    if block.shape[1] != design.m or design.regression_rank < _N_PARAMS or not design.b.any():
+        return betas
+    clean = np.flatnonzero(np.all(np.isfinite(block) & (block > 0), axis=1))
+    y = block[clean]
+    root_w = y / y.max(axis=1, keepdims=True)
+    full = np.all(root_w * root_w > 0, axis=1)
+    for i, beta in zip(clean[full], _weighted_solve(design.regression, root_w[full], y[full])):
+        betas[i] = beta
+    return betas
 
-    wls = wls_fit(data, design)
+
+def _fit_row(y, design: DesignMatrices, estimator: str, options: FitOptions,
+             beta: np.ndarray = None) -> FitResult:
+    """The fit of one voxel by :func:`fit_voxel`, from its WLS solution
+    ``beta`` when a block solve computed it."""
+    start = time.perf_counter()
+    data = y if isinstance(y, VoxelData) else VoxelData(np.asarray(y, dtype=float))
+    wls = wls_fit(data, design, beta)
     if estimator == "wls" or wls.underdetermined:
         params, theta_d, theta_w, s0 = None, wls.theta_d, wls.theta_w(), wls.s0
         sigma2, trace, sweeps, converged = wls.sigma2, [], 0, not wls.underdetermined
@@ -641,3 +660,51 @@ def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
                      loglik_trace=np.asarray(trace, dtype=float), em_iterations=sweeps,
                      converged=converged, violations=violation_flags(theta_d, theta_w, design),
                      wall_time=time.perf_counter() - start)
+
+
+def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
+              options: FitOptions = None) -> FitResult | list:
+    """Fit one voxel, or a block of voxels, from a protocol in s/mm^2
+    units; the one driver of the ``wls``, ``cwls`` and ``mle`` estimators.
+
+    Rescales b by 1e-3 internally (so the quartic design is O(1)) and runs
+    :func:`wls_fit`.  That fit is the result for ``wls``, and for every
+    estimator on a b0-only protocol, which identifies S0 alone (flagged
+    not converged).  Otherwise one :class:`ExponentModel` of the design
+    serves :func:`init_params`, which turns the fit into a feasible start,
+    and the estimator's step function, :func:`cwls_fit` or :func:`em_mle_fit`.
+    The violation flags are checked in the internal units, and the
+    diffusion block is converted back to mm^2/s.
+
+    A 1-D ``y`` (or a :class:`VoxelData`) returns its :class:`FitResult`,
+    or raises.  A (k, m) block returns a list with one entry per row: its
+    :class:`FitResult`, or the ``ValueError`` its fit raised.  The block's
+    rows that use every acquisition are solved by one stacked WLS QR
+    (:func:`_block_solve`); each of them takes an equal share of that
+    solve's time in its ``wall_time``, so a block's wall times sum to its
+    fitting time.  Every result equals that of the row fitted alone, bit
+    for bit, apart from ``wall_time``.
+    """
+    if estimator not in ("wls", "cwls", "mle"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+    design = _internal_design(protocol.bvals.tobytes(), protocol.bvecs.tobytes())
+    if isinstance(y, VoxelData) or np.ndim(y) == 1:
+        return _fit_row(y, design, estimator, options)
+    block = np.asarray(y, dtype=float)
+    if block.ndim != 2:
+        raise ValueError(f"expected one voxel (m,) or a block (k, m), got shape {block.shape}")
+
+    start = time.perf_counter()
+    betas = _block_solve(block, design)
+    share = (time.perf_counter() - start) / max(sum(b is not None for b in betas), 1)
+    results = []
+    for row, beta in zip(block, betas):
+        try:
+            result = _fit_row(row, design, estimator, options, beta)
+        except ValueError as exc:
+            results.append(exc)
+            continue
+        if beta is not None:
+            result.wall_time += share
+        results.append(result)
+    return results

@@ -15,6 +15,7 @@ from dkimle.cli import (
     main,
 )
 from dkimle.estimators import B_INTERNAL_SCALE, fit_voxel
+from dkimle.protocol import load_protocol
 from dkimle.simulate import scenario
 
 
@@ -59,6 +60,21 @@ class TestVoxelTable:
     def test_empty_rejected(self):
         with pytest.raises(Exception, match="empty"):
             load_voxel_table("m=3\n")
+
+    @pytest.mark.parametrize("count", ["2.0", "-3", "0", "x"])
+    def test_count_must_be_a_positive_integer(self, simulated, tmp_path, capsys, count):
+        """m=2.0 used to exit with int()'s message, naming no line, and m=-3
+        was read and failed on line 2."""
+        with pytest.raises(cli.CliError, match=f"^line 1: voxel count must be a positive "
+                                               f"integer, got '{count}'$"):
+            load_voxel_table(f"m={count}\n1,2,3\n")
+        table = tmp_path / "bad.csv"
+        table.write_text(f"# header\nm={count}\n1,2,3\n")
+        out = tmp_path / "o.jsonl"
+        assert run_cli("fit", "--protocol", simulated + ".protocol.txt", "--data", str(table),
+                       "--estimator", "wls", "--out", str(out)) == 2
+        assert "error: line 2: voxel count must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -269,21 +285,36 @@ class TestFitCommand:
         assert loaded == []
 
     def test_worker_count_does_not_change_results(self, tmp_path):
-        """A WLS table spanning several chunks per worker gives the same
-        records in voxel order, field for field, with 1 and 2 workers."""
+        """A 67-row WLS table, cut into blocks of 9, 5 and 3 rows with 1, 2
+        and 3 workers so the last block is short each time, gives the same
+        records in voxel order, field for field, and each equals the row's
+        in-process fit.  Row 20 has a zero magnitude and is fitted without
+        it; row 50 holds a NaN and becomes an error record."""
         prefix = str(tmp_path / "big")
         run_cli("simulate", "--scenario", "dataset3", "--seed", "7",
-                "--voxels", "64", "--out", prefix)
-        outs = {}
-        for workers in ("1", "2"):
-            outs[workers] = str(tmp_path / f"w{workers}.jsonl")
-            assert run_cli("fit", "--protocol", prefix + ".protocol.txt",
-                           "--data", prefix + ".voxels.csv", "--estimator", "wls",
-                           "--out", outs[workers], "--workers", workers) == 0
-        recs1, recs2 = (fit_records(outs[w]) for w in ("1", "2"))
-        assert len(recs1) == len(recs2) == 64
-        assert [r["voxel"] for r in recs2] == list(range(64))
-        assert json.dumps(recs1) == json.dumps(recs2)  # NaN-safe, and field order too
+                "--voxels", "67", "--out", prefix)
+        protocol = load_protocol(open(prefix + ".protocol.txt").read())
+        rows = load_voxel_table(open(prefix + ".voxels.csv").read())
+        rows[20, 4] = 0.0
+        rows[50, 9] = np.nan
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text(dump_voxel_table(rows))
+        recs = {}
+        for workers in ("1", "2", "3"):
+            out = str(tmp_path / f"w{workers}.jsonl")
+            assert run_cli("fit", "--protocol", prefix + ".protocol.txt", "--data", str(dirty),
+                           "--estimator", "wls", "--out", out, "--workers", workers) == 1
+            recs[workers] = fit_records(out)
+        assert [r["voxel"] for r in recs["1"]] == list(range(67))
+        # NaN-safe, and field order too
+        assert json.dumps(recs["1"]) == json.dumps(recs["2"]) == json.dumps(recs["3"])
+        assert [i for i, r in enumerate(recs["1"]) if r["status"] == "error"] == [50]
+        for rec, y in zip(recs["1"], rows):
+            if rec["status"] == "ok":
+                fit = fit_voxel(y, protocol, "wls")
+                assert rec["theta_d"] == fit.theta_d.tolist()
+                assert rec["theta_w"] == fit.theta_w.tolist()
+                assert (rec["S0"], rec["sigma2"]) == (fit.s0, fit.sigma2)
 
     def test_records_are_strict_json(self, tmp_path):
         """Invalid scalar maps write their NaN metrics as null: every record
@@ -306,7 +337,7 @@ class TestFitCommand:
     def test_pool_starts_no_more_workers_than_voxels(self, simulated, tmp_path,
                                                      monkeypatch):
         """A pool starts all its workers at the first task, so --workers 8
-        on 4 voxels asks for 4, in chunks of one voxel."""
+        on 4 voxels asks for 4, and sends them four one-row blocks."""
         calls = []
 
         class RecordingPool:
@@ -319,8 +350,9 @@ class TestFitCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, payloads, chunksize):
-                calls.append(("chunksize", chunksize))
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                calls.append(("blocks", [(p[0], len(p[1])) for p in payloads]))
                 return map(fn, payloads)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
@@ -328,7 +360,7 @@ class TestFitCommand:
         assert run_cli("fit", "--protocol", simulated + ".protocol.txt", "--data",
                        simulated + ".voxels.csv", "--estimator", "wls", "--out", out,
                        "--workers", "8") == 0
-        assert calls == [("workers", 4), ("chunksize", 1)]
+        assert calls == [("workers", 4), ("blocks", [(0, 1), (1, 1), (2, 1), (3, 1)])]
         assert len(fit_records(out)) == 4
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -365,6 +397,40 @@ class TestFitCommand:
         assert "skipped 2 error records" in capsys.readouterr().err
         (payload,) = json.loads(open(report).read()).values()
         assert payload["n_voxels"] == 2
+
+
+class TestTracedFit:
+    def test_tracer_sees_every_voxel_in_the_workers(self, tmp_path, monkeypatch):
+        """``bench/tracer.py`` wraps the program's functions, and forked
+        workers ship their spans back through ``cli._fit_one`` and
+        ``cli._result_record``.  Traced as ``bench/trace_cli.py`` traces it,
+        a two-worker WLS fit counts the WLS fit, the violation check and the
+        scalar maps once per voxel, and its ``cli.fit_one`` spans come from
+        the workers; a design that hides the workers from the tracer fails
+        here."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        from tracer import Tracer
+
+        prefix = str(tmp_path / "d3")
+        run_cli("simulate", "--scenario", "dataset3", "--seed", "3", "--voxels", "40",
+                "--out", prefix)
+        tracer = Tracer()
+        missing = tracer.install()
+        try:
+            code = tracer.wrap("cli.main", cli.main)([
+                "fit", "--protocol", prefix + ".protocol.txt", "--data", prefix + ".voxels.csv",
+                "--estimator", "wls", "--workers", "2", "--out", str(tmp_path / "o.jsonl")])
+        finally:
+            tracer.uninstall()
+        assert code == 0 and missing == []
+        layers = tracer.export()["layers"]
+        for layer in ("estimators.wls_fit", "estimators.violation_flags",
+                      "metrics.scalar_metrics"):
+            assert layers[layer][0] == 40, layer
+        blocks = [s for s in tracer.spans if s[3] == "cli.fit_one"]
+        assert len(blocks) == layers["cli.result_record"][0] == 14  # blocks of 3 rows
+        assert os.getpid() not in {s[0] for s in blocks}
+        assert sorted(s[6] for s in blocks) == list(range(0, 40, 3))
 
 
 class TestCompareCommand:

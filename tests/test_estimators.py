@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -1102,6 +1103,9 @@ class TestConvergedFlag:
             assert fit.s0 == pytest.approx(3.0, rel=1e-2)
 
 
+ESTIMATORS = ("wls", "cwls", "mle")
+
+
 class TestDriver:
     """``fit_voxel`` is the one driver: it runs the WLS fit and the
     violation check once per voxel for every estimator, and the start and
@@ -1118,12 +1122,17 @@ class TestDriver:
             monkeypatch.setattr(estimators, name, counted)
         return calls
 
-    @pytest.mark.parametrize("estimator", ["wls", "cwls", "mle"])
-    def test_each_step_runs_once_per_voxel(self, monkeypatch, estimator):
+    @pytest.mark.parametrize("estimator, block",
+                             [(e, block) for block in (False, True) for e in ESTIMATORS],
+                             ids=[*ESTIMATORS, *(f"{e}-block" for e in ESTIMATORS)])
+    def test_each_step_runs_once_per_voxel(self, monkeypatch, estimator, block):
         protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=2)
         calls = self._counting(monkeypatch)
-        for y in rows:
-            fit_voxel(y, protocol, estimator)
+        if block:
+            fit_voxel(rows, protocol, estimator)
+        else:
+            for y in rows:
+                fit_voxel(y, protocol, estimator)
         constrained = 0 if estimator == "wls" else 2
         assert calls == {"wls_fit": 2, "init_params": constrained,
                          "cwls_fit": constrained if estimator == "cwls" else 0,
@@ -1145,3 +1154,93 @@ class TestDriver:
         with pytest.raises(ValueError, match="unknown estimator 'ls'"):
             fit_voxel(rows[0], protocol, "ls")
         assert calls == dict.fromkeys(self.STEPS, 0)
+
+
+def fit_alone(y, protocol, estimator):
+    """fit_voxel of one row: its result, or the ValueError it raised."""
+    try:
+        return fit_voxel(y, protocol, estimator)
+    except ValueError as exc:
+        return exc
+
+
+def assert_same_fit(entry, alone):
+    """A block entry equals the row fitted alone, bit for bit (wall time aside)."""
+    if isinstance(alone, ValueError):
+        assert (type(entry), str(entry)) == (type(alone), str(alone))
+        return
+    for name in ("theta_d", "theta_w", "loglik_trace"):
+        assert getattr(entry, name).tobytes() == getattr(alone, name).tobytes(), name
+    assert np.array([entry.s0, entry.sigma2]).tobytes() == np.array([alone.s0, alone.sigma2]).tobytes()
+    assert vars(entry.violations) == vars(alone.violations)
+    assert (entry.converged, entry.em_iterations) == (alone.converged, alone.em_iterations)
+
+
+class TestBlockFit:
+    """A (k, m) block fits each row as fit_voxel fits it alone: the rows that
+    use every acquisition share one stacked WLS QR, and LAPACK runs once per
+    voxel in it, so the results are equal bit for bit whatever the block
+    size; the other rows take the per-voxel path, and a row that fails
+    returns its error in place."""
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        protocol, rows, _ = scenario("dataset3", seed=0)
+        return protocol, rows, [fit_alone(y, protocol, "wls") for y in rows]
+
+    @pytest.mark.parametrize("size", [1, 7, 125, 180])
+    def test_wls_blocks_equal_rows_fitted_alone(self, panel, size, monkeypatch):
+        protocol, rows, alone = panel
+        assert rows.shape == (180, 54)
+        real_qr, shapes = np.linalg.qr, []
+
+        def recording_qr(a, mode="reduced"):
+            shapes.append(a.shape)
+            return real_qr(a, mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        fitted = []
+        for start in range(0, len(rows), size):
+            t0 = time.perf_counter()
+            block = fit_voxel(rows[start:start + size], protocol, "wls")
+            elapsed = time.perf_counter() - t0
+            # each row's own steps plus its share of the stacked solve
+            assert 0.0 < sum(r.wall_time for r in block) <= elapsed
+            fitted += block
+        # one stacked QR per block
+        assert shapes == [(len(b), 54, 23) for b in np.array_split(rows, range(size, 180, size))]
+        assert len(fitted) == len(alone)
+        for entry, single in zip(fitted, alone):
+            assert_same_fit(entry, single)
+
+    @pytest.mark.parametrize("estimator", ["cwls", "mle"])
+    def test_constrained_block_equals_rows_fitted_alone(self, estimator):
+        protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=4)
+        fitted = fit_voxel(rows, protocol, estimator)
+        assert len(fitted) == 4
+        for entry, y in zip(fitted, rows):
+            assert isinstance(entry, dkimle.FitResult)
+            assert_same_fit(entry, fit_alone(y, protocol, estimator))
+
+    @pytest.mark.filterwarnings("error")
+    def test_mixed_block_rows_fit_or_fail_as_alone(self):
+        protocol, rows, _ = scenario("dataset3", seed=0, n_voxels=6)
+        rows = rows.copy()
+        rows[0, 3] = 0.0       # one zero magnitude: fitted without that row
+        rows[1, 5] = 5e-324    # a weight that underflows: likewise
+        rows[2] = 0.0
+        rows[3, 7] = np.nan
+        rows[4, 2] = -1.0
+        fitted = fit_voxel(rows, protocol, "wls")
+        assert [type(r).__name__ for r in fitted] == [
+            "FitResult", "FitResult", "RankDeficient", "ValueError", "ValueError", "FitResult"]
+        for entry, y in zip(fitted, rows):
+            assert_same_fit(entry, fit_alone(y, protocol, "wls"))
+
+    def test_one_voxel_still_raises(self):
+        protocol, rows, _ = scenario("dataset3", seed=0, n_voxels=1)
+        with pytest.raises(RankDeficient, match="every magnitude is zero"):
+            fit_voxel(np.zeros(54), protocol, "wls")
+        assert isinstance(fit_voxel(rows[0], protocol, "wls"), dkimle.FitResult)
+        with pytest.raises(ValueError, match="got shape"):
+            fit_voxel(rows.reshape(1, 1, 54), protocol, "wls")
