@@ -17,7 +17,11 @@ and takes a damped Fisher step on the barrier merit
 backtracking until the merit does not increase and feasibility is strict.
 Constraints are at most quadratic, so when a backtrack's first trial is
 infeasible, the alphas that g(theta - alpha s) = g - alpha A s + alpha^2 q(s)
-proves infeasible are skipped unevaluated, and the accepted point stays.
+proves infeasible are skipped unevaluated, and the accepted point stays;
+a scalar loop halves past them without forming their trial points.  A
+trial with a NaN constraint is infeasible, and a Fisher step that is not
+finite (from a NaN or inf in the score or the information) raises
+NonConvergence: there is no fallback step.
 Each outer pass shrinks mu by MU_SHRINK down to the floor MU_MIN, and the
 pass at MU_MIN is the last: mu starts at most MU0 = 1 and 0.2^15 < 1e-10,
 so a solve takes at most 16 outer passes and needs no iteration cap.
@@ -32,6 +36,7 @@ shifted matrix also solves the step (``potrs``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -140,21 +145,24 @@ def regularize(H, shift):
 
     The shift is the Levenberg-Marquardt parameter; if the shifted matrix
     is still not positive definite the diagonal is repeatedly inflated by
-    growing multiples of max(shift, 1e-8), which always terminates by
-    diagonal dominance.  The factor comes from LAPACK ``potrf`` (upper
-    triangle) in the ``(c, lower)`` format of ``scipy.linalg.cho_factor``.
+    growing multiples of max(shift, 1e-8), which terminates by diagonal
+    dominance for a finite H; a non-finite H gets a non-finite factor, at
+    the latest once the bump overflows.  The factor comes from LAPACK
+    ``potrf`` (upper triangle) in the ``(c, lower)`` format of
+    ``scipy.linalg.cho_factor``.
     """
     # imported on first use, so fits that never solve (WLS) load no scipy
     from scipy.linalg.lapack import dpotrf
 
-    H = np.asarray(H, dtype=float)
-    out = H + float(shift) * np.eye(H.shape[0])
+    out = np.array(H, dtype=float, order="C")
+    diagonal = out.reshape(-1)[:: out.shape[0] + 1]  # a view of out's diagonal
+    diagonal += float(shift)
     bump = 10.0 * max(float(shift), 1e-8)
     while True:
         c, info = dpotrf(out, lower=False, clean=False)
-        if info == 0:
+        if info == 0 or bump == np.inf:
             return out, (c, False)
-        out = out + bump * np.eye(H.shape[0])
+        diagonal += bump
         bump *= 10.0
 
 
@@ -174,7 +182,7 @@ def _evaluate(problem, theta):
     """(f, g, feasible) at theta; f is inf, and the objective is not
     called, when theta is not strictly feasible."""
     g = problem.constraints(theta)
-    if (g >= 0).any():
+    if not (g < 0).all():  # a NaN constraint is not strictly feasible either
         return np.inf, g, False
     return problem.objective(theta), g, True
 
@@ -184,7 +192,7 @@ def _merit(f, g, mu):
     already inf where g is not strictly negative."""
     if f == np.inf:
         return f
-    return f - mu * np.sum(np.log(-g))
+    return f - mu * np.log(-g).sum()
 
 
 def _feasible_bound(problem, theta, step, g, A):
@@ -195,6 +203,27 @@ def _feasible_bound(problem, theta, step, g, A):
         disc = np.sqrt(slope * slope - 4.0 * q * g)
         roots = np.where(slope > 0, (slope + disc) / (2.0 * q), -2.0 * g / (disc - slope))
     return (1.0 + 1e-6) * float(np.min(roots, where=(q >= 0) & (roots > 0), initial=np.inf))
+
+
+def _skip_infeasible(alpha, bound, theta, step, diag):
+    """The next alpha the line search tries from ``alpha`` on, halving past
+    those above ``bound`` and counting them as skipped: the first at most
+    ``bound`` or below MIN_STEP (where the search collapses), unless one
+    before it rounds to no move (where it stalls).  Rounding is monotone:
+    if the first alpha at most ``bound`` or below MIN_STEP moves theta,
+    every larger one did, and a scalar loop finds it without forming their
+    trials; if it does not, the first alpha that does not is found."""
+    landing, skipped = alpha, 0
+    while landing > bound and landing >= MIN_STEP:
+        landing *= STEP_SHRINK
+        skipped += 1
+    if ((theta - landing * step) != theta).any():
+        diag.trials_skipped += skipped
+        return landing
+    while ((theta - alpha * step) != theta).any():
+        diag.trials_skipped += 1
+        alpha *= STEP_SHRINK
+    return alpha
 
 
 def _initial_mu(problem, theta, nu):
@@ -210,10 +239,7 @@ def _initial_mu(problem, theta, nu):
 
     A = problem.constraint_gradients(theta)
     grad = problem.gradient(theta)
-    try:
-        lam_ls, _ = scipy.optimize.nnls(A.T, -grad)
-    except Exception:
-        return MU0
+    lam_ls, _ = scipy.optimize.nnls(A.T, -grad)
     comp = float(np.mean(lam_ls * nu))
     return float(min(MU0, max(MU_MIN, comp)))
 
@@ -230,12 +256,15 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
     Raises
     ------
     ValueError
-        If ``grad_tol`` is not positive or the problem has no constraints.
+        If ``grad_tol`` is not positive, the problem has no constraints, or
+        (from ``scipy.optimize.nnls``) the gradients at theta0 are not finite.
     Infeasible
-        If any g_j(theta0) >= 0.
+        If any g_j(theta0) >= 0 or is NaN.
     NonConvergence
         If backtracking collapses below the minimum step while the score
-        is still above tolerance; the exception carries the best iterate.
+        is still above tolerance (reason "step collapse"), or a Fisher step
+        is not finite (reason "non-finite step"); the exception carries the
+        best iterate.
     """
     if not grad_tol > 0:
         raise ValueError(f"grad_tol must be positive, got {grad_tol}")
@@ -247,7 +276,7 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
     f, g, feasible = _evaluate(problem, theta)
     if not feasible:
         raise Infeasible(
-            f"starting point violates constraint {int(np.argmax(g >= 0))} "
+            f"starting point violates constraint {int(np.argmax(~(g < 0)))} "
             f"(g = {float(np.max(g)):.3g})"
         )
     mu = _initial_mu(problem, theta, -g)
@@ -264,7 +293,7 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
             lam = mu / nu
             A = problem.constraint_gradients(theta)
             score = problem.gradient(theta) + A.T @ lam
-            score_norm = float(np.max(np.abs(score)))
+            score_norm = float(abs(score).max())
             diag.final_score_norm = score_norm
             if score_norm <= inner_tol:
                 break
@@ -274,48 +303,42 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
             # boundary's repulsion and the line search collapses when a
             # constraint is active
             info = problem.information(theta, lam) + (A.T * (lam / nu)) @ A
-            if not np.all(np.isfinite(info)):
-                # boundary-hugging iterates can overflow the barrier
-                # curvature; fall back to a pure gradient step scale
-                info = np.eye(problem.dim) * max(1.0, float(np.linalg.norm(score)))
-            info_reg, factor = regularize(info, LM_SCALE * float(np.linalg.norm(score)))
+            info_reg, factor = regularize(info, LM_SCALE * math.sqrt(score @ score))
             step = fisher_step(info_reg, score, factor)
+            if not np.isfinite(step).all():
+                diag.final_mu, diag.reason = mu, "non-finite step"
+                raise NonConvergence(f"the Fisher step is not finite with score norm "
+                                     f"{score_norm:.3g}", theta, diag)
 
             alpha = 1.0
-            step_norm = float(np.linalg.norm(step))
-            cap = MAX_STEP_SCALE * (1.0 + float(np.linalg.norm(theta)))
+            step_norm = math.sqrt(step @ step)
+            cap = MAX_STEP_SCALE * (1.0 + math.sqrt(theta @ theta))
             if step_norm > cap:
                 alpha = cap / step_norm
             merit, bound = _merit(f, g, mu), None
             while ((trial := theta - alpha * step) != theta).any():
-                if bound is not None and alpha > bound:
-                    diag.trials_skipped += 1
-                else:
-                    f_trial, g_trial, feasible = _evaluate(problem, trial)
-                    diag.trials_evaluated += 1
-                    if _merit(f_trial, g_trial, mu) <= merit:
-                        theta, f, g = trial, f_trial, g_trial
-                        break
-                    diag.trials_infeasible += not feasible
-                    if bound is None:
-                        bound = np.inf if feasible else _feasible_bound(problem, theta, step, g, A)
+                f_trial, g_trial, feasible = _evaluate(problem, trial)
+                diag.trials_evaluated += 1
+                if _merit(f_trial, g_trial, mu) <= merit:
+                    theta, f, g = trial, f_trial, g_trial
+                    break
+                diag.trials_infeasible += not feasible
+                if bound is None:
+                    bound = np.inf if feasible else _feasible_bound(problem, theta, step, g, A)
                 alpha *= STEP_SHRINK
+                if alpha > bound:
+                    alpha = _skip_infeasible(alpha, bound, theta, step, diag)
                 if alpha < MIN_STEP:
-                    diag.final_mu = mu
-                    diag.reason = "step collapse"
-                    raise NonConvergence(
-                        f"backtracking collapsed below {MIN_STEP:g} "
-                        f"with score norm {score_norm:.3g}",
-                        theta,
-                        diag,
-                    )
+                    diag.final_mu, diag.reason = mu, "step collapse"
+                    raise NonConvergence(f"backtracking collapsed below {MIN_STEP:g} "
+                                         f"with score norm {score_norm:.3g}", theta, diag)
             else:
                 # the step rounds to no move, so every further iteration
                 # would repeat this one bit for bit: leave the subproblem
                 break
             diag.objective_trace.append(f)
 
-        diag.max_complementarity = float(np.max(lam * -g))
+        diag.max_complementarity = float((lam * -g).max())
         diag.final_mu = mu
         if mu <= MU_MIN:
             # final barrier parameter: slacks of active constraints scale

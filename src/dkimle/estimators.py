@@ -276,16 +276,19 @@ class RicianSurrogate:
     def __init__(self, s0, tau):
         self.s0 = s0
         self.tau = np.asarray(tau, dtype=float)
+        # the constant factors, as the formulas group them left to right
+        self.half_s0_sq, self.s0_sq, self.two_s0_sq = 0.5 * s0**2, s0**2, 2.0 * s0**2
+        self.tau_s0 = self.tau * s0
 
     def value(self, eta_d, eta_q):
         e = np.exp(eta_d + eta_q)
-        return float(np.sum(0.5 * self.s0**2 * e**2 - self.tau * self.s0 * e))
+        return float((self.half_s0_sq * (e * e) - self.tau_s0 * e).sum())
 
     def derivatives(self, eta_d, eta_q):
         """First and second derivatives of each row's term in eta_j."""
         e = np.exp(eta_d + eta_q)
-        s0, tau = self.s0, self.tau
-        return s0**2 * e**2 - tau * s0 * e, 2.0 * s0**2 * e**2 - tau * s0 * e
+        e2, tau_s0_e = e * e, self.tau_s0 * e
+        return self.s0_sq * e2 - tau_s0_e, self.two_s0_sq * e2 - tau_s0_e
 
 
 class LogResidual:
@@ -300,17 +303,24 @@ class LogResidual:
         self.w[rows] = w
         self.log_y = np.zeros(m)
         self.log_y[rows] = log_y
+        self.unused = ~(self.w > 0)
 
     def residual(self, eta_d, eta_q):
-        r = self.log_y - self.log_s0 - eta_d - eta_q
-        return np.where(self.w > 0, r, 0.0)
+        r = self.log_y - self.log_s0
+        r -= eta_d
+        r -= eta_q
+        r[self.unused] = 0.0
+        return r
 
     def value(self, eta_d, eta_q):
         r = self.residual(eta_d, eta_q)
-        return float(0.5 * np.sum(self.w * r * r))
+        wr = self.w * r
+        wr *= r
+        return float(0.5 * wr.sum())
 
     def derivatives(self, eta_d, eta_q):
-        return -(self.w * self.residual(eta_d, eta_q)), self.w
+        wr = self.w * self.residual(eta_d, eta_q)
+        return np.negative(wr, out=wr), self.w
 
 
 def tensor_problem(model: ExponentModel, loss) -> BarrierProblem:

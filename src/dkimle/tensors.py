@@ -72,7 +72,7 @@ def theta_d_from_l(L):
         theta_D = (L1^2, L2^2 + L4^2, L3^2 + L5^2 + L6^2,
                    L1 L4, L1 L5, L4 L5 + L2 L6).
     """
-    L1, L2, L3, L4, L5, L6 = np.asarray(L, dtype=float)
+    L1, L2, L3, L4, L5, L6 = np.asarray(L, dtype=float).tolist()
     return np.array([
         L1 * L1,
         L2 * L2 + L4 * L4,
@@ -105,7 +105,7 @@ def jacobian_l(L):
     Row i holds the partials of theta_D[i]; matches central finite
     differences of :func:`theta_d_from_l` everywhere.
     """
-    L1, L2, L3, L4, L5, L6 = np.asarray(L, dtype=float)
+    L1, L2, L3, L4, L5, L6 = np.asarray(L, dtype=float).tolist()
     J = np.zeros((6, 6))
     J[0, 0] = 2 * L1
     J[1, 1] = 2 * L2
@@ -144,6 +144,13 @@ def cholesky_of_d(theta_d):
     return np.array([U[0, 0], U[1, 1], U[2, 2], U[1, 0], U[2, 0], U[2, 1]])
 
 
+# the nonzero entries of second_derivative_contraction: flat (row-major)
+# index, the entry of z_row and its factor
+_SDC_FLAT = np.array([0, 7, 14, 21, 28, 35, 3, 18, 4, 24, 11, 31, 22, 27])
+_SDC_SOURCE = np.array([0, 1, 2, 1, 2, 2, 3, 3, 4, 4, 5, 5, 5, 5])
+_SDC_SCALE = np.array([2.0] * 6 + [1.0] * 8)
+
+
 def second_derivative_contraction(z_row):
     """Hessian of <z_row, theta_D(L)> with respect to L.
 
@@ -154,15 +161,9 @@ def second_derivative_contraction(z_row):
     the 3/b^2 of the upper-bound constraint are applied by the caller.
     Linear in z_row.
     """
-    z1, z2, z3, z4, z5, z6 = np.asarray(z_row, dtype=float)
-    return np.array([
-        [2 * z1, 0.0, 0.0, z4, z5, 0.0],
-        [0.0, 2 * z2, 0.0, 0.0, 0.0, z6],
-        [0.0, 0.0, 2 * z3, 0.0, 0.0, 0.0],
-        [z4, 0.0, 0.0, 2 * z2, z6, 0.0],
-        [z5, 0.0, 0.0, z6, 2 * z3, 0.0],
-        [0.0, z6, 0.0, 0.0, 0.0, 2 * z3],
-    ])
+    out = np.zeros(36)
+    out[_SDC_FLAT] = np.asarray(z_row, dtype=float)[_SDC_SOURCE] * _SDC_SCALE
+    return out.reshape(6, 6)
 
 
 def gram_from_q(theta_q, md):
@@ -374,6 +375,9 @@ class ExponentModel:
     def __init__(self, design: DesignMatrices):
         self.design = design
         self.c = design.b**2 / 6.0
+        # 2 c and v repeated to the (m, 18) shape of the theta_Q Jacobian
+        self.two_c = np.repeat(2.0 * self.c[:, None], 18, axis=1)
+        self.v3 = np.tile(design.v, 3)
         mask = design.b > 0
         # the b > 0 rows, which carry the constraints, as a selector of a
         # full-design array (a view when they are all rows); their v, 3/b^2
@@ -406,15 +410,14 @@ class ExponentModel:
     def jacobians(self, L, u):
         """(d eta / d theta, shape (m, 24); d g / d theta, shape
         (n_constraints, 24)) from the u of :meth:`evaluate`."""
-        design, m = self.design, self.design.m
         J = jacobian_l(L)
-        uv = (u[:, :, None] * design.v[:, None, :]).reshape(m, 18)
-        U = np.empty((m, 24))
-        U[:, :6] = design.z_d @ J
-        U[:, 6:] = 2.0 * self.c[:, None] * uv
+        uv = np.repeat(u, 6, axis=1) * self.v3  # u_ji v_jk, block i of theta_Q
+        U = np.empty((self.design.m, 24))
+        np.matmul(self.design.z_d, J, out=U[:, :6])
+        np.multiply(self.two_c, uv, out=U[:, 6:])
         A = np.empty((self.n_constraints, 24))
-        A[:, :6] = self.zc @ J
-        A[:, 6:] = 2.0 * uv[self.decay]
+        np.matmul(self.zc, J, out=A[:, :6])
+        np.multiply(2.0, uv[self.decay], out=A[:, 6:])
         return U, A
 
     def curvature(self, w, with_l):

@@ -3,8 +3,9 @@
 The oracles here deliberately recompute quantities by brute force
 (explicit tensor expansions, dense matrices, finite differences) so they
 stay independent of the library code paths they check.  The reference
-forms of the tensor problem, its curvature and the Cholesky solve are
-the plain versions the library's faster code must match bit for bit.
+forms of the tensor problem, its curvature, its losses and the Cholesky
+solve are the plain versions the library's faster code must match bit
+for bit.
 """
 
 from itertools import permutations
@@ -118,6 +119,51 @@ def kron_constraint_curvature(model, lam):
     H[:6, :6] = second_derivative_contraction(lam @ model.zc)
     H[6:, 6:] = 2.0 * np.kron(np.eye(3), (model.v_c.T * lam) @ model.v_c)
     return H
+
+
+class ReferenceRicianSurrogate:
+    """:class:`dkimle.estimators.RicianSurrogate` as written: every factor
+    recomputed on every call."""
+
+    curvature_in_l = False
+
+    def __init__(self, s0, tau):
+        self.s0 = s0
+        self.tau = np.asarray(tau, dtype=float)
+
+    def value(self, eta_d, eta_q):
+        e = np.exp(eta_d + eta_q)
+        return float(np.sum(0.5 * self.s0**2 * e**2 - self.tau * self.s0 * e))
+
+    def derivatives(self, eta_d, eta_q):
+        e = np.exp(eta_d + eta_q)
+        s0, tau = self.s0, self.tau
+        return s0**2 * e**2 - tau * s0 * e, 2.0 * s0**2 * e**2 - tau * s0 * e
+
+
+class ReferenceLogResidual:
+    """:class:`dkimle.estimators.LogResidual` as written, with a fresh
+    array for each operation."""
+
+    curvature_in_l = True
+
+    def __init__(self, log_s0, w, log_y, rows, m):
+        self.log_s0 = log_s0
+        self.w = np.zeros(m)
+        self.w[rows] = w
+        self.log_y = np.zeros(m)
+        self.log_y[rows] = log_y
+
+    def residual(self, eta_d, eta_q):
+        r = self.log_y - self.log_s0 - eta_d - eta_q
+        return np.where(self.w > 0, r, 0.0)
+
+    def value(self, eta_d, eta_q):
+        r = self.residual(eta_d, eta_q)
+        return float(0.5 * np.sum(self.w * r * r))
+
+    def derivatives(self, eta_d, eta_q):
+        return -(self.w * self.residual(eta_d, eta_q)), self.w
 
 
 def reference_tensor_problem(model, loss):

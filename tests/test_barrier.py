@@ -84,6 +84,18 @@ class TestRegularize:
             np.testing.assert_allclose(cho_solve(factor, out @ x), x, rtol=1e-8, atol=1e-10)
 
 
+    def test_shift_and_bumps_reach_any_memory_layout(self, rng):
+        """The shift and the bumps go to the diagonal of the returned copy
+        also when H is Fortran-ordered, and H itself is left as it was."""
+        A = rng.normal(size=(6, 6))
+        H = np.asfortranarray(A + A.T)
+        kept = H.copy()
+        for shift in (0.0, 0.5, 1e3):
+            out, _ = regularize(H, shift)
+            ref_out, _ = cho_regularize(np.ascontiguousarray(H), shift)
+            assert np.array_equal(out, ref_out) and np.array_equal(H, kept)
+
+
 class TestLapackFactorization:
     def test_bit_identical_to_scipy_cho_factor_and_cho_solve(self, rng):
         """regularize and fisher_step call LAPACK potrf/potrs directly and
@@ -333,6 +345,129 @@ class TestSkipRule:
         assert diag.objective_trace == ref_diag.objective_trace
         assert diag.trials_evaluated + diag.trials_skipped == ref_diag.trials_evaluated
         assert diag.trials_infeasible + diag.trials_skipped == ref_diag.trials_infeasible
+
+
+def line_problem(target, bound):
+    """min 1/2 (t - target)^2 subject to t <= bound, in one dimension."""
+    return quadratic_problem([target], constraints=[lambda t: float(t[0]) - bound],
+                             constraint_grads=[lambda t: np.array([1.0])])
+
+
+def outcome(problem, theta0):
+    """solve's iterate, its diagnostics as a dict, and the message of the
+    NonConvergence it raised (or None)."""
+    try:
+        theta, diag = solve(problem, np.array(theta0, dtype=float))
+        message = None
+    except NonConvergence as exc:
+        theta, diag, message = exc.theta, exc.diagnostics, str(exc)
+    return theta.tobytes(), dataclasses.asdict(diag), message
+
+
+def one_at_a_time(alpha, bound, theta, step, diag):
+    """:func:`barrier._skip_infeasible` forming the trial of every alpha it
+    skips: each is checked for a move and for MIN_STEP before it is counted."""
+    while alpha > bound and alpha >= barrier.MIN_STEP and (theta - alpha * step != theta).any():
+        diag.trials_skipped += 1
+        alpha *= barrier.STEP_SHRINK
+    return alpha
+
+
+class TestSkipLoop:
+    """Past the alphas the bound proves infeasible, the line search halves
+    in a scalar loop that forms no trial.  Its counters, iterates and exits
+    equal those of stepping through the skipped alphas one at a time."""
+
+    @pytest.mark.parametrize("alpha, bound, theta, step, want, skipped", [
+        (0.5, 0.1, 1.0, 1.0, 0.0625, 3),  # lands on 0.0625 past 0.5, 0.25 and 0.125
+        (0.5, 0.125, 1.0, 1.0, 0.125, 2),  # an alpha equal to the bound is tried
+        # 2^-34 * 1.5 is below half an ulp of 1e8: the first alpha that
+        # rounds to no move, 2^-28, is where the search stalls
+        (0.5, 1e-10, 1e8, -1.5, 2.0**-28, 27),
+        (0.5, 1e-13, 0.0, 1.0, 2.0**-40, 39),  # 2^-40 < MIN_STEP: it collapses there
+    ])
+    def test_next_alpha_and_skipped_count(self, alpha, bound, theta, step, want, skipped):
+        for rule in (barrier._skip_infeasible, one_at_a_time):
+            diag = barrier.SolverDiagnostics()
+            assert rule(alpha, bound, np.array([theta]), np.array([step]), diag) == want
+            assert diag.trials_skipped == skipped
+
+    # (problem, start, bound forced on every line search or None, the case
+    # the skip loop meets: the first alpha at most the bound moves theta,
+    # rounds to no move, or lies below MIN_STEP)
+    CASES = {
+        "ordinary landing": (lambda: line_problem(5.0, 1.0), [0.0], None, "lands"),
+        "landing rounds to no move": (lambda: line_problem(1e8 + 4.0, 1e8 + 1.0), [1e8],
+                                      1e-10, "no move"),
+        "skipping passes MIN_STEP": (lambda: line_problem(5.0, 1.0), [0.0], 1e-13,
+                                     "below MIN_STEP"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_solve_equals_one_alpha_at_a_time(self, monkeypatch, case):
+        make, theta0, forced, expected = self.CASES[case]
+        if forced is not None:
+            monkeypatch.setattr(barrier, "_feasible_bound", lambda *args: forced)
+        original, met = barrier._skip_infeasible, set()
+
+        def classified(alpha, bound, theta, step, diag):
+            landing = alpha
+            while landing > bound:
+                landing *= barrier.STEP_SHRINK
+            met.add("below MIN_STEP" if landing < barrier.MIN_STEP
+                    else "lands" if (theta - landing * step != theta).any() else "no move")
+            return original(alpha, bound, theta, step, diag)
+
+        monkeypatch.setattr(barrier, "_skip_infeasible", classified)
+        fast = outcome(make(), theta0)
+        assert expected in met
+        monkeypatch.setattr(barrier, "_skip_infeasible", one_at_a_time)
+        assert fast == outcome(make(), theta0)
+        assert fast[1]["trials_skipped"] > 0
+        if expected == "below MIN_STEP":
+            assert fast[1]["reason"] == "step collapse"
+
+
+class TestNonFinite:
+    """NaN and inf values have no fallback: a NaN constraint is infeasible,
+    and a step that is not finite ends the solve."""
+
+    @pytest.mark.parametrize("entry, value", [
+        ((0, 0), np.nan), ((0, 1), np.nan), ((1, 1), np.inf), ((0, 1), np.inf)])
+    def test_non_finite_information_raises_at_the_first_step(self, entry, value):
+        """LAPACK's potrf factors a matrix with a NaN on or off its diagonal
+        without an error, so the information is not checked; the Fisher
+        step it gives is."""
+        def information(theta, lam):
+            H = np.eye(2)
+            H[entry] = H[entry[::-1]] = value
+            return H
+
+        problem = dataclasses.replace(quadratic_problem(
+            [1.0, 2.0], constraints=[lambda t: float(t[0] + t[1]) - 10.0],
+            constraint_grads=[lambda t: np.array([1.0, 1.0])]), information=information)
+        with np.errstate(all="ignore"), pytest.raises(NonConvergence, match="not finite") as err:
+            solve(problem, np.zeros(2))
+        diag = err.value.diagnostics
+        assert diag.reason == "non-finite step"
+        assert diag.inner_iterations == 1 and diag.trials_evaluated == 0
+        assert np.array_equal(err.value.theta, np.zeros(2))
+
+    def test_nan_constraint_counts_as_infeasible(self):
+        """t <= 1 computed as t - 1 and as a function that is NaN wherever
+        t - 1 >= 0: the trials past the bound are infeasible in both, so the
+        solves are identical, and a NaN start is rejected."""
+        def nan_outside(t):
+            g = float(t[0]) - 1.0
+            return g if g < 0 else np.nan
+
+        plain = line_problem(5.0, 1.0)
+        nan = dataclasses.replace(plain, constraints=lambda t: np.array([nan_outside(t)]))
+        assert outcome(nan, [0.0]) == outcome(plain, [0.0])
+        assert outcome(plain, [0.0])[1]["trials_infeasible"] > 0
+        assert barrier._evaluate(nan, np.array([3.0]))[2] is False
+        with pytest.raises(Infeasible, match="constraint 0"):
+            solve(nan, np.array([2.0]))
 
 
 def counted(problem):

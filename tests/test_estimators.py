@@ -42,6 +42,8 @@ from dkimle.tensors import (
 
 from conftest import (
     LiftedCwls,
+    ReferenceLogResidual,
+    ReferenceRicianSurrogate,
     cho_fisher_step,
     cho_regularize,
     dense_p_matrix,
@@ -985,22 +987,47 @@ class TestTensorProblem:
             assert np.array_equal(model.constraint_curvature(lam),
                                   kron_constraint_curvature(model, lam))
 
-    @pytest.mark.parametrize("estimator, snr, voxel", [("cwls", 5.0, 7), ("mle", 15.0, 0)])
-    def test_fit_voxel_bit_identical_to_reference(self, monkeypatch, estimator, snr, voxel):
-        """Against the uncached problem, np.kron curvature, scipy's
-        cho_factor/cho_solve and a line search that evaluates every trial,
-        on seed-0 panel voxels of the benchmark (dataset2, 18 voxels); cwls
-        voxel 7 has a stalled solve."""
+    @pytest.mark.parametrize("estimator, snr", [("cwls", 5.0), ("mle", 15.0)])
+    def test_fit_voxel_bit_identical_to_reference(self, monkeypatch, estimator, snr):
+        """Against the uncached problem, np.kron curvature, the losses as
+        written, scipy's cho_factor/cho_solve and a line search that
+        evaluates every trial, on every voxel of the benchmark's seed-0
+        panel (dataset2, 18 voxels); cwls voxel 7 has a stalled solve."""
         protocol, rows, _ = scenario("dataset2", snr=snr, seed=0, n_voxels=18)
-        fit = fit_voxel(rows[voxel], protocol, estimator)
+        fits = [fit_voxel(row, protocol, estimator) for row in rows]
         monkeypatch.setattr(estimators, "tensor_problem", reference_tensor_problem)
+        monkeypatch.setattr(estimators, "RicianSurrogate", ReferenceRicianSurrogate)
+        monkeypatch.setattr(estimators, "LogResidual", ReferenceLogResidual)
         monkeypatch.setattr(barrier, "_feasible_bound", lambda *args: np.inf)
         monkeypatch.setattr(barrier, "regularize", cho_regularize)
         monkeypatch.setattr(barrier, "fisher_step", cho_fisher_step)
-        ref = fit_voxel(rows[voxel], protocol, estimator)
-        for name in ("theta_d", "theta_w", "s0", "sigma2", "loglik_trace", "em_iterations",
-                     "converged", "violations"):
-            assert np.array_equal(getattr(fit, name), getattr(ref, name)), name
+        for voxel, (fit, row) in enumerate(zip(fits, rows)):
+            ref = fit_voxel(row, protocol, estimator)
+            for name in ("theta_d", "theta_w", "s0", "sigma2", "loglik_trace", "em_iterations",
+                         "converged", "violations"):
+                assert np.array_equal(getattr(fit, name), getattr(ref, name)), (voxel, name)
+
+    def test_losses_equal_their_reference_forms(self):
+        """The losses' values and derivatives equal the forms as written,
+        bit for bit, with zero-weight rows and exponents that overflow."""
+        model, _, theta, rng = self._instance(93)
+        m = model.design.m
+        tau = rng.uniform(0.1, 1.0, size=m)
+        rows = np.arange(0, m, 3)
+        w, log_y = rng.uniform(0.5, 1.5, size=rows.size), rng.normal(-0.5, 0.3, size=rows.size)
+        losses = {"mle": RicianSurrogate(0.37, tau), "cwls": LogResidual(0.1, w, log_y, rows, m)}
+        refs = {"mle": ReferenceRicianSurrogate(0.37, tau),
+                "cwls": ReferenceLogResidual(0.1, w, log_y, rows, m)}
+        eta_d, eta_q = model.exponent(theta[:6], theta[6:])
+        wild = -400.0 * eta_d  # exp overflows on the b > 0 rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(losses["mle"].value(wild, eta_q))
+            for name, loss in losses.items():
+                for args in ((eta_d, eta_q), (wild, eta_q)):
+                    value, want = loss.value(*args), refs[name].value(*args)
+                    assert value == want or (np.isnan(value) and np.isnan(want)), name
+                    for got, ref in zip(loss.derivatives(*args), refs[name].derivatives(*args)):
+                        assert got.tobytes() == ref.tobytes(), name
 
 
 class TestSolveFailures:
