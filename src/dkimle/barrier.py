@@ -146,8 +146,9 @@ def regularize(H, shift):
     The shift is the Levenberg-Marquardt parameter; if the shifted matrix
     is still not positive definite the diagonal is repeatedly inflated by
     growing multiples of max(shift, 1e-8), which terminates by diagonal
-    dominance for a finite H; a non-finite H gets a non-finite factor, at
-    the latest once the bump overflows.  The factor comes from LAPACK
+    dominance for a finite H.  No bump makes a non-finite H positive
+    definite: when its factorization fails, it is returned at once with a
+    NaN factor, which gives a NaN step.  The factor comes from LAPACK
     ``potrf`` (upper triangle) in the ``(c, lower)`` format of
     ``scipy.linalg.cho_factor``.
     """
@@ -162,6 +163,8 @@ def regularize(H, shift):
         c, info = dpotrf(out, lower=False, clean=False)
         if info == 0 or bump == np.inf:
             return out, (c, False)
+        if not np.isfinite(out).all():  # tested on the failure path only
+            return out, (np.full_like(c, np.nan), False)
         diagonal += bump
         bump *= 10.0
 

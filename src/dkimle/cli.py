@@ -16,8 +16,10 @@ compare       JSON report plus an aligned text table on stdout.
 ``fit`` sends the worker processes blocks of about an eighth of their
 share of the rows (at most :data:`MAX_BLOCK_ROWS`).  A worker fits its
 block with one :func:`fit_voxel` call, which solves the WLS fits of the
-block's clean rows in one stacked QR, and formats the block's records
-itself; the parent parses, dispatches, counts and writes.
+block's clean rows in one stacked QR and flags the fitted rows in one
+``violation_flags`` pass, computes the block's maps in one
+:func:`scalar_metrics` call, and formats the block's records itself; the
+parent parses, dispatches, counts and writes.
 
 Identical (command, seed) pairs produce byte-identical voxel tables, and
 fit output that is identical for every worker count apart from the
@@ -37,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .estimators import B_INTERNAL_SCALE, ConstraintFlags, FitOptions, FitResult, fit_voxel
-from .metrics import evaluate, scalar_metrics
+from .metrics import ScalarMetrics, evaluate, scalar_metrics, stack_fits
 from .protocol import dump_protocol, json_field, load_protocol
 from .simulate import DEFAULT_SEED, GroundTruthVoxel, SCENARIOS, scenario
 
@@ -132,13 +134,17 @@ def _fit_one(payload):
     """Fit a block of rows, starting at voxel ``start``, and format its
     records; the worker entry.  Returns (start, FittedBlock)."""
     start, rows, protocol, estimator, options = payload
+    results = fit_voxel(rows, protocol, estimator, options)
+    maps = iter(scalar_metrics(*stack_fits([r for r in results if isinstance(r, FitResult)])))
     lines, n_failed, n_bad = [], 0, 0
-    for index, result in enumerate(fit_voxel(rows, protocol, estimator, options), start):
+    for index, result in enumerate(results, start):
         if isinstance(result, ValueError):
             n_failed += 1
-        elif not result.converged:
-            n_bad += 1
-        lines.append(json.dumps(_record(index, estimator, result)))
+            sm = None
+        else:
+            n_bad += not result.converged
+            sm = next(maps)
+        lines.append(json.dumps(_record(index, estimator, result, sm)))
     return start, FittedBlock(lines, n_failed, n_bad)
 
 
@@ -148,23 +154,23 @@ def _result_record(start: int, block: FittedBlock) -> list:
     return block.lines
 
 
-def _record(index: int, estimator: str, r: FitResult | ValueError) -> dict:
+def _record(index: int, estimator: str, r: FitResult | ValueError,
+            sm: ScalarMetrics | None) -> dict:
     if isinstance(r, ValueError):  # bad magnitudes, RankDeficient, DegenerateVoxel, Infeasible
         return {"voxel": index, "estimator": estimator, "status": "error",
                 "error": f"{type(r).__name__}: {r}"}
-    sm = scalar_metrics(r.theta_d, r.theta_w, r.s0, r.sigma2)
     record = {
         "voxel": index,
         "estimator": r.estimator,
         "status": "ok",
     }
     if r.params is not None:
-        record["L"] = [float(x) for x in r.params.L]
-        record["thetaQ"] = [float(x) for x in r.params.theta_q]
+        record["L"] = r.params.L.tolist()
+        record["thetaQ"] = r.params.theta_q.tolist()
     record["S0"] = float(r.s0)
     record["sigma2"] = float(r.sigma2)
-    record["theta_d"] = [float(x) for x in r.theta_d]
-    record["theta_w"] = [float(x) for x in r.theta_w]
+    record["theta_d"] = r.theta_d.tolist()
+    record["theta_w"] = r.theta_w.tolist()
     record["b_scale"] = B_INTERNAL_SCALE
     record["metrics"] = sm.to_dict()
     record["diagnostics"] = {
@@ -291,8 +297,8 @@ def cmd_compare(args) -> int:
 
 def cmd_metrics(args) -> int:
     lines = ["voxel,md,fa,mk,k_perp,snr,valid"]
-    for i, fit in _fits_from_jsonl(args.fits):
-        sm = scalar_metrics(fit.theta_d, fit.theta_w, fit.s0, fit.sigma2)
+    pairs = _fits_from_jsonl(args.fits)
+    for (i, _), sm in zip(pairs, scalar_metrics(*stack_fits([fit for _, fit in pairs]))):
         lines.append(
             f"{i},{sm.md:.10g},{sm.fa:.10g},{sm.mk:.10g},"
             f"{sm.k_perp:.10g},{sm.snr:.10g},{int(sm.valid)}"

@@ -488,33 +488,86 @@ def init_params(wls: WlsFit, model: ExponentModel) -> ModelParams:
 # ---------------------------------------------------------------------------
 # violation flags
 
-@lru_cache(maxsize=1)
-def _check_rows() -> np.ndarray:
-    """Quartic rows of the kurtosis-sign check directions (read-only)."""
-    rows = quartic_rows(fibonacci_sphere(N_CHECK_DIRS))
-    rows.setflags(write=False)
-    return rows
+# Stacked products x @ table take CHUNK_ROWS rows at a time.  A chunk is
+# padded with copies of its last row to a multiple of an alignment, so that
+# BLAS runs gemm on it: a one-row product would go to gemv, which rounds
+# differently.  A row's product then does not depend on the chunk's size or
+# on the row's place in it: for an alignment of 2 with the SkylakeX kernels,
+# and for ROW_ALIGN also with the Haswell kernels, whose gemm rounds the
+# rows of an uneven chunk differently.  The maps take ROW_ALIGN.  The
+# violation flags only compare their products with FLAG_TOL and take 2,
+# which keeps a one-voxel check as fast as one by gemv.
+CHUNK_ROWS = 32
+ROW_ALIGN = 8
 
 
-def violation_flags(theta_d, theta_w, design: DesignMatrices) -> ConstraintFlags:
+@lru_cache(maxsize=64)
+def _pad_index(n: int, align: int) -> np.ndarray:
+    return np.minimum(np.arange(-(-n // align) * align), n - 1)
+
+
+def _row_product(x: np.ndarray, table: np.ndarray, align: int = ROW_ALIGN) -> np.ndarray:
+    """x @ table for a chunk x of rows, by gemm on x padded to a multiple of
+    ``align`` rows."""
+    n = len(x)
+    if n % align:
+        x = x[_pad_index(n, align)]
+    return (x @ table)[:n]
+
+
+@lru_cache(maxsize=8)
+def _flag_table(design: DesignMatrices) -> np.ndarray:
+    """The C-contiguous, read-only (21, N_CHECK_DIRS + 2 m + 1) table of
+    :func:`violation_flags`: [-check rows | 2/9 Z_W | 0 | 0]^T over the rows
+    of theta_W, and [0 | 0 | Z_D | (1, 1, 1, 0, 0, 0)]^T over those of
+    theta_D, whose last column gives tr(D); the check rows are the quartic
+    rows of the kurtosis-sign check directions."""
+    m = design.m
+    table = np.zeros((21, N_CHECK_DIRS + 2 * m + 1))
+    table[:15, :N_CHECK_DIRS] = -quartic_rows(fibonacci_sphere(N_CHECK_DIRS)).T
+    table[:15, N_CHECK_DIRS:N_CHECK_DIRS + m] = (2.0 / 9.0) * design.z_w.T
+    table[15:, N_CHECK_DIRS + m:-1] = design.z_d.T
+    table[15:18, -1] = 1.0
+    table.setflags(write=False)
+    return table
+
+
+_FLAG_SEGMENTS = np.array([0, N_CHECK_DIRS])  # the two column ranges of the flags
+
+
+def violation_flags(theta_d, theta_w, design: DesignMatrices):
     """Constraint violation flags for raw (possibly unconstrained) tensors.
 
     Checked exactly as reported in evaluations: the minimum eigenvalue of
     D, the sign of the directional kurtosis form over a quasi-uniform
     direction set, and the monotone-decay bound as the sign of the log
     signal's b-slope at each acquisition (see :class:`ExponentModel`).
+
+    One voxel's (6,) and (15,) tensors give its :class:`ConstraintFlags`; a
+    block's (k, 6) and (k, 15) give a list of k, each the flags of its row
+    checked alone.  One voxel is checked as a block of one: a stacked
+    ``eigvalsh`` and chunked products with the check rows and the design.
+    The flags of a tensor with a non-finite entry mean nothing.
     """
     theta_d = np.asarray(theta_d, dtype=float)
     theta_w = np.asarray(theta_w, dtype=float)
-    flags = ConstraintFlags()
-    flags.d_not_pd = bool(np.linalg.eigvalsh(d_matrix(theta_d))[0] <= 0.0)
-    w_app = _check_rows() @ theta_w
-    flags.kurtosis_negative = bool(np.min(w_app) < -FLAG_TOL)
-    md = mean_diffusivity(theta_d)
-    # b d log S / d b = eta_D + 2 eta_W <= 0; b = 0 rows give exactly 0
-    slope = design.z_d @ theta_d + 2.0 * (design.z_w @ (md * md * theta_w))
-    flags.decay_bound = bool(np.any(slope > FLAG_TOL))
-    return flags
+    single = theta_d.ndim == 1
+    theta_d, theta_w = theta_d.reshape(-1, 6), theta_w.reshape(-1, 15)
+    d_not_pd = np.linalg.eigvalsh(d_matrix(theta_d))[:, 0] <= 0.0
+    x = np.concatenate([theta_w, theta_d], axis=1)
+    table, end = _flag_table(design), N_CHECK_DIRS + design.m
+    flags = []
+    for start in range(0, len(x), CHUNK_ROWS):
+        # [-W_app at the check directions | the b-slope of log S at each
+        # acquisition, eta_D + 2 eta_W = tr(D)^2 2/9 Z_W theta_W + Z_D theta_D],
+        # flagged where an entry exceeds FLAG_TOL (b = 0 rows give exactly 0)
+        p = _row_product(x[start:start + CHUNK_ROWS], table, 2)
+        slope = p[:, N_CHECK_DIRS:end]
+        slope *= np.square(p[:, -1:])
+        slope += p[:, end:-1]
+        flags += (np.maximum.reduceat(p[:, :end], _FLAG_SEGMENTS, axis=1) > FLAG_TOL).tolist()
+    result = [ConstraintFlags(d, *rest) for d, rest in zip(d_not_pd.tolist(), flags)]
+    return result[0] if single else result
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +705,8 @@ def _block_solve(block: np.ndarray, design: DesignMatrices) -> list:
 def _fit_row(y, design: DesignMatrices, estimator: str, options: FitOptions,
              beta: np.ndarray = None) -> FitResult:
     """The fit of one voxel by :func:`fit_voxel`, from its WLS solution
-    ``beta`` when a block solve computed it."""
+    ``beta`` when a block solve computed it.  Its ``theta_d`` is still in
+    internal units and its violations are not yet checked."""
     start = time.perf_counter()
     data = y if isinstance(y, VoxelData) else VoxelData(np.asarray(y, dtype=float))
     wls = wls_fit(data, design, beta)
@@ -666,10 +720,23 @@ def _fit_row(y, design: DesignMatrices, estimator: str, options: FitOptions,
             data, init_params(wls, model), model, options or FitOptions())
         theta_d, theta_w, s0 = params.theta_d, params.theta_w, params.s0
 
-    return FitResult(estimator, theta_d * B_INTERNAL_SCALE, theta_w, s0, sigma2, params=params,
+    return FitResult(estimator, theta_d, theta_w, s0, sigma2, params=params,
                      loglik_trace=np.asarray(trace, dtype=float), em_iterations=sweeps,
-                     converged=converged, violations=violation_flags(theta_d, theta_w, design),
-                     wall_time=time.perf_counter() - start)
+                     converged=converged, wall_time=time.perf_counter() - start)
+
+
+def _check_fits(fits: list, design: DesignMatrices) -> None:
+    """Flag the violations of a block's fits in one :func:`violation_flags`
+    pass, convert their diffusion blocks to mm^2/s and add an equal share
+    of the pass to each wall time."""
+    start = time.perf_counter()
+    flags = violation_flags(np.array([r.theta_d for r in fits]),
+                            np.array([r.theta_w for r in fits]), design)
+    share = (time.perf_counter() - start) / len(fits)
+    for result, checked in zip(fits, flags):
+        result.violations = checked
+        result.theta_d = result.theta_d * B_INTERNAL_SCALE
+        result.wall_time += share
 
 
 def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
@@ -690,16 +757,19 @@ def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
     or raises.  A (k, m) block returns a list with one entry per row: its
     :class:`FitResult`, or the ``ValueError`` its fit raised.  The block's
     rows that use every acquisition are solved by one stacked WLS QR
-    (:func:`_block_solve`); each of them takes an equal share of that
-    solve's time in its ``wall_time``, so a block's wall times sum to its
-    fitting time.  Every result equals that of the row fitted alone, bit
-    for bit, apart from ``wall_time``.
+    (:func:`_block_solve`), and the fitted rows are flagged by one
+    :func:`violation_flags` pass.  A row's ``wall_time`` is its own steps
+    plus an equal share of each stacked pass it took part in, so a block's
+    wall times sum to its fitting time.  Every result equals that of the
+    row fitted alone, bit for bit, apart from ``wall_time``.
     """
     if estimator not in ("wls", "cwls", "mle"):
         raise ValueError(f"unknown estimator {estimator!r}")
     design = _internal_design(protocol.bvals.tobytes(), protocol.bvecs.tobytes())
     if isinstance(y, VoxelData) or np.ndim(y) == 1:
-        return _fit_row(y, design, estimator, options)
+        result = _fit_row(y, design, estimator, options)
+        _check_fits([result], design)
+        return result
     block = np.asarray(y, dtype=float)
     if block.ndim != 2:
         raise ValueError(f"expected one voxel (m,) or a block (k, m), got shape {block.shape}")
@@ -717,4 +787,7 @@ def fit_voxel(y, protocol: AcquisitionProtocol, estimator: str = "mle",
         if beta is not None:
             result.wall_time += share
         results.append(result)
+    fits = [r for r in results if isinstance(r, FitResult)]
+    if fits:
+        _check_fits(fits, design)
     return results

@@ -9,11 +9,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimators import ConstraintFlags
+from .estimators import CHUNK_ROWS, ConstraintFlags, _row_product
 from .protocol import PAIR_COUNTS, monomial_vectors, quartic_rows
 from .simulate import GroundTruthVoxel
 from .sphere import gauss_legendre_sphere
-from .tensors import d_matrix, gram_from_kurtosis, mean_diffusivity
+from .tensors import d_matrix, gram_from_kurtosis
 
 __all__ = ["ScalarMetrics", "scalar_metrics", "EvalReport", "evaluate"]
 
@@ -27,9 +27,11 @@ N_RING = 256
 @lru_cache(maxsize=1)
 def _quadrature():
     """The Gauss-Legendre nodes' quadratic monomial vectors, their weights
-    and their quartic rows at N_POLAR x N_AZIMUTH (read-only)."""
+    and their quartic rows at N_POLAR x N_AZIMUTH (read-only).  The
+    vectors and rows are Fortran-ordered, so that their transposes are the
+    C-contiguous tables of the stacked products."""
     dirs, wts = gauss_legendre_sphere(N_POLAR, N_AZIMUTH)
-    vecs, rows = monomial_vectors(dirs), quartic_rows(dirs)
+    vecs, rows = np.asfortranarray(monomial_vectors(dirs)), np.asfortranarray(quartic_rows(dirs))
     for array in (vecs, wts, rows):
         array.setflags(write=False)
     return vecs, wts, rows
@@ -57,16 +59,16 @@ def _ring_table():
     return table
 
 
-def _ring_basis(axis):
-    """Orthonormal rows (e2, e3) spanning the plane orthogonal to a unit
-    axis, e2 = axis x seed / |axis x seed| and e3 = axis x e2, from scalar
-    cross products."""
-    a0, a1, a2 = axis.tolist()
-    # e2 = axis x e_x, or axis x e_y when the axis is near e_x
-    x, y, z = (0.0, a2, -a1) if abs(a0) < 0.9 else (-a2, 0.0, a0)
-    n = math.sqrt(x * x + y * y + z * z)
-    x, y, z = x / n, y / n, z / n
-    return np.array([[x, y, z], [a1 * z - a2 * y, a2 * x - a0 * z, a0 * y - a1 * x]])
+def _ring_bases(axes):
+    """(k, 2, 3) orthonormal rows (e2, e3) spanning the planes orthogonal to
+    unit axes (k, 3), e2 = axis x seed / |axis x seed| and e3 = axis x e2."""
+    # axis x e_x = (0, a2, -a1), or axis x e_y = (-a2, 0, a0) when the axis
+    # is near e_x
+    e2 = np.where(np.abs(axes[:, :1]) < 0.9, axes[:, [0, 2, 1]] * [0.0, 1.0, -1.0],
+                  axes[:, [2, 1, 0]] * [-1.0, 0.0, 1.0])
+    e2 /= np.sqrt((e2 * e2).sum(axis=1))[:, None]
+    e3 = axes[:, [1, 2, 0]] * e2[:, [2, 0, 1]] - axes[:, [2, 0, 1]] * e2[:, [1, 2, 0]]
+    return np.stack([e2, e3], axis=1)
 
 
 @dataclass
@@ -82,55 +84,111 @@ class ScalarMetrics:
 
     def to_dict(self) -> dict:
         # an invalid map's NaN is written as null, since JSON has no NaN
-        return {k: v if np.isfinite(v) else None for k, v in vars(self).items()}
+        return {k: v if math.isfinite(v) else None for k, v in vars(self).items()}
 
 
-def scalar_metrics(theta_d, theta_w, s0, sigma2) -> ScalarMetrics:
-    """Scalar maps from one voxel's tensors.
+def scalar_metrics(theta_d, theta_w, s0, sigma2):
+    """Scalar maps from one voxel's tensors, or from a block's.
 
     MD = tr(D)/3; FA is the normalized eigenvalue dispersion
     sqrt(3/2) ||D - MD I||_F / ||D||_F; MK averages the directional
     kurtosis over the N_POLAR x N_AZIMUTH Gauss-Legendre sphere; K_perp
     averages it over N_RING equally spaced points of the great circle
     orthogonal to the principal eigenvector; SNR = S0/sigma.
-    Voxels with non-finite tensors or MD <= 0 are flagged invalid with NaN scalars.
-    """
-    theta_w = np.asarray(theta_w, dtype=float)
-    snr = float(s0 / np.sqrt(sigma2))
-    finite = np.isfinite(theta_d).all() and np.isfinite(theta_w).all()
-    md = mean_diffusivity(theta_d) if finite else np.nan
-    if not md > 0:
-        return ScalarMetrics(md, np.nan, np.nan, np.nan, snr, valid=False)
+    Voxels with non-finite tensors or MD <= 0 are flagged invalid with NaN
+    scalars, and so are MK and K_perp where D_app <= 0 at a quadrature node,
+    and K_perp where D_app <= 0 on the ring.
 
+    One voxel's (6,) and (15,) tensors and scalar S0 and sigma^2 give its
+    :class:`ScalarMetrics`; a block's (k, 6), (k, 15), (k,) and (k,) give a
+    list of k, each the maps of its row computed alone.  One voxel is
+    computed as a block of one: a stacked ``eigh``, and products with the
+    quadrature and ring tables in chunks of
+    :data:`~dkimle.estimators.CHUNK_ROWS` rows.
+    """
+    theta_d = np.asarray(theta_d, dtype=float)
+    theta_w = np.asarray(theta_w, dtype=float)
+    single = theta_d.ndim == 1
+    theta_d, theta_w = theta_d.reshape(-1, 6), theta_w.reshape(-1, 15)
+    snr = np.divide(s0, np.sqrt(sigma2), dtype=float).reshape(-1)
+    k = len(theta_d)
+    md, fa, mk, k_perp = np.full((4, k), np.nan)
+    finite = np.isfinite(theta_d).all(axis=1) & np.isfinite(theta_w).all(axis=1)
+    md[finite] = (theta_d[finite, 0] + theta_d[finite, 1] + theta_d[finite, 2]) / 3.0
+    ok = np.flatnonzero(md > 0)
+    valid = np.zeros(k, dtype=bool)
+    if ok.size:
+        fa[ok], mk[ok], k_perp[ok], valid[ok] = _maps(theta_d[ok], theta_w[ok], md[ok])
+    result = [ScalarMetrics(*row) for row in zip(md.tolist(), fa.tolist(), mk.tolist(),
+                                                 k_perp.tolist(), snr.tolist(), valid.tolist())]
+    return result[0] if single else result
+
+
+def _frobenius(matrices):
+    """Frobenius norms of a (k, 3, 3) stack, each by one BLAS dot product as
+    ``np.linalg.norm`` computes the norm of one matrix."""
+    flat = matrices.reshape(-1, 9)
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
+
+
+def _maps(theta_d, theta_w, md):
+    """FA, MK, K_perp and validity of rows with MD > 0."""
     D = d_matrix(theta_d)
-    dev = D - md * np.eye(3)
-    norm_d = np.linalg.norm(D)
-    fa = float(np.sqrt(1.5) * np.linalg.norm(dev) / norm_d) if norm_d > 0 else 0.0
+    norm_d = _frobenius(D)
+    dev = _frobenius(D - md[:, None, None] * np.eye(3))
+    fa = np.divide(np.sqrt(1.5) * dev, norm_d, out=np.zeros_like(dev), where=norm_d > 0)
+
+    # D_app and W_app at the five sample angles of the ring
+    _, evecs = np.linalg.eigh(D)
+    bases = _ring_bases(evecs[:, :, -1])
+    dirs = _RING_CS[:, 0, None] * bases[:, None, 0] + _RING_CS[:, 1, None] * bases[:, None, 1]
+    ring_vecs = monomial_vectors(dirs.reshape(-1, 3)).reshape(len(md), 5, 6)
+    d_coef = theta_d * PAIR_COUNTS
+    d_samples = (ring_vecs * d_coef[:, None]).sum(axis=-1)
+    vg = (ring_vecs[..., None] * gram_from_kurtosis(theta_w)[:, None]).sum(axis=-2)
+    w_samples = (vg * ring_vecs).sum(axis=-1)  # v^T G v = W_app
 
     vecs, wts, rows = _quadrature()
-    d_coef = theta_d * PAIR_COUNTS
-    d_app = vecs @ d_coef
-    if (d_app <= 0).any():
-        return ScalarMetrics(md, fa, np.nan, np.nan, snr, valid=False)
-    k_app = (md / d_app) ** 2 * (rows @ theta_w)
-    mk = float((wts * k_app).sum())
+    table = _ring_table()
+    mk, k_perp = np.empty(len(md)), np.empty(len(md))
+    quad_ok, ring_ok = np.empty(len(md), dtype=bool), np.empty(len(md), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(md), CHUNK_ROWS):
+            part = slice(start, start + CHUNK_ROWS)
+            d_app = _row_product(d_coef[part], vecs.T)
+            quad_ok[part] = d_app.min(axis=1) > 0
+            k_app = np.divide(md[part, None], d_app, out=d_app)
+            k_app *= k_app
+            k_app *= _row_product(theta_w[part], rows.T)
+            k_app *= wts
+            mk[part] = k_app.sum(axis=1)
+            d_ring = _row_product(d_samples[part], table)
+            ring_ok[part] = d_ring.min(axis=1) > 0
+            k_ring = np.divide(md[part, None], d_ring, out=d_ring)
+            k_ring *= k_ring
+            k_ring *= _row_product(w_samples[part], table)
+            k_perp[part] = k_ring.sum(axis=1) / N_RING
+    mk[~quad_ok] = np.nan
+    k_perp[~(quad_ok & ring_ok)] = np.nan
+    return fa, mk, k_perp, quad_ok & ring_ok
 
-    _, evecs = np.linalg.eigh(D)
-    ring_vecs = monomial_vectors(_RING_CS @ _ring_basis(evecs[:, -1]))
-    w_samples = ((ring_vecs @ gram_from_kurtosis(theta_w)) * ring_vecs).sum(1)  # v^T G v = W_app
-    d_ring, w_ring = np.stack([ring_vecs @ d_coef, w_samples]) @ _ring_table()
-    if (d_ring <= 0).any():
-        return ScalarMetrics(md, fa, mk, np.nan, snr, valid=False)
-    k_ring = (md / d_ring) ** 2 * w_ring
-    k_perp = float(k_ring.sum() / N_RING)
 
-    return ScalarMetrics(md, fa, mk, k_perp, snr)
+def stack_fits(fits):
+    """The (k, 6) theta_D, (k, 15) theta_W, (k,) S0 and (k,) sigma^2 of a
+    list of fits: :func:`scalar_metrics`'s block arguments."""
+    return (np.array([f.theta_d for f in fits]).reshape(-1, 6),
+            np.array([f.theta_w for f in fits]).reshape(-1, 15),
+            np.array([f.s0 for f in fits]), np.array([f.sigma2 for f in fits]))
 
 
-def _truth_metrics(gt: GroundTruthVoxel) -> ScalarMetrics:
-    if gt.kind == "isotropic":
-        return ScalarMetrics(gt.d_app, 0.0, gt.k_app, gt.k_app, gt.snr)
-    return replace(scalar_metrics(gt.theta_d, gt.theta_w, gt.s0, 1.0), snr=gt.snr)
+def _truth_metrics(truths) -> list:
+    """The truths' maps, the tensor truths' in one block."""
+    tensor = [gt for gt in truths if gt.kind == "tensor"]
+    maps = iter(scalar_metrics(np.array([gt.theta_d for gt in tensor]).reshape(-1, 6),
+                               np.array([gt.theta_w for gt in tensor]).reshape(-1, 15),
+                               np.array([gt.s0 for gt in tensor]), np.ones(len(tensor))))
+    return [replace(next(maps), snr=gt.snr) if gt.kind == "tensor" else
+            ScalarMetrics(gt.d_app, 0.0, gt.k_app, gt.k_app, gt.snr) for gt in truths]
 
 
 _SCALARS = ("md", "fa", "mk", "k_perp")
@@ -201,9 +259,8 @@ def evaluate(fits, truths) -> EvalReport:
     times = []
     iters = []
 
-    for fit, gt in zip(fits, truths):
-        est = scalar_metrics(fit.theta_d, fit.theta_w, fit.s0, fit.sigma2)
-        ref = _truth_metrics(gt)
+    estimates = scalar_metrics(*stack_fits(fits))
+    for fit, gt, est, ref in zip(fits, truths, estimates, _truth_metrics(truths)):
         for k in _SCALARS:
             e = getattr(est, k) - getattr(ref, k)
             sq_err[k].append(e * e if np.isfinite(e) else np.inf)

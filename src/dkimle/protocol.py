@@ -89,7 +89,7 @@ class AcquisitionProtocol:
         return AcquisitionProtocol(self.bvals * factor, self.bvecs.copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignMatrices:
     """Design matrices derived from a protocol.
 
@@ -102,6 +102,9 @@ class DesignMatrices:
     ``v`` holds the quadratic monomial vectors
     (g1^2, g2^2, g3^2, g1 g2, g1 g3, g2 g3) used by the sum-of-squares
     kurtosis parametrization.
+
+    A design compares and hashes by identity, so it can key a cache of
+    tables derived from it.
     """
 
     z_d: np.ndarray

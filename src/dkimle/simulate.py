@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -227,6 +228,19 @@ def _random_rotation(rng):
     return q
 
 
+@lru_cache(maxsize=8)
+def _truth_grid(bvecs: bytes):
+    """The direction grid of :func:`random_tensor_truth`, 256 Fibonacci
+    directions and then the protocol's gradients, and its quartic rows
+    (read-only); keyed on the gradients' bytes, as each voxel of a scenario
+    rebuilds it."""
+    dirs = np.vstack([fibonacci_sphere(256), np.frombuffer(bvecs).reshape(-1, 3)])
+    rows = quartic_rows(dirs)
+    for array in (dirs, rows):
+        array.setflags(write=False)
+    return dirs, rows
+
+
 def random_tensor_truth(rng: np.random.Generator,
                         protocol: AcquisitionProtocol = None) -> GroundTruthVoxel:
     """Random feasible full-tensor ground truth.
@@ -249,11 +263,9 @@ def random_tensor_truth(rng: np.random.Generator,
     G = Q @ Q.T
     theta_w = kurtosis_from_gram(G)
 
-    dirs = fibonacci_sphere(256)
-    if protocol is not None:
-        dirs = np.vstack([dirs, protocol.bvecs])
+    dirs, rows = _truth_grid(b"" if protocol is None else protocol.bvecs.tobytes())
     d_app = np.einsum("ni,ij,nj->n", dirs, D, dirs)
-    w_app = quartic_rows(dirs) @ theta_w
+    w_app = rows @ theta_w
     mk = float(np.mean((md / d_app) ** 2 * w_app))
     target = rng.uniform(*MEAN_K_RANGE)
     scale = target / mk if mk > 0 else 0.0

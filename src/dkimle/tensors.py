@@ -83,14 +83,14 @@ def theta_d_from_l(L):
     ])
 
 
+_D_ENTRIES = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])  # theta_D index of each entry of D
+
+
 def d_matrix(theta_d):
-    """Assemble the symmetric 3 x 3 diffusion tensor from theta_D."""
+    """Assemble the symmetric 3 x 3 diffusion tensor from theta_D, or a
+    stack (k, 3, 3) of them from a (k, 6) stack."""
     d = np.asarray(theta_d, dtype=float)
-    return np.array([
-        [d[0], d[3], d[4]],
-        [d[3], d[1], d[5]],
-        [d[4], d[5], d[2]],
-    ])
+    return d.take(_D_ENTRIES, axis=-1).reshape(d.shape[:-1] + (3, 3))
 
 
 def mean_diffusivity(theta_d) -> float:
@@ -224,8 +224,19 @@ def kurtosis_from_gram(G):
     return w
 
 
+# the entries (i, j) of gram_from_kurtosis's upper triangle that are not
+# zero, with the theta_W index and the factor that give them
+_GRAM_I, _GRAM_J, _GRAM_W, _GRAM_FACTOR = np.array([
+    (0, 0, 0, 1), (1, 1, 1, 1), (2, 2, 2, 1),
+    (0, 1, 3, 2), (3, 3, 3, 2), (0, 2, 4, 2), (4, 4, 4, 2), (1, 2, 5, 2), (5, 5, 5, 2),
+    (3, 4, 6, 6), (3, 5, 7, 6), (4, 5, 8, 6),
+    (0, 3, 9, 2), (0, 4, 10, 2), (1, 3, 11, 2), (1, 5, 12, 2), (2, 4, 13, 2), (2, 5, 14, 2),
+]).T
+
+
 def gram_from_kurtosis(theta_w):
-    """A symmetric Gram matrix whose quartic form matches theta_W.
+    """A symmetric Gram matrix whose quartic form matches theta_W, or a
+    stack (k, 6, 6) of them from a (k, 15) stack.
 
     The quartic identity leaves six degrees of freedom.  The three free
     off-block entries (G16, G25, G34) are set to zero and each
@@ -234,23 +245,8 @@ def gram_from_kurtosis(theta_w):
     PSD; initialization clamps it afterwards.
     """
     w = np.asarray(theta_w, dtype=float)
-    G = np.zeros((6, 6))
-    G[0, 0], G[1, 1], G[2, 2] = w[0], w[1], w[2]
-    G[0, 1] = G[1, 0] = 2 * w[3]
-    G[3, 3] = 2 * w[3]
-    G[0, 2] = G[2, 0] = 2 * w[4]
-    G[4, 4] = 2 * w[4]
-    G[1, 2] = G[2, 1] = 2 * w[5]
-    G[5, 5] = 2 * w[5]
-    G[3, 4] = G[4, 3] = 6 * w[6]
-    G[3, 5] = G[5, 3] = 6 * w[7]
-    G[4, 5] = G[5, 4] = 6 * w[8]
-    G[0, 3] = G[3, 0] = 2 * w[9]
-    G[0, 4] = G[4, 0] = 2 * w[10]
-    G[1, 3] = G[3, 1] = 2 * w[11]
-    G[1, 5] = G[5, 1] = 2 * w[12]
-    G[2, 4] = G[4, 2] = 2 * w[13]
-    G[2, 5] = G[5, 2] = 2 * w[14]
+    G = np.zeros(w.shape[:-1] + (6, 6))
+    G[..., _GRAM_I, _GRAM_J] = G[..., _GRAM_J, _GRAM_I] = _GRAM_FACTOR * w[..., _GRAM_W]
     return G
 
 

@@ -5,9 +5,11 @@ The oracles here deliberately recompute quantities by brute force
 stay independent of the library code paths they check.  The reference
 forms of the tensor problem, its curvature, its losses and the Cholesky
 solve are the plain versions the library's faster code must match bit
-for bit.
+for bit.  The one-voxel forms of the violation flags and the scalar maps
+are what the block forms must match: the same flags, and maps to 1e-12.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -394,6 +396,67 @@ def two_pass_wls(data, design):
     beta = np.linalg.lstsq(X * sw[:, None], logy * sw, rcond=None)[0]
     sigma2 = np.sum((y - np.exp(X @ beta)) ** 2) / max(y.size - 22, 1)
     return beta[0], beta[1:7], beta[7:], sigma2
+
+
+# ---------------------------------------------------------------------------
+# the violation flags and the scalar maps as they were computed one voxel
+# at a time, before the block forms; references for the block forms
+
+def reference_violation_flags(theta_d, theta_w, design):
+    """(d_not_pd, kurtosis_negative, decay_bound) of one voxel."""
+    from dkimle import estimators
+    from dkimle.protocol import quartic_rows
+    from dkimle.sphere import fibonacci_sphere
+    from dkimle.tensors import d_matrix, mean_diffusivity
+
+    theta_d = np.asarray(theta_d, dtype=float)
+    theta_w = np.asarray(theta_w, dtype=float)
+    d_not_pd = bool(np.linalg.eigvalsh(d_matrix(theta_d))[0] <= 0.0)
+    w_app = quartic_rows(fibonacci_sphere(estimators.N_CHECK_DIRS)) @ theta_w
+    md = mean_diffusivity(theta_d)
+    slope = design.z_d @ theta_d + 2.0 * (design.z_w @ (md * md * theta_w))
+    return (d_not_pd, bool(np.min(w_app) < -estimators.FLAG_TOL),
+            bool(np.any(slope > estimators.FLAG_TOL)))
+
+
+def reference_ring_basis(axis):
+    a0, a1, a2 = axis.tolist()
+    x, y, z = (0.0, a2, -a1) if abs(a0) < 0.9 else (-a2, 0.0, a0)
+    n = math.sqrt(x * x + y * y + z * z)
+    x, y, z = x / n, y / n, z / n
+    return np.array([[x, y, z], [a1 * z - a2 * y, a2 * x - a0 * z, a0 * y - a1 * x]])
+
+
+def reference_scalar_metrics(theta_d, theta_w, s0, sigma2):
+    """(md, fa, mk, k_perp, snr, valid) of one voxel."""
+    from dkimle import metrics
+    from dkimle.protocol import PAIR_COUNTS, monomial_vectors
+    from dkimle.tensors import d_matrix, gram_from_kurtosis, mean_diffusivity
+
+    theta_w = np.asarray(theta_w, dtype=float)
+    snr = float(s0 / np.sqrt(sigma2))
+    finite = np.isfinite(theta_d).all() and np.isfinite(theta_w).all()
+    md = mean_diffusivity(theta_d) if finite else np.nan
+    if not md > 0:
+        return md, np.nan, np.nan, np.nan, snr, False
+    D = d_matrix(theta_d)
+    norm_d = np.linalg.norm(D)
+    fa = float(np.sqrt(1.5) * np.linalg.norm(D - md * np.eye(3)) / norm_d) if norm_d > 0 else 0.0
+    vecs, wts, rows = metrics._quadrature()
+    d_coef = np.asarray(theta_d, dtype=float) * PAIR_COUNTS
+    d_app = vecs @ d_coef
+    if (d_app <= 0).any():
+        return md, fa, np.nan, np.nan, snr, False
+    k_app = (md / d_app) ** 2 * (rows @ theta_w)
+    mk = float((wts * k_app).sum())
+    _, evecs = np.linalg.eigh(D)
+    ring_vecs = monomial_vectors(metrics._RING_CS @ reference_ring_basis(evecs[:, -1]))
+    w_samples = ((ring_vecs @ gram_from_kurtosis(theta_w)) * ring_vecs).sum(1)
+    d_ring, w_ring = np.stack([ring_vecs @ d_coef, w_samples]) @ metrics._ring_table()
+    if (d_ring <= 0).any():
+        return md, fa, mk, np.nan, snr, False
+    k_perp = float(((md / d_ring) ** 2 * w_ring).sum() / metrics.N_RING)
+    return md, fa, mk, k_perp, snr, True
 
 
 def random_unit(rng):

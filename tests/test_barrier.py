@@ -453,6 +453,37 @@ class TestNonFinite:
         assert diag.inner_iterations == 1 and diag.trials_evaluated == 0
         assert np.array_equal(err.value.theta, np.zeros(2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry, value", [((0, 1), np.inf), ((0, 0), -np.inf)])
+    def test_non_finite_information_is_factored_at_most_twice(self, monkeypatch, entry,
+                                                              value):
+        """An inf off the diagonal or a -inf on it cannot be made positive
+        definite by any bump: regularize returns after its first failed
+        factorization, no warning is emitted, and the solve ends with a
+        non-finite step as before."""
+        from scipy.linalg import lapack
+
+        calls, real = [], lapack.dpotrf
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dpotrf", counting)
+
+        def information(theta, lam):
+            H = np.eye(2)
+            H[entry] = H[entry[::-1]] = value
+            return H
+
+        problem = dataclasses.replace(quadratic_problem(
+            [1.0, 2.0], constraints=[lambda t: float(t[0] + t[1]) - 10.0],
+            constraint_grads=[lambda t: np.array([1.0, 1.0])]), information=information)
+        with pytest.raises(NonConvergence, match="not finite") as err:
+            solve(problem, np.zeros(2))
+        assert err.value.diagnostics.reason == "non-finite step"
+        assert 1 <= len(calls) <= 2
+
     def test_nan_constraint_counts_as_infeasible(self):
         """t <= 1 computed as t - 1 and as a function that is NaN wherever
         t - 1 >= 0: the trials past the bound are infeasible in both, so the

@@ -15,6 +15,7 @@ from dkimle.cli import (
     main,
 )
 from dkimle.estimators import B_INTERNAL_SCALE, fit_voxel
+from dkimle.metrics import scalar_metrics
 from dkimle.protocol import load_protocol
 from dkimle.simulate import scenario
 
@@ -288,8 +289,9 @@ class TestFitCommand:
         """A 67-row WLS table, cut into blocks of 9, 5 and 3 rows with 1, 2
         and 3 workers so the last block is short each time, gives the same
         records in voxel order, field for field, and each equals the row's
-        in-process fit.  Row 20 has a zero magnitude and is fitted without
-        it; row 50 holds a NaN and becomes an error record."""
+        in-process fit, its flags and the one-voxel scalar maps of that fit,
+        bit for bit.  Row 20 has a zero magnitude and is fitted without it;
+        row 50 holds a NaN and becomes an error record."""
         prefix = str(tmp_path / "big")
         run_cli("simulate", "--scenario", "dataset3", "--seed", "7",
                 "--voxels", "67", "--out", prefix)
@@ -315,6 +317,9 @@ class TestFitCommand:
                 assert rec["theta_d"] == fit.theta_d.tolist()
                 assert rec["theta_w"] == fit.theta_w.tolist()
                 assert (rec["S0"], rec["sigma2"]) == (fit.s0, fit.sigma2)
+                assert rec["diagnostics"]["violations"] == vars(fit.violations)
+                sm = scalar_metrics(fit.theta_d, fit.theta_w, fit.s0, fit.sigma2)
+                assert rec["metrics"] == sm.to_dict()
 
     def test_records_are_strict_json(self, tmp_path):
         """Invalid scalar maps write their NaN metrics as null: every record
@@ -404,10 +409,10 @@ class TestTracedFit:
         """``bench/tracer.py`` wraps the program's functions, and forked
         workers ship their spans back through ``cli._fit_one`` and
         ``cli._result_record``.  Traced as ``bench/trace_cli.py`` traces it,
-        a two-worker WLS fit counts the WLS fit, the violation check and the
-        scalar maps once per voxel, and its ``cli.fit_one`` spans come from
-        the workers; a design that hides the workers from the tracer fails
-        here."""
+        a two-worker WLS fit counts the WLS fit once per voxel and the
+        violation check and the scalar maps once per block, and its
+        ``cli.fit_one`` spans come from the workers; a design that hides the
+        workers from the tracer fails here."""
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
         from tracer import Tracer
 
@@ -424,11 +429,11 @@ class TestTracedFit:
             tracer.uninstall()
         assert code == 0 and missing == []
         layers = tracer.export()["layers"]
-        for layer in ("estimators.wls_fit", "estimators.violation_flags",
-                      "metrics.scalar_metrics"):
-            assert layers[layer][0] == 40, layer
+        assert layers["estimators.wls_fit"][0] == 40
         blocks = [s for s in tracer.spans if s[3] == "cli.fit_one"]
         assert len(blocks) == layers["cli.result_record"][0] == 14  # blocks of 3 rows
+        for layer in ("estimators.violation_flags", "metrics.scalar_metrics"):
+            assert layers[layer][0] == 14, layer
         assert os.getpid() not in {s[0] for s in blocks}
         assert sorted(s[6] for s in blocks) == list(range(0, 40, 3))
 

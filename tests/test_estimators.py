@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import warnings
 
@@ -53,6 +54,7 @@ from conftest import (
     kron_curvature,
     random_unit,
     reference_tensor_problem,
+    reference_violation_flags,
     two_pass_wls,
     vvec,
 )
@@ -805,18 +807,73 @@ class TestViolationFlags:
         assert 60 < flagged < 120  # about half
 
     def test_cached_directions_match_uncached_formula(self, rng):
-        """The kurtosis-sign check uses a read-only table equal to the
-        quartic rows of freshly built Fibonacci directions."""
+        """The kurtosis-sign check uses a read-only table whose first 1000
+        columns are minus the quartic rows of freshly built Fibonacci
+        directions."""
         design = internal_design(three_shell_protocol())
         rows = quartic_rows(fibonacci_sphere(1000))
-        cached = dkimle.estimators._check_rows()
-        np.testing.assert_array_equal(cached, rows)
+        cached = dkimle.estimators._flag_table(design)
+        np.testing.assert_array_equal(cached[:15, :1000], -rows.T)
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 1.0
         for _ in range(20):
             theta_w = rng.normal(size=15) * 0.3 + 0.2
             flags = violation_flags([1.0, 1.0, 1.0, 0, 0, 0], theta_w, design)
             assert flags.kurtosis_negative == bool(np.min(rows @ theta_w) < -1e-8)
+
+
+class TestBlockFlags:
+    """violation_flags of a (k, 6), (k, 15) block gives each row the flags
+    of that row checked alone, wherever the row sits in a block of any
+    size, and those flags are the one-voxel formula's
+    (conftest.reference_violation_flags)."""
+
+    # (theta_d, theta_w, the flag it raises) in internal units; a NaN row
+    # raises nothing in particular, but must not reach the other rows
+    ONE, W = np.array([1.0, 1.0, 1.0, 0, 0, 0]), np.full(15, 0.1)
+    FLAGGED = [
+        (np.array([1.0, 1.0, -0.1, 0, 0, 0]), W, "d_not_pd"),
+        (ONE, np.array([-0.1] * 3 + [0.0] * 12), "kurtosis_negative"),
+        (ONE, np.array([3.0] * 3 + [0.0] * 12), "decay_bound"),
+        (np.array([np.nan, 1.0, 1.0, 0, 0, 0]), W, None),
+    ]
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        """The raw WLS tensors of 256 dataset3 voxels, some flagged."""
+        protocol, rows, _ = scenario("dataset3", seed=0, n_voxels=256)
+        design = internal_design(protocol)
+        fits = [wls_fit(VoxelData(y), design) for y in rows]
+        theta_d = np.array([f.theta_d for f in fits])
+        theta_w = np.array([f.theta_w() for f in fits])
+        alone = [violation_flags(d, w, design) for d, w in zip(theta_d, theta_w)]
+        return design, theta_d, theta_w, alone
+
+    def test_rows_raise_their_flags(self, pool):
+        design = pool[0]
+        for theta_d, theta_w, flag in self.FLAGGED[:3]:
+            raised = reference_violation_flags(theta_d, theta_w, design)
+            assert raised[[f.name for f in dataclasses.fields(ConstraintFlags)].index(flag)]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 31, 32, 33, 256])
+    def test_block_rows_equal_rows_alone(self, pool, size):
+        design, theta_d, theta_w, alone = pool
+        for bad_d, bad_w, flag in self.FLAGGED:
+            bad_alone = violation_flags(bad_d, bad_w, design)
+            for at in sorted({0, size // 2, size - 1}):
+                block_d, block_w = theta_d[:size].copy(), theta_w[:size].copy()
+                block_d[at], block_w[at] = bad_d, bad_w
+                got = violation_flags(block_d, block_w, design)
+                assert len(got) == size
+                for i, flags in enumerate(got):
+                    assert flags == (bad_alone if i == at else alone[i]), (flag, at, i)
+
+    def test_flags_equal_one_voxel_formula(self, pool):
+        design, theta_d, theta_w, _ = pool
+        got = violation_flags(theta_d, theta_w, design)
+        want = [reference_violation_flags(d, w, design) for d, w in zip(theta_d, theta_w)]
+        assert [tuple(vars(f).values()) for f in got] == want
+        assert 0 < sum(map(any, want)) < len(want)
 
 
 class TestFitVoxelUnits:
@@ -1134,9 +1191,10 @@ ESTIMATORS = ("wls", "cwls", "mle")
 
 
 class TestDriver:
-    """``fit_voxel`` is the one driver: it runs the WLS fit and the
-    violation check once per voxel for every estimator, and the start and
-    the estimator's own step function once per constrained voxel."""
+    """``fit_voxel`` is the one driver: it runs the WLS fit once per voxel
+    and the violation check once per voxel or block for every estimator,
+    and the start and the estimator's own step function once per
+    constrained voxel."""
 
     STEPS = ("wls_fit", "init_params", "cwls_fit", "em_mle_fit", "violation_flags")
 
@@ -1164,7 +1222,7 @@ class TestDriver:
         assert calls == {"wls_fit": 2, "init_params": constrained,
                          "cwls_fit": constrained if estimator == "cwls" else 0,
                          "em_mle_fit": constrained if estimator == "mle" else 0,
-                         "violation_flags": 2}
+                         "violation_flags": 1 if block else 2}  # a block is checked at once
 
     @pytest.mark.parametrize("estimator", ["wls", "cwls", "mle"])
     def test_b0_only_protocol_stops_after_wls(self, monkeypatch, estimator):

@@ -11,7 +11,7 @@ from dkimle.sphere import gauss_legendre_sphere
 from dkimle.simulate import GroundTruthVoxel, random_tensor_truth, scenario
 from dkimle.tensors import d_matrix, kurtosis_from_gram, mean_diffusivity
 
-from conftest import ring_directions, tensor4_to_kurtosis, w15_to_full
+from conftest import reference_scalar_metrics, ring_directions, tensor4_to_kurtosis, w15_to_full
 
 
 def rotate_tensors(theta_d, theta_w, R):
@@ -202,6 +202,84 @@ class TestScalarMetrics:
                 np.zeros(15), 1.0, 1.0,
             )
             assert 0.0 <= sm.fa <= 1.0 + 1e-12
+
+
+def map_bits(sm):
+    """A ScalarMetrics as bytes and validity, so that equal NaNs compare equal."""
+    return np.array([sm.md, sm.fa, sm.mk, sm.k_perp, sm.snr]).tobytes(), sm.valid
+
+
+class TestBlockMaps:
+    """scalar_metrics of a (k, 6), (k, 15), (k,), (k,) block gives each row
+    the maps of that row computed alone, bit for bit, wherever the row sits
+    in a block of any size, and those maps equal the one-voxel formulas they
+    replace (conftest.reference_scalar_metrics) to 1e-12 relative."""
+
+    # (theta_d, theta_w, the rule it hits): NaN maps from a non-finite
+    # tensor or MD <= 0; MK and K_perp NaN where D_app <= 0 at a quadrature
+    # node; K_perp alone NaN where D_app <= 0 only on the ring, which holds
+    # the z axis while the nearest nodes have D_app >= 1.8e-6
+    W = np.full(15, 0.2)
+    INVALID = [
+        (np.array([np.nan, 1e-3, 1e-3, 0, 0, 0]), W, "non-finite"),
+        (np.array([1e-3, 1e-3, 1e-3, 0, 0, 0]), np.full(15, np.inf), "non-finite"),
+        (np.array([-1e-3, -1e-3, -1e-3, 0, 0, 0]), W, "md"),
+        (np.array([2e-3, 1e-3, -0.5e-3, 0, 0, 0]), W, "node"),
+        (np.array([2e-3, 1e-3, -1e-6, 0, 0, 0]), W, "ring"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        """256 rows: the WLS fits of the dataset3 panel, some invalid, and
+        realistic tensors."""
+        protocol, rows, _ = scenario("dataset3", seed=0)
+        fits = [f for f in fit_voxel(rows, protocol, "wls") if isinstance(f, FitResult)]
+        rng = np.random.default_rng(11)
+        extra = [realistic_tensors(rng) for _ in range(256 - len(fits))]
+        theta_d = np.array([f.theta_d for f in fits] + [d for d, _ in extra])
+        theta_w = np.array([f.theta_w for f in fits] + [w for _, w in extra])
+        s0 = np.array([f.s0 for f in fits] + [1.0] * len(extra))
+        sigma2 = np.array([f.sigma2 for f in fits] + [0.01] * len(extra))
+        alone = [scalar_metrics(*row) for row in zip(theta_d, theta_w, s0, sigma2)]
+        return theta_d, theta_w, s0, sigma2, alone
+
+    def test_invalid_rows_hit_their_rules(self):
+        for theta_d, theta_w, rule in self.INVALID:
+            md, fa, mk, k_perp, _, valid = reference_scalar_metrics(theta_d, theta_w, 1.0, 0.01)
+            nan = np.isnan([md, fa, mk, k_perp]).tolist()
+            assert not valid
+            assert nan == {"non-finite": [True] * 4, "md": [False, True, True, True],
+                           "node": [False, False, True, True],
+                           "ring": [False, False, False, True]}[rule], rule
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 31, 32, 33, 256])
+    def test_block_rows_equal_rows_alone(self, pool, size):
+        theta_d, theta_w, s0, sigma2, alone = pool
+        for bad_d, bad_w, rule in self.INVALID:
+            bad_alone = scalar_metrics(bad_d, bad_w, 1.0, 0.01)
+            for at in sorted({0, size // 2, size - 1}):
+                block = [a[:size].copy() for a in (theta_d, theta_w, s0, sigma2)]
+                for array, value in zip(block, (bad_d, bad_w, 1.0, 0.01)):
+                    array[at] = value
+                got = scalar_metrics(*block)
+                assert len(got) == size
+                for i, sm in enumerate(got):
+                    want = bad_alone if i == at else alone[i]
+                    assert map_bits(sm) == map_bits(want), (rule, at, i)
+
+    def test_maps_equal_one_voxel_formulas(self, pool):
+        theta_d, theta_w, s0, sigma2, alone = pool
+        rows = list(zip(theta_d, theta_w, s0, sigma2))
+        rows += [(d, w, 1.0, 0.01) for d, w, _ in self.INVALID]
+        got = scalar_metrics(*map(np.array, zip(*rows)))
+        n_invalid = 0
+        for sm, row in zip(got, rows):
+            *maps, valid = reference_scalar_metrics(*row)
+            assert sm.valid == valid
+            assert [sm.md, sm.fa, sm.mk, sm.k_perp, sm.snr] == pytest.approx(
+                maps, rel=1e-12, abs=0, nan_ok=True)
+            n_invalid += not valid
+        assert n_invalid > len(self.INVALID)
 
 
 def make_fit(theta_d, theta_w, s0=1.0, sigma2=1.0 / 225.0, **kw):

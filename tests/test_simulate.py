@@ -188,6 +188,29 @@ class TestRandomTensorTruth:
             assert 0.1 < sm.mk < 1.3
 
 
+    @pytest.mark.parametrize("protocol", [None, "dataset3"])
+    def test_cached_grid_gives_the_truths_of_fresh_rows(self, monkeypatch, protocol):
+        """The direction grid and its quartic rows are cached read-only per
+        gradient set, and truths drawn with them equal, bit for bit, truths
+        drawn with the grid rebuilt for every voxel."""
+        from dkimle import simulate
+
+        if protocol is not None:
+            protocol, _, _ = scenario(protocol, seed=0, n_voxels=1)
+        cached = [random_tensor_truth(np.random.default_rng(seed), protocol)
+                  for seed in range(20)]
+        dirs, rows = simulate._truth_grid(b"" if protocol is None else protocol.bvecs.tobytes())
+        for array in (dirs, rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        monkeypatch.setattr(simulate, "_truth_grid", simulate._truth_grid.__wrapped__)
+        fresh = [random_tensor_truth(np.random.default_rng(seed), protocol)
+                 for seed in range(20)]
+        for a, b in zip(cached, fresh):
+            assert a.theta_d.tobytes() == b.theta_d.tobytes()
+            assert a.theta_w.tobytes() == b.theta_w.tobytes()
+
+
 class TestScenarios:
     def test_dataset1_shape(self):
         protocol, rows, truths = scenario("dataset1", snr=15.0, seed=1)
