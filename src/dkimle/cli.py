@@ -75,7 +75,10 @@ def load_voxel_table(text: str) -> np.ndarray:
                                f"got {count!r}")
             m = int(count)
             continue
-        vals = [float(p) for p in line.split(",")]
+        try:
+            vals = [float(p) for p in line.split(",")]
+        except ValueError as exc:
+            raise CliError(f"line {lineno}: {exc}") from None
         if len(vals) != m:
             raise CliError(f"line {lineno}: expected {m} magnitudes, got {len(vals)}")
         rows.append(vals)

@@ -488,30 +488,23 @@ def init_params(wls: WlsFit, model: ExponentModel) -> ModelParams:
 # ---------------------------------------------------------------------------
 # violation flags
 
-# Stacked products x @ table take CHUNK_ROWS rows at a time.  A chunk is
-# padded with copies of its last row to a multiple of an alignment, so that
-# BLAS runs gemm on it: a one-row product would go to gemv, which rounds
-# differently.  A row's product then does not depend on the chunk's size or
-# on the row's place in it: for an alignment of 2 with the SkylakeX kernels,
-# and for ROW_ALIGN also with the Haswell kernels, whose gemm rounds the
-# rows of an uneven chunk differently.  The maps take ROW_ALIGN.  The
-# violation flags only compare their products with FLAG_TOL and take 2,
-# which keeps a one-voxel check as fast as one by gemv.
+# Stacked products x @ table take CHUNK_ROWS rows at a time, and every
+# chunk, of the maps and of the violation flags, is padded with copies of
+# its last row to a multiple of ROW_ALIGN rows.  BLAS then runs gemm on it
+# (a one-row product would go to gemv, which rounds differently), and a
+# row's product does not depend on the chunk's size or on the row's place
+# in it, with the SkylakeX kernels and with the Haswell kernels, whose gemm
+# rounds the rows of a chunk of uneven size differently.
 CHUNK_ROWS = 32
 ROW_ALIGN = 8
 
 
-@lru_cache(maxsize=64)
-def _pad_index(n: int, align: int) -> np.ndarray:
-    return np.minimum(np.arange(-(-n // align) * align), n - 1)
-
-
-def _row_product(x: np.ndarray, table: np.ndarray, align: int = ROW_ALIGN) -> np.ndarray:
+def _row_product(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """x @ table for a chunk x of rows, by gemm on x padded to a multiple of
-    ``align`` rows."""
+    ROW_ALIGN rows."""
     n = len(x)
-    if n % align:
-        x = x[_pad_index(n, align)]
+    if n % ROW_ALIGN:
+        x = x[np.minimum(np.arange(-(-n // ROW_ALIGN) * ROW_ALIGN), n - 1)]
     return (x @ table)[:n]
 
 
@@ -561,7 +554,7 @@ def violation_flags(theta_d, theta_w, design: DesignMatrices):
         # [-W_app at the check directions | the b-slope of log S at each
         # acquisition, eta_D + 2 eta_W = tr(D)^2 2/9 Z_W theta_W + Z_D theta_D],
         # flagged where an entry exceeds FLAG_TOL (b = 0 rows give exactly 0)
-        p = _row_product(x[start:start + CHUNK_ROWS], table, 2)
+        p = _row_product(x[start:start + CHUNK_ROWS], table)
         slope = p[:, N_CHECK_DIRS:end]
         slope *= np.square(p[:, -1:])
         slope += p[:, end:-1]
@@ -644,9 +637,12 @@ def cwls_fit(data: VoxelData, params: ModelParams, model: ExponentModel,
     w_j = Y_j^2/S0^2, zero magnitudes excluded) over (L, theta_Q) under
     the decay constraints, with S0 and sigma^2 held at their start
     values.  The loss is fixed, so the fit is two constrained
-    Fisher-scoring solves, the second started from the first's result:
-    the restart gives the final subproblem a fresh barrier parameter,
-    which on a few voxels moves the result by ~1e-10 relative.
+    Fisher-scoring solves, the second started from the first's result
+    with a fresh barrier parameter.  The second finishes first solves that
+    end at their inner-iteration cap (on dataset3 seed 0 it converges on 7
+    of the 9 such voxels of 180, lowering f by up to 35 % relative); on
+    the others it lowers f on none and moves the result by at most ~4e-9
+    relative.
 
     Returns (params, sigma^2, [-f after each solve], 2, the second
     solve's converged flag).

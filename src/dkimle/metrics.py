@@ -37,9 +37,10 @@ def _quadrature():
     return vecs, wts, rows
 
 
-# D_app and W_app along the great circle g(t) = cos t e2 + sin t e3 are
-# binary forms in (cos t, sin t), and D_app = D_app (cos^2 t + sin^2 t) is
-# quartic too: their values at five angles determine both on the circle
+# D_app and W_app along the great circle g(t) = cos t e1 + sin t e2 of D's
+# minor and middle eigenvectors e1, e2 are binary forms in (cos t, sin t),
+# and D_app = D_app (cos^2 t + sin^2 t) is quartic too: their values at
+# five angles determine both on the circle
 _RING_SAMPLES = np.pi * np.arange(5) / 5
 _RING_CS = np.column_stack([np.cos(_RING_SAMPLES), np.sin(_RING_SAMPLES)])
 
@@ -57,18 +58,6 @@ def _ring_table():
     table = np.linalg.solve(_binary_quartics(_RING_SAMPLES).T, _binary_quartics(t).T)
     table.setflags(write=False)
     return table
-
-
-def _ring_bases(axes):
-    """(k, 2, 3) orthonormal rows (e2, e3) spanning the planes orthogonal to
-    unit axes (k, 3), e2 = axis x seed / |axis x seed| and e3 = axis x e2."""
-    # axis x e_x = (0, a2, -a1), or axis x e_y = (-a2, 0, a0) when the axis
-    # is near e_x
-    e2 = np.where(np.abs(axes[:, :1]) < 0.9, axes[:, [0, 2, 1]] * [0.0, 1.0, -1.0],
-                  axes[:, [2, 1, 0]] * [-1.0, 0.0, 1.0])
-    e2 /= np.sqrt((e2 * e2).sum(axis=1))[:, None]
-    e3 = axes[:, [1, 2, 0]] * e2[:, [2, 0, 1]] - axes[:, [2, 0, 1]] * e2[:, [1, 2, 0]]
-    return np.stack([e2, e3], axis=1)
 
 
 @dataclass
@@ -94,7 +83,8 @@ def scalar_metrics(theta_d, theta_w, s0, sigma2):
     sqrt(3/2) ||D - MD I||_F / ||D||_F; MK averages the directional
     kurtosis over the N_POLAR x N_AZIMUTH Gauss-Legendre sphere; K_perp
     averages it over N_RING equally spaced points of the great circle
-    orthogonal to the principal eigenvector; SNR = S0/sigma.
+    orthogonal to the principal eigenvector, which D's minor and middle
+    eigenvectors span, starting at the minor one; SNR = S0/sigma.
     Voxels with non-finite tensors or MD <= 0 are flagged invalid with NaN
     scalars, and so are MK and K_perp where D_app <= 0 at a quadrature node,
     and K_perp where D_app <= 0 on the ring.
@@ -140,8 +130,7 @@ def _maps(theta_d, theta_w, md):
 
     # D_app and W_app at the five sample angles of the ring
     _, evecs = np.linalg.eigh(D)
-    bases = _ring_bases(evecs[:, :, -1])
-    dirs = _RING_CS[:, 0, None] * bases[:, None, 0] + _RING_CS[:, 1, None] * bases[:, None, 1]
+    dirs = _RING_CS[:, :1] * evecs[:, None, :, 0] + _RING_CS[:, 1:] * evecs[:, None, :, 1]
     ring_vecs = monomial_vectors(dirs.reshape(-1, 3)).reshape(len(md), 5, 6)
     d_coef = theta_d * PAIR_COUNTS
     d_samples = (ring_vecs * d_coef[:, None]).sum(axis=-1)

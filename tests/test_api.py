@@ -39,11 +39,14 @@ DELETED = [
     "SERIES_ASYMPTOTIC_SPLIT",
     "DecayRows",
     "_violates_decay",
+    "_ring_bases",
+    "_pad_index",
 ]
 
 # deleted keyword arguments and fields, as (module, callable, keyword)
 DELETED_KEYWORDS = [
     ("dkimle.estimators", "VoxelData", "zero_mask"),
+    ("dkimle.estimators", "_row_product", "align"),
     ("dkimle.metrics", "scalar_metrics", "n_polar"),
     ("dkimle.metrics", "scalar_metrics", "n_azimuth"),
     ("dkimle.metrics", "scalar_metrics", "n_ring"),

@@ -77,6 +77,19 @@ class TestVoxelTable:
         assert "error: line 2: voxel count must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_magnitude_names_its_line(self, simulated, tmp_path, capsys):
+        """A magnitude that is not a number used to exit with float()'s
+        message alone, naming no line."""
+        with pytest.raises(cli.CliError, match="^line 2: could not convert string to float: 'x'$"):
+            load_voxel_table("m=3\n1,x,3\n")
+        table = tmp_path / "bad.csv"
+        table.write_text("# header\nm=3\n1,x,3\n")
+        out = tmp_path / "o.jsonl"
+        assert run_cli("fit", "--protocol", simulated + ".protocol.txt", "--data", str(table),
+                       "--estimator", "wls", "--out", str(out)) == 2
+        assert "error: line 3: could not convert string to float: 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_writes_three_files(self, simulated):

@@ -146,9 +146,10 @@ class TestScalarMetrics:
     def test_k_perp_equals_ring_formula(self, rng):
         """K_perp from the five-sample ring tables equals the mean of the
         directional kurtosis over N_RING ring_directions to 1e-12 relative,
-        for either seed of the ring basis."""
+        although the two span the ring with different bases."""
         cases = [realistic_tensors(rng) for _ in range(6)]
-        # principal axis near e_x, where the ring basis is seeded with e_y
+        # principal axis near e_x, where ring_directions seeds its basis
+        # with e_y
         for _ in range(3):
             _, theta_w = realistic_tensors(rng)
             axis = np.array([1.0, *rng.uniform(-0.1, 0.1, size=2)])
@@ -161,6 +162,20 @@ class TestScalarMetrics:
             sm = scalar_metrics(theta_d, theta_w, 1.0, 1.0)
             assert sm.k_perp == pytest.approx(self.einsum_oracle(theta_d, theta_w)[3],
                                               rel=1e-12, abs=0)
+
+    def test_ring_samples_the_minor_eigenvalue(self, rng):
+        """The ring starts at D's minor eigenvector, so a D with a tiny
+        negative eigenvalue is invalid with NaN K_perp in every frame.  Its
+        D_app <= 0 arc is about 1e-3 rad wide, against the ring's spacing of
+        0.025 rad, so a ring placed without regard to D's eigenvectors would
+        miss it in most frames."""
+        for _ in range(20):
+            R = random_rotation(rng)
+            D = (R * [2e-3, 1e-3, -1e-9]) @ R.T
+            theta_d = np.array([D[0, 0], D[1, 1], D[2, 2], D[0, 1], D[0, 2], D[1, 2]])
+            sm = scalar_metrics(theta_d, np.full(15, 0.2), 1.0, 0.01)
+            assert not sm.valid
+            assert np.isnan(sm.k_perp)
 
     def test_wls_panel_matches_einsum_oracle(self):
         """On WLS fits of the 180-voxel dataset3 panel, some with

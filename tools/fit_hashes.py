@@ -46,7 +46,7 @@ SETS = (
 )
 # the same fields for the JSON lines of `dkimle fit --workers 2`
 RECORD_SETS = (
-    ("wls", "dataset3", 15.0, 0, 180, "137ad48ec19806b3"),
+    ("wls", "dataset3", 15.0, 0, 180, "d777d445124ef587"),
 )
 
 
