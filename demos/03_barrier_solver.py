@@ -45,7 +45,7 @@ prob = BarrierProblem(
 theta, diag = solve(prob, np.array([-1.0, -1.0]))
 print("\nhalf-space projection: theta* =", np.round(theta, 6))
 print(f"  outer phases {diag.outer_iterations}, inner steps {diag.inner_iterations},"
-      f" final mu {diag.final_mu:.1e}")
+      f" predictor steps {diag.predictor_steps}, final mu {diag.final_mu:.1e}")
 print(f"  constraint value at the end: {float(a @ theta) - 1.0:.2e} (strictly inside)")
 
 # --- the central path -------------------------------------------------------
@@ -67,8 +67,8 @@ print(f"\nlinear objective over theta >= 0: theta* = {theta[0]:.2e}"
 
 # --- monotone merit ----------------------------------------------------------
 # The backtracking enforces descent of the barrier merit (objective minus
-# mu * sum log slack); the raw objective alone may rise while the iterate
-# re-centers on an active bound.  With the bound inactive the barrier
+# mu * sum log slack), up to the merit's rounding; the raw objective alone
+# may rise while the iterate re-centers on an active bound.  With the bound inactive the barrier
 # term stays at the floor of mu and the objective trace descends too.
 target = np.array([1.0, -2.0])
 prob = BarrierProblem(

@@ -14,17 +14,21 @@ and takes a damped Fisher step on the barrier merit
 
     f(theta) - mu * sum_j log(-g_j(theta)),
 
-backtracking until the merit does not increase and feasibility is strict.
-Constraints are at most quadratic, so when a backtrack's first trial is
-infeasible, the alphas that g(theta - alpha s) = g - alpha A s + alpha^2 q(s)
-proves infeasible are skipped unevaluated, and the accepted point stays;
-a scalar loop halves past them without forming their trial points.  A
-trial with a NaN constraint is infeasible, and a Fisher step that is not
-finite (from a NaN or inf in the score or the information) raises
-NonConvergence: there is no fallback step.
+backtracking until the merit rises by no more than its rounding (10 ulps, as
+in IPOPT) and feasibility is strict.  Constraints are at most quadratic, so
+when a backtrack's first trial is infeasible, the alphas that
+g(theta - alpha s) = g - alpha A s + alpha^2 q(s) proves infeasible are
+skipped unevaluated, and the accepted point stays; a scalar loop halves past
+them without forming their trial points.  A trial with a NaN constraint is
+infeasible, and a Fisher step that is not finite (from a NaN or inf in the
+score or the information) raises NonConvergence: there is no fallback step.
 Each outer pass shrinks mu by MU_SHRINK down to the floor MU_MIN, and the
 pass at MU_MIN is the last: mu starts at most MU0 = 1 and 0.2^15 < 1e-10,
 so a solve takes at most 16 outer passes and needs no iteration cap.
+After each decrease mu -> mu', a predictor step extrapolates along the
+central path (Fiacco & McCormick; Nocedal & Wright, ch. 19): theta + d with
+I_bar d = (mu - mu') A^T (1/nu) and the barrier information I_bar at mu,
+searched on the merit at mu'; theta stays where the search rejects it.
 Each point is evaluated once: its objective and constraint values carry
 over to the merit, the multipliers and the trace.  A step that rounds to
 no move ends the subproblem, since repeating it would change nothing.
@@ -114,16 +118,19 @@ MAX_STEP_SCALE = 10.0
 LM_SCALE = 1e-2
 # default score tolerance of the final barrier subproblem
 GRAD_TOL = 1e-6
+# a trial passes if its merit exceeds the current one by at most this multiple
+# of |merit|, so that rounding noise does not reject steps near a solution
+MERIT_ROUNDING = 10.0 * np.finfo(float).eps
 
 
 @dataclass
 class SolverDiagnostics:
     """Counters of one :func:`solve`.
 
-    ``inner_iterations`` counts the Fisher steps computed, including a
-    stalled one whose step rounds to no move and ends its subproblem;
-    ``objective_trace`` holds f at the start and at each accepted iterate,
-    so a stalled iteration adds no entry.
+    ``inner_iterations`` counts the Fisher steps computed but not the
+    predictors, including a stalled step that rounds to no move and ends its
+    subproblem; ``objective_trace`` holds f at the start and at each
+    accepted iterate, so a stalled iteration adds no entry.
     """
 
     outer_iterations: int = 0
@@ -137,6 +144,8 @@ class SolverDiagnostics:
     trials_evaluated: int = 0  # line-search trial points evaluated,
     trials_infeasible: int = 0  # the infeasible ones among them,
     trials_skipped: int = 0  # and trial points proven infeasible, not evaluated
+    predictor_steps: int = 0  # predictor steps the line search accepted
+    capped_subproblems: int = 0  # subproblems that ended at MAX_INNER
 
 
 def regularize(H, shift):
@@ -229,6 +238,38 @@ def _skip_infeasible(alpha, bound, theta, step, diag):
     return alpha
 
 
+def _line_search(problem, theta, f, g, A, step, mu, diag):
+    """Backtrack along -step from 1 or the step cap until the merit at ``mu``
+    passes: (alpha, accepted (theta, f, g)), or (alpha, None) on no move or
+    collapse (alpha < MIN_STEP)."""
+    step_norm, cap = math.sqrt(step @ step), MAX_STEP_SCALE * (1.0 + math.sqrt(theta @ theta))
+    alpha = cap / step_norm if step_norm > cap else 1.0
+    merit, bound = _merit(f, g, mu), None
+    while ((trial := theta - alpha * step) != theta).any():
+        f_trial, g_trial, feasible = _evaluate(problem, trial)
+        diag.trials_evaluated += 1
+        if _merit(f_trial, g_trial, mu) <= merit + MERIT_ROUNDING * abs(merit):
+            return alpha, (trial, f_trial, g_trial)
+        diag.trials_infeasible += not feasible
+        if bound is None:
+            bound = np.inf if feasible else _feasible_bound(problem, theta, step, g, A)
+        alpha *= STEP_SHRINK
+        if alpha > bound:
+            alpha = _skip_infeasible(alpha, bound, theta, step, diag)
+        if alpha < MIN_STEP:
+            break
+    return alpha, None
+
+
+def _predictor_step(problem, theta, nu, A, mu, mu_next):
+    """The step -d of the predictor: I_bar d = (mu - mu_next) A^T (1/nu), from
+    d/dmu of the central-path condition grad f + mu A^T (1/nu) = 0."""
+    info = problem.information(theta, mu / nu) + (A.T * (mu / (nu * nu))) @ A
+    rhs = (mu_next - mu) * (A.T @ (1.0 / nu))
+    info_reg, factor = regularize(info, LM_SCALE * math.sqrt(rhs @ rhs))
+    return fisher_step(info_reg, rhs, factor)
+
+
 def _initial_mu(problem, theta, nu):
     """Barrier parameter matched to the multiplier scale at the start.
 
@@ -312,34 +353,17 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
                 diag.final_mu, diag.reason = mu, "non-finite step"
                 raise NonConvergence(f"the Fisher step is not finite with score norm "
                                      f"{score_norm:.3g}", theta, diag)
-
-            alpha = 1.0
-            step_norm = math.sqrt(step @ step)
-            cap = MAX_STEP_SCALE * (1.0 + math.sqrt(theta @ theta))
-            if step_norm > cap:
-                alpha = cap / step_norm
-            merit, bound = _merit(f, g, mu), None
-            while ((trial := theta - alpha * step) != theta).any():
-                f_trial, g_trial, feasible = _evaluate(problem, trial)
-                diag.trials_evaluated += 1
-                if _merit(f_trial, g_trial, mu) <= merit:
-                    theta, f, g = trial, f_trial, g_trial
-                    break
-                diag.trials_infeasible += not feasible
-                if bound is None:
-                    bound = np.inf if feasible else _feasible_bound(problem, theta, step, g, A)
-                alpha *= STEP_SHRINK
-                if alpha > bound:
-                    alpha = _skip_infeasible(alpha, bound, theta, step, diag)
-                if alpha < MIN_STEP:
-                    diag.final_mu, diag.reason = mu, "step collapse"
-                    raise NonConvergence(f"backtracking collapsed below {MIN_STEP:g} "
-                                         f"with score norm {score_norm:.3g}", theta, diag)
-            else:
-                # the step rounds to no move, so every further iteration
-                # would repeat this one bit for bit: leave the subproblem
+            alpha, point = _line_search(problem, theta, f, g, A, step, mu, diag)
+            if point is None and alpha < MIN_STEP:
+                diag.final_mu, diag.reason = mu, "step collapse"
+                raise NonConvergence(f"backtracking collapsed below {MIN_STEP:g} "
+                                     f"with score norm {score_norm:.3g}", theta, diag)
+            if point is None:  # no move: a further iteration would repeat this one
                 break
+            theta, f, g = point
             diag.objective_trace.append(f)
+        else:
+            diag.capped_subproblems += 1
 
         diag.max_complementarity = float((lam * -g).max())
         diag.final_mu = mu
@@ -347,11 +371,17 @@ def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):
             # final barrier parameter: slacks of active constraints scale
             # with mu, so shrinking further only erodes float precision
             diag.converged = diag.final_score_norm <= grad_tol
-            diag.reason = (
-                "mu and score tolerances" if diag.converged
-                else "score tolerance not met at final mu"
-            )
+            diag.reason = ("mu and score tolerances" if diag.converged
+                           else "score tolerance not met at final mu")
             break
-        mu = max(mu * MU_SHRINK, MU_MIN)
+        mu_next, A = max(mu * MU_SHRINK, MU_MIN), problem.constraint_gradients(theta)
+        step = _predictor_step(problem, theta, -g, A, mu, mu_next)
+        finite = np.isfinite(step).all()
+        point = _line_search(problem, theta, f, g, A, step, mu_next, diag)[1] if finite else None
+        if point is not None:
+            theta, f, g = point
+            diag.objective_trace.append(f)
+            diag.predictor_steps += 1
+        mu = mu_next
 
     return theta, diag

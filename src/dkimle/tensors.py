@@ -399,9 +399,9 @@ class ExponentModel:
         return eta_d, eta_q
 
     def constraints(self, theta):
-        """The decay constraints g(theta); g(s) is also the second-order
-        coefficient of g(theta - alpha s) in alpha."""
-        return self.evaluate(theta)[2]
+        """The decay constraints g(theta), from the b > 0 rows alone; g(s) is
+        also the second-order coefficient of g(theta - alpha s) in alpha."""
+        return _qform(theta[6:], self.v_c)[0] + self.zc @ theta_d_from_l(theta[:6])
 
     def jacobians(self, L, u):
         """(d eta / d theta, shape (m, 24); d g / d theta, shape

@@ -277,6 +277,68 @@ class TestSolve:
         assert diag.max_complementarity > 0  # lambda stayed positive
 
 
+def half_space_problem():
+    """min 1/2 ||theta - (2, 1)||^2 s.t. theta_1 + theta_2 <= 1 (demo 03):
+    theta* = (1, 0) with multiplier 1."""
+    return quadratic_problem(np.array([2.0, 1.0]),
+                             constraints=[lambda t: float(t[0] + t[1]) - 1.0],
+                             constraint_grads=[lambda t: np.array([1.0, 1.0])])
+
+
+class TestPredictor:
+    """After each decrease of mu the solver extrapolates along the central
+    path before the next subproblem's Fisher steps."""
+
+    def test_predicted_point_is_closer_to_the_central_path(self):
+        """The half-space projection has the central path theta(mu) = c - lam a,
+        lam (lam |a|^2 - r) = mu with r = a.c - beta.  From theta(mu) exactly,
+        the predictor lands nearer theta(mu') than theta(mu) is, with an
+        error of second order: below mu times the distance it started at."""
+        c, a = np.array([2.0, 1.0]), np.array([1.0, 1.0])
+        prob = half_space_problem()
+        r, aa = a @ c - 1.0, a @ a
+
+        def on_path(mu):
+            return c - (r + np.sqrt(r * r + 4.0 * aa * mu)) / (2.0 * aa) * a
+
+        for mu in 10.0 ** -np.arange(7):
+            mu_next, theta = mu * barrier.MU_SHRINK, on_path(mu)
+            step = barrier._predictor_step(prob, theta, -prob.constraints(theta),
+                                           prob.constraint_gradients(theta), mu, mu_next)
+            before = np.linalg.norm(theta - on_path(mu_next))
+            after = np.linalg.norm(theta - step - on_path(mu_next))
+            assert after <= mu * before, (mu, before, after)
+
+    def test_half_space_projection_counters(self):
+        """From (-1, -1) mu starts at MU0 = 1 and falls 15 times; every
+        predictor is accepted, no subproblem ends at MAX_INNER, and the solve
+        takes at most 20 Fisher steps (91 without the predictor)."""
+        theta, diag = solve(half_space_problem(), np.array([-1.0, -1.0]))
+        assert diag.converged and diag.outer_iterations == 16
+        assert diag.predictor_steps == 15 and diag.capped_subproblems == 0
+        assert diag.inner_iterations <= 20
+
+    def test_capped_subproblem_counted(self):
+        """min 1/2 (t - 5)^2 s.t. t >= -100 with an information 1e6 times the
+        curvature: each Fisher step goes 1e-6 of the way.  The constraint is
+        inactive, so mu starts at MU_MIN: one subproblem, which ends at
+        MAX_INNER short of the tolerance, and no predictor."""
+        prob = BarrierProblem(
+            dim=1,
+            n_constraints=1,
+            objective=lambda t: float(0.5 * (t[0] - 5.0) ** 2),
+            gradient=lambda t: np.array([t[0] - 5.0]),
+            information=lambda t, lam: np.array([[1e6]]),
+            constraints=lambda t: np.array([-t[0] - 100.0]),
+            constraint_gradients=lambda t: np.array([[-1.0]]),
+            constraint_quadratic=lambda s: np.zeros(1),
+        )
+        theta, diag = solve(prob, np.array([0.0]))
+        assert diag.outer_iterations == 1 and diag.inner_iterations == barrier.MAX_INNER
+        assert diag.capped_subproblems == 1 and diag.predictor_steps == 0
+        assert not diag.converged and diag.reason == "score tolerance not met at final mu"
+
+
 class TestGradTol:
     def test_solve_rejects_nonpositive_grad_tol(self):
         for grad_tol in (0.0, -1e-6, float("nan")):
@@ -332,15 +394,17 @@ class TestSkipRule:
         assert skipped > 1000
 
     def test_disk_projection_skips_and_matches_evaluating_every_trial(self, monkeypatch):
-        """Projection of (3, 1) onto the unit disk: the constraint is
-        quadratic, trials beyond the circle are skipped, and the iterates are
-        those of the line search that evaluates every trial."""
+        """Projection of (3, 1) onto the unit disk from (0.6, -0.6): the
+        constraint is quadratic, trials beyond the circle are skipped, and
+        the iterates are those of the line search that evaluates every
+        trial.  (From (0.1, -0.2) the predictor steps leave no trial to skip
+        after the first subproblem, whose steps stay inside the circle.)"""
         c = np.array([3.0, 1.0])
-        theta, diag = solve(disk_problem(c), np.array([0.1, -0.2]))
+        theta, diag = solve(disk_problem(c), np.array([0.6, -0.6]))
         np.testing.assert_allclose(theta, c / np.linalg.norm(c), atol=1e-6)
-        assert diag.trials_skipped > 0
+        assert diag.trials_skipped > 0 and diag.predictor_steps > 0
         monkeypatch.setattr(barrier, "_feasible_bound", lambda *args: np.inf)
-        ref, ref_diag = solve(disk_problem(c), np.array([0.1, -0.2]))
+        ref, ref_diag = solve(disk_problem(c), np.array([0.6, -0.6]))
         assert np.array_equal(theta, ref) and ref_diag.trials_skipped == 0
         assert diag.objective_trace == ref_diag.objective_trace
         assert diag.trials_evaluated + diag.trials_skipped == ref_diag.trials_evaluated
@@ -396,7 +460,9 @@ class TestSkipLoop:
     # the skip loop meets: the first alpha at most the bound moves theta,
     # rounds to no move, or lies below MIN_STEP)
     CASES = {
-        "ordinary landing": (lambda: line_problem(5.0, 1.0), [0.0], None, "lands"),
+        # the first Fisher step overshoots t <= 1 more than twofold (with a
+        # target of 5 exactly twofold: its first halving lands on the bound)
+        "ordinary landing": (lambda: line_problem(20.0, 1.0), [0.0], None, "lands"),
         "landing rounds to no move": (lambda: line_problem(1e8 + 4.0, 1e8 + 1.0), [1e8],
                                       1e-10, "no move"),
         "skipping passes MIN_STEP": (lambda: line_problem(5.0, 1.0), [0.0], 1e-13,
@@ -584,7 +650,7 @@ class TestOneEvaluationPerPoint:
                   if i == 0 or p != calls["gradient"][i - 1]]
         if points[-1] != theta.tobytes():
             points.append(theta.tobytes())
-        assert len(points) == diag.inner_iterations + 1
+        assert len(points) == diag.inner_iterations + diag.predictor_steps + 1
         assert diag.objective_trace == [problem.objective(np.frombuffer(p)) for p in points]
 
     def test_tensor_problem_voxel(self, monkeypatch):
@@ -618,14 +684,18 @@ class TestSolverWorkOnPanels:
     trials on the mle panel (8312 infeasible, with the series/asymptotic
     Bessel kernel of that time) and 5127 on the cwls panel (947
     infeasible); the skip rule leaves the solves and inner iterations as
-    they were."""
+    they were.  Before the predictor steps the mle panel took 49 solves,
+    2896 inner iterations and trials (6971, 1202, 6702), and the cwls panel
+    36 solves, 2405 inner iterations and trials (3813, 500, 447)."""
 
-    # line-search trials (evaluated, evaluated and infeasible, skipped)
-    TRIALS = {"mle": (6971, 1202, 6702), "cwls": (3813, 500, 447)}
+    # line-search trials (evaluated, evaluated and infeasible, skipped), and
+    # (accepted predictor steps, subproblems that ended at MAX_INNER)
+    TRIALS = {"mle": (3202, 948, 6561), "cwls": (1874, 142, 68)}
+    PREDICTOR = {"mle": (170, 22), "cwls": (233, 0)}
 
     @pytest.mark.parametrize("estimator, snr, solves, inner", [
-        ("mle", 15.0, 49, 2896),
-        ("cwls", 5.0, 36, 2405),
+        ("mle", 15.0, 50, 2068),
+        ("cwls", 5.0, 36, 1458),
     ])
     def test_solves_and_inner_iterations(self, monkeypatch, estimator, snr, solves, inner):
         protocol, rows, _ = scenario("dataset2", snr=snr, seed=0, n_voxels=18)
@@ -647,6 +717,8 @@ class TestSolverWorkOnPanels:
         assert (len(diags), sum(d.inner_iterations for d in diags)) == (solves, inner)
         assert tuple(sum(getattr(d, f"trials_{kind}") for d in diags)
                      for kind in ("evaluated", "infeasible", "skipped")) == self.TRIALS[estimator]
+        assert (sum(d.predictor_steps for d in diags),
+                sum(d.capped_subproblems for d in diags)) == self.PREDICTOR[estimator]
 
     def test_mle_estep_count(self, monkeypatch):
         """Each EM E-step is taken once per parameter change: the E-step
@@ -663,12 +735,12 @@ class TestSolverWorkOnPanels:
         monkeypatch.setattr(estimators, "em_estep", counting_estep)
         for row in rows:
             estimators.fit_voxel(row, protocol, "mle")
-        assert len(calls) == 819
+        assert len(calls) == 831
 
     def test_mle_signal_model_evaluations(self, monkeypatch):
         """Each EM-MLE fit builds one exponent model and evaluates its
         exponent outside the tensor solves only at the start and after each
-        tensor update (49 solves): the E-steps, M-steps and surrogate take
+        tensor update (50 solves): the E-steps, M-steps and surrogate take
         that exponent (2448 models and 2398 evaluations on this panel when
         each step rebuilt the model)."""
         protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=18)
@@ -699,7 +771,7 @@ class TestSolverWorkOnPanels:
         monkeypatch.setattr(barrier, "solve", marked_solve)
         for row in rows:
             estimators.fit_voxel(row, protocol, "mle")
-        assert (counts["models"], counts["exponents"]) == (18, 67)
+        assert (counts["models"], counts["exponents"]) == (18, 68)
 
     def test_noise_model_stands_alone(self):
         """The Rician module holds the noise model only: it takes model

@@ -37,12 +37,12 @@ ROOT = Path(__file__).resolve().parents[1]
 # (estimator, scenario, snr, seed, voxels, expected hash); dataset3 sets
 # its SNR per voxel and ignores the snr given
 SETS = (
-    ("mle", "dataset2", 15.0, 0, 18, "ec39359bce0ebc93"),
-    ("cwls", "dataset2", 5.0, 0, 18, "1b10a8fe5068dbda"),
+    ("mle", "dataset2", 15.0, 0, 18, "bc0d3fb85e5d4f40"),
+    ("cwls", "dataset2", 5.0, 0, 18, "fa9b01fd6e7fdfa6"),
     ("wls", "dataset3", 15.0, 0, 180, "fd28f4440555f877"),
-    ("mle", "dataset2", 15.0, 1, 40, "889d9a0f86a6f7b3"),
-    ("cwls", "dataset2", 5.0, 1, 40, "4367cf46d8ac6821"),
-    ("mle", "dataset3", 15.0, 41, 50, "c37fe49fea919808"),
+    ("mle", "dataset2", 15.0, 1, 40, "67b9230a18a17480"),
+    ("cwls", "dataset2", 5.0, 1, 40, "8620a192c526dfc7"),
+    ("mle", "dataset3", 15.0, 41, 50, "3472eb6ff6d87b06"),
 )
 # the same fields for the JSON lines of `dkimle fit --workers 2`
 RECORD_SETS = (
