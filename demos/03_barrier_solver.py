@@ -12,8 +12,8 @@ from dkimle import BarrierProblem, solve
 
 # --- an inactive constraint: plain regularized Newton ----------------------
 # min 1/2 ||theta - c||^2  s.t.  theta_1 + theta_2 + theta_3 <= 10; the
-# bound has slack at c, the barrier starts at its floor and the solve
-# lands on c as an unconstrained Newton iteration would.
+# bound has slack at c, so the barrier starts small (1e-3 of the starting
+# score) and the solve lands on c as an unconstrained Newton iteration would.
 c = np.array([3.0, -1.0, 0.5])
 prob = BarrierProblem(
     dim=3,
@@ -68,8 +68,8 @@ print(f"\nlinear objective over theta >= 0: theta* = {theta[0]:.2e}"
 # --- monotone merit ----------------------------------------------------------
 # The backtracking enforces descent of the barrier merit (objective minus
 # mu * sum log slack), up to the merit's rounding; the raw objective alone
-# may rise while the iterate re-centers on an active bound.  With the bound inactive the barrier
-# term stays at the floor of mu and the objective trace descends too.
+# may rise while the iterate re-centers on an active bound.  With the bound far
+# inactive the barrier term barely moves and the objective trace descends too.
 target = np.array([1.0, -2.0])
 prob = BarrierProblem(
     dim=2,

@@ -22,6 +22,11 @@ skipped unevaluated, and the accepted point stays; a scalar loop halves past
 them without forming their trial points.  A trial with a NaN constraint is
 infeasible, and a Fisher step that is not finite (from a NaN or inf in the
 score or the information) raises NonConvergence: there is no fallback step.
+The first mu is the larger of the complementarity of nonnegative
+least-squares multipliers at the start and MU_KKT times the start's KKT
+residual under them, so a start away from its optimum begins on its
+central path even when no constraint holds its gradient back (an EM sweep
+warm-started after its surrogate moved); a near-KKT start keeps a small mu.
 Each outer pass shrinks mu by MU_SHRINK down to the floor MU_MIN, and the
 pass at MU_MIN is the last: mu starts at most MU0 = 1 and 0.2^15 < 1e-10,
 so a solve takes at most 16 outer passes and needs no iteration cap.
@@ -93,11 +98,11 @@ class BarrierProblem:
     constraint_quadratic: Callable[[np.ndarray], np.ndarray]
 
 
-# barrier parameter: MU0 caps the start value, which is scaled down to the
-# complementarity of least-squares multipliers at the starting point, so
-# problems whose constraints are inactive run with an essentially inactive
-# barrier instead of being dragged onto a distant central path
+# barrier parameter: MU0 caps the start value of _initial_mu, and MU_KKT
+# times the start's KKT residual floors it (1e-4 left short solves on the
+# EM tensor problems, 1e-2 took up to 68 % more Fisher steps than 1e-3)
 MU0 = 1.0
+MU_KKT = 1e-3
 MU_SHRINK = 0.2
 # the final barrier parameter bounds both the interior bias of the
 # solution (proportional to mu) and the smallest active-constraint
@@ -271,21 +276,26 @@ def _predictor_step(problem, theta, nu, A, mu, mu_next):
 
 
 def _initial_mu(problem, theta, nu):
-    """Barrier parameter matched to the multiplier scale at the start.
+    """Barrier parameter matched to the start's multipliers and its
+    distance from optimality.
 
     Non-negative least-squares multipliers lam minimizing
     ||grad f + A^T lam|| estimate the active-set scale; their mean
     complementarity with the starting slacks gives a mu of the right
-    size.  Inactive problems get MU_MIN, so the barrier never
-    overwhelms an already near-optimal start.
+    size.  It is raised to MU_KKT ||grad f + A^T lam||_inf, the start's KKT
+    residual, so a start whose gradient presses on no constraint but which
+    is not optimal does not run at MU_MIN, far off its central path; a
+    near-optimal start keeps a mu that does not overwhelm it.  The result
+    lies in [MU_MIN, MU0].
     """
     import scipy.optimize
 
     A = problem.constraint_gradients(theta)
     grad = problem.gradient(theta)
-    lam_ls, _ = scipy.optimize.nnls(A.T, -grad)
-    comp = float(np.mean(lam_ls * nu))
-    return float(min(MU0, max(MU_MIN, comp)))
+    lam, _ = scipy.optimize.nnls(A.T, -grad)
+    comp = float(np.mean(lam * nu))
+    residual = float(abs(grad + A.T @ lam).max())
+    return float(min(MU0, max(MU_MIN, comp, MU_KKT * residual)))
 
 
 def solve(problem: BarrierProblem, theta0, grad_tol: float = GRAD_TOL):

@@ -639,10 +639,10 @@ def cwls_fit(data: VoxelData, params: ModelParams, model: ExponentModel,
     values.  The loss is fixed, so the fit is two constrained
     Fisher-scoring solves, the second started from the first's result
     with a fresh barrier parameter.  The second finishes first solves that
-    end at their inner-iteration cap (on dataset3 seed 0 it converges on
-    all 8 such voxels of 180, lowering f by 1e-6 to 35 % relative); on the
-    others it moves f by at most 3e-11 relative.  The solve with the
-    lower f is returned, the second on a tie.
+    end at their inner-iteration cap (on dataset3 seed 0 that is 1 voxel of
+    180, whose f it lowers by 3e-4 relative); on the others it moves f by
+    at most 6e-11 relative.  The solve with the lower f is returned, the
+    second on a tie.
 
     Returns (params, sigma^2, [-f after each solve], 2, the returned
     solve's converged flag).

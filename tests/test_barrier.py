@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.linalg import cho_solve
 
 from dkimle import barrier, estimators, rician
@@ -276,6 +277,42 @@ class TestSolve:
         assert diag.max_complementarity <= 10 * diag.final_mu + 1e-12
         assert diag.max_complementarity > 0  # lambda stayed positive
 
+    def test_start_off_the_path_projects_onto_the_disk(self):
+        """Projecting (3, 1) onto the unit disk from (-0.3, 0): the start's
+        gradient presses on no constraint, so its nnls multiplier is 0, but
+        its KKT residual 3.3 sets mu0 = 3.3e-3.  Started at MU_MIN instead,
+        the solve jammed at (0.928, 0.372) with score norm 1.67e6.  The
+        point is asserted, not ``converged``: the slack at MU_MIN rounds to
+        a score of about 1.4e-6 here, above the 1e-6 tolerance."""
+        prob, theta0 = disk_problem(np.array([3.0, 1.0])), np.array([-0.3, 0.0])
+        assert barrier._initial_mu(prob, theta0, -prob.constraints(theta0)) == pytest.approx(3.3e-3)
+        theta, diag = solve(prob, theta0)
+        np.testing.assert_allclose(theta, np.array([3.0, 1.0]) / np.sqrt(10.0), rtol=0, atol=1e-10)
+        assert diag.final_score_norm < 1e-5
+
+    def test_warm_start_after_the_optimum_moved(self, monkeypatch):
+        """Two solves whose optimum moves, the second started from the first's
+        result, as an EM sweep starts its tensor solve from the last sweep's:
+        first the interior point (-0.3, 0), then the projection of a target
+        outside the disk.  At the warm start no constraint holds the gradient
+        back, so the nnls multiplier is 0.  Scaled to the start's KKT
+        residual, mu0 puts the second solve on its central path and it
+        converges; without that floor mu0 = MU_MIN, and it ends at the
+        inner-iteration cap about 1e-2 from the optimum."""
+        first, _ = solve(disk_problem(np.array([-0.3, 0.0])), np.zeros(2))
+        target = 1.2 * np.array([3.0, 1.0]) / np.sqrt(10.0)
+        prob = disk_problem(target)
+        lam, _ = scipy.optimize.nnls(prob.constraint_gradients(first).T, -prob.gradient(first))
+        assert lam.tolist() == [0.0]
+        theta, diag = solve(prob, first)
+        assert diag.converged and diag.outer_iterations > 1
+        np.testing.assert_allclose(theta, target / 1.2, rtol=0, atol=1e-8)
+
+        monkeypatch.setattr(barrier, "MU_KKT", 0.0)
+        theta, diag = solve(prob, first)
+        assert diag.outer_iterations == 1 and diag.capped_subproblems == 1
+        assert not diag.converged and np.abs(theta - target / 1.2).max() > 1e-3
+
 
 def half_space_problem():
     """min 1/2 ||theta - (2, 1)||^2 s.t. theta_1 + theta_2 <= 1 (demo 03):
@@ -321,8 +358,10 @@ class TestPredictor:
     def test_capped_subproblem_counted(self):
         """min 1/2 (t - 5)^2 s.t. t >= -100 with an information 1e6 times the
         curvature: each Fisher step goes 1e-6 of the way.  The constraint is
-        inactive, so mu starts at MU_MIN: one subproblem, which ends at
-        MAX_INNER short of the tolerance, and no predictor."""
+        inactive, and mu starts at 1e-3 times the KKT residual 5: 12 passes
+        from 5e-3 down to 2.6e-10 and the pass at MU_MIN, each ending at
+        MAX_INNER short of its tolerance, with 11 of the 12 predictors
+        accepted."""
         prob = BarrierProblem(
             dim=1,
             n_constraints=1,
@@ -334,8 +373,9 @@ class TestPredictor:
             constraint_quadratic=lambda s: np.zeros(1),
         )
         theta, diag = solve(prob, np.array([0.0]))
-        assert diag.outer_iterations == 1 and diag.inner_iterations == barrier.MAX_INNER
-        assert diag.capped_subproblems == 1 and diag.predictor_steps == 0
+        assert diag.outer_iterations == 13 and diag.capped_subproblems == 13
+        assert diag.inner_iterations == 13 * barrier.MAX_INNER
+        assert diag.predictor_steps == 11
         assert not diag.converged and diag.reason == "score tolerance not met at final mu"
 
 
@@ -664,10 +704,12 @@ class TestOneEvaluationPerPoint:
     @pytest.mark.parametrize("voxel", [3, 12])
     def test_stalled_panel_voxels(self, monkeypatch, voxel):
         """The EM-MLE voxels of the seed-0 panel (dataset2, SNR 15, 18
-        voxels) whose first solve stalls.  Before the stall exit it repeated
-        its last iteration until the inner-iteration cap and evaluated the
-        objective and the constraints at 929 (voxel 3) and 701 (voxel 12)
-        points a second time."""
+        voxels) whose first solve stalled while it started at MU_MIN.  Before
+        the stall exit it repeated its last iteration until the
+        inner-iteration cap and evaluated the objective and the constraints
+        at 929 (voxel 3) and 701 (voxel 12) points a second time.  Started
+        at 1e-3 times the KKT residual, their solves converge without a
+        stall."""
         protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=18)
         solves = counted_solves(monkeypatch, rows[voxel], protocol)
         assert len(solves) > 1
@@ -686,15 +728,19 @@ class TestSolverWorkOnPanels:
     infeasible); the skip rule leaves the solves and inner iterations as
     they were.  Before the predictor steps the mle panel took 49 solves,
     2896 inner iterations and trials (6971, 1202, 6702), and the cwls panel
-    36 solves, 2405 inner iterations and trials (3813, 500, 447)."""
+    36 solves, 2405 inner iterations and trials (3813, 500, 447).  Before
+    mu0 was floored at 1e-3 times the start's KKT residual the mle panel
+    took 50 solves, 2068 inner iterations, trials (3202, 948, 6561), 170
+    predictors, 22 capped subproblems, 831 E-steps and 68 exponents; the
+    cwls counts did not move."""
 
     # line-search trials (evaluated, evaluated and infeasible, skipped), and
     # (accepted predictor steps, subproblems that ended at MAX_INNER)
-    TRIALS = {"mle": (3202, 948, 6561), "cwls": (1874, 142, 68)}
-    PREDICTOR = {"mle": (170, 22), "cwls": (233, 0)}
+    TRIALS = {"mle": (2176, 63, 16), "cwls": (1874, 142, 68)}
+    PREDICTOR = {"mle": (441, 0), "cwls": (233, 0)}
 
     @pytest.mark.parametrize("estimator, snr, solves, inner", [
-        ("mle", 15.0, 50, 2068),
+        ("mle", 15.0, 49, 1634),
         ("cwls", 5.0, 36, 1458),
     ])
     def test_solves_and_inner_iterations(self, monkeypatch, estimator, snr, solves, inner):
@@ -735,12 +781,12 @@ class TestSolverWorkOnPanels:
         monkeypatch.setattr(estimators, "em_estep", counting_estep)
         for row in rows:
             estimators.fit_voxel(row, protocol, "mle")
-        assert len(calls) == 831
+        assert len(calls) == 815
 
     def test_mle_signal_model_evaluations(self, monkeypatch):
         """Each EM-MLE fit builds one exponent model and evaluates its
         exponent outside the tensor solves only at the start and after each
-        tensor update (50 solves): the E-steps, M-steps and surrogate take
+        tensor update (49 solves): the E-steps, M-steps and surrogate take
         that exponent (2448 models and 2398 evaluations on this panel when
         each step rebuilt the model)."""
         protocol, rows, _ = scenario("dataset2", snr=15.0, seed=0, n_voxels=18)
@@ -771,7 +817,7 @@ class TestSolverWorkOnPanels:
         monkeypatch.setattr(barrier, "solve", marked_solve)
         for row in rows:
             estimators.fit_voxel(row, protocol, "mle")
-        assert (counts["models"], counts["exponents"]) == (18, 68)
+        assert (counts["models"], counts["exponents"]) == (18, 67)
 
     def test_noise_model_stands_alone(self):
         """The Rician module holds the noise model only: it takes model

@@ -37,12 +37,12 @@ ROOT = Path(__file__).resolve().parents[1]
 # (estimator, scenario, snr, seed, voxels, expected hash); dataset3 sets
 # its SNR per voxel and ignores the snr given
 SETS = (
-    ("mle", "dataset2", 15.0, 0, 18, "bc0d3fb85e5d4f40"),
+    ("mle", "dataset2", 15.0, 0, 18, "3aea8005f119e505"),
     ("cwls", "dataset2", 5.0, 0, 18, "fa9b01fd6e7fdfa6"),
     ("wls", "dataset3", 15.0, 0, 180, "fd28f4440555f877"),
-    ("mle", "dataset2", 15.0, 1, 40, "67b9230a18a17480"),
+    ("mle", "dataset2", 15.0, 1, 40, "0f8cef31eade7564"),
     ("cwls", "dataset2", 5.0, 1, 40, "8620a192c526dfc7"),
-    ("mle", "dataset3", 15.0, 41, 50, "3472eb6ff6d87b06"),
+    ("mle", "dataset3", 15.0, 41, 50, "6947c70f2debc4aa"),
 )
 # the same fields for the JSON lines of `dkimle fit --workers 2`
 RECORD_SETS = (
